@@ -3,8 +3,8 @@
 Every command is a pure function of its flags. A single --seed feeds each
 seeded command; internal randomness comes from labeled substreams
 ("convergence-sample", "regularity-sample", "regularity-cylinders", plus
-the library's own labels), so outputs are bit-identical across runs and
-across HYPERLIM_THREADS values.
+the library's own labels), and computation is single-threaded, so outputs
+are bit-identical across runs.
 
 Exit codes: 0 success, 2 input/parse error, 3 budget exceeded,
 4 verification failed.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -56,19 +55,6 @@ REGULARITY_HEADER = ["kind", "level", "class", "value", "detail"]
 
 def _real(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("HYPERLIM_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"HYPERLIM_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("HYPERLIM_THREADS must be at least 1")
-    return value
 
 
 def _read(path: str) -> str:
@@ -143,7 +129,6 @@ def convergence_table(
     reps: int,
     seed: int,
     budget: int = 10**6,
-    threads: int | None = None,
 ) -> tuple[list[list[str]], dict[tuple[str, int], float]]:
     """Sampled t(K, H_n) against exact t(K, W), with per-(K, n) means.
 
@@ -160,7 +145,7 @@ def convergence_table(
             for rep in range(reps):
                 sub_seed = derive(seed, "convergence-sample", ki, n, rep)
                 sample = sample_w_random(w, n, sub_seed)
-                t_h = hom_density(pattern, sample.hypergraph, threads=threads)
+                t_h = hom_density(pattern, sample.hypergraph)
                 diff = abs(float(t_h) - t_w)
                 diffs.append(diff)
                 rows.append([kid, str(n), str(rep), str(t_h), _real(t_w), _real(diff)])
@@ -233,7 +218,7 @@ def regularity_table(
 def cmd_hom(args) -> int:
     pattern = parse_hypergraph(_read(args.pattern))
     host = parse_hypergraph(_read(args.host))
-    result = hom_count(pattern, host, threads=_threads())
+    result = hom_count(pattern, host)
     print(f"hom={result.count} t={result.density()}")
     return 0
 
@@ -244,7 +229,7 @@ def cmd_density(args) -> int:
     if args.mode == "exact":
         print(_real(exact_density(pattern, w, budget=args.budget)))
     else:
-        est = mc_density(pattern, w, args.samples, args.seed, threads=_threads())
+        est = mc_density(pattern, w, args.samples, args.seed)
         print(_real(est.estimate))
         print(f"se={_real(est.standard_error)} samples={est.n_samples}", file=sys.stderr)
     return 0
@@ -346,8 +331,7 @@ def cmd_experiment_convergence(args) -> int:
             seen[stem] = 0
         patterns.append((stem, parse_hypergraph(_read(path))))
     rows, _ = convergence_table(
-        w, patterns, config.ns, config.reps, config.seed,
-        budget=config.budget, threads=_threads(),
+        w, patterns, config.ns, config.reps, config.seed, budget=config.budget
     )
     _write_csv(config.out, CONVERGENCE_HEADER, rows)
     return 0

@@ -8,7 +8,6 @@ ones; no large-n correction is applied anywhere.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -95,18 +94,13 @@ def _candidates(others_list, assignment, links, n_host):
     return cand
 
 
-def hom_count(
-    pattern: UniformHypergraph,
-    host: UniformHypergraph,
-    threads: int | None = None,
-) -> HomCount:
+def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
     """Exact number of homomorphisms pattern -> host (arbitrary precision).
 
     Backtracks over pattern vertices in descending (degree, id) order,
     restricting each image to the intersection of host link sets of the
-    edges completed at that position. With ``threads`` > 1 the search
-    splits on the first vertex's image; per-image counts are summed in
-    image order, so the result is identical at any thread count.
+    edges completed at that position. Vertices outside every edge come last
+    in that order and contribute a factor of |V(H)| each.
     """
     _check_arity(pattern, host)
     n_pat, n_host = pattern.n_vertices, host.n_vertices
@@ -124,7 +118,7 @@ def hom_count(
     free_factor = n_host ** (n_pat - covered)
     assignment = [-1] * n_pat
 
-    def count_from(i: int, assignment) -> int:
+    def count_from(i: int) -> int:
         cand = _candidates(pending[i], assignment, links, n_host)
         if i == covered - 1:
             return len(cand)
@@ -132,27 +126,11 @@ def hom_count(
         v = order[i]
         for x in cand:
             assignment[v] = x
-            total += count_from(i + 1, assignment)
+            total += count_from(i + 1)
         assignment[v] = -1
         return total
 
-    first = order[0]
-    first_cand = _candidates(pending[0], assignment, links, n_host)
-    if covered == 1:
-        return HomCount(len(first_cand) * free_factor, domain)
-    first_cand = sorted(first_cand)
-
-    def subtree(x: int) -> int:
-        local = [-1] * n_pat
-        local[first] = x
-        return count_from(1, local)
-
-    if threads and threads > 1 and len(first_cand) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(subtree, first_cand))
-    else:
-        counts = [subtree(x) for x in first_cand]
-    return HomCount(sum(counts) * free_factor, domain)
+    return HomCount(count_from(0) * free_factor, domain)
 
 
 def hom_count_brute(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
@@ -175,13 +153,9 @@ def hom_count_brute(pattern: UniformHypergraph, host: UniformHypergraph) -> HomC
     return HomCount(count, total if n_host > 0 else 0)
 
 
-def hom_density(
-    pattern: UniformHypergraph,
-    host: UniformHypergraph,
-    threads: int | None = None,
-) -> Fraction:
+def hom_density(pattern: UniformHypergraph, host: UniformHypergraph) -> Fraction:
     """t(K, H) = hom(K, H) / |V(H)|**|V(K)| as an exact rational."""
-    return hom_count(pattern, host, threads=threads).density()
+    return hom_count(pattern, host).density()
 
 
 def enumerate_hom_images(

@@ -32,8 +32,6 @@ from .rng import check_seed, fraction_box, stream
 INDICATOR = "ind"
 PROJECTED = "proj"
 
-_MC_CHUNK = 4096  # fixed chunk size keeps Monte-Carlo sums thread-invariant
-
 
 class CompensatedSum:
     """Neumaier-compensated accumulator for long float sums."""
@@ -264,14 +262,13 @@ def mc_density(
     w: StepHypergraphon,
     n_samples: int,
     seed: int,
-    threads: int | None = None,
 ) -> DensityEstimate:
     """Monte-Carlo estimate of the density integral.
 
-    Each sample index derives its own substream from (seed, "mc", index),
-    so the estimate is a pure function of (seed, n_samples): thread count
-    and scheduling cannot change a bit. Standard error is the ddof=1
-    sample deviation over sqrt(n_samples).
+    Each sample index derives its own substream from (seed, "mc", index)
+    and the values are summed in index order, so the estimate is a pure
+    function of (seed, n_samples). Standard error is the ddof=1 sample
+    deviation over sqrt(n_samples).
     """
     _check_density_args(pattern, w)
     check_seed(seed)
@@ -282,33 +279,20 @@ def mc_density(
     l = w.resolution
     coord_maps = _edge_coordinate_map(pattern, support)
 
-    def chunk_values(lo: int, hi: int) -> list[float]:
-        out = []
-        for i in range(lo, hi):
-            st = stream(seed, "mc", i)
-            assign = [fraction_box(st.next_fraction(), l) for _ in range(s)]
-            out.append(_integrand(assign, coord_maps, w))
-        return out
-
-    ranges = [(lo, min(lo + _MC_CHUNK, n_samples)) for lo in range(0, n_samples, _MC_CHUNK)]
-    if threads and threads > 1 and len(ranges) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda r: chunk_values(*r), ranges))
-    else:
-        chunks = [chunk_values(*r) for r in ranges]
+    values = []
+    for i in range(n_samples):
+        st = stream(seed, "mc", i)
+        assign = [fraction_box(st.next_fraction(), l) for _ in range(s)]
+        values.append(_integrand(assign, coord_maps, w))
 
     total = CompensatedSum()
-    for chunk in chunks:
-        for v in chunk:
-            total.add(v)
+    for v in values:
+        total.add(v)
     mean = total.total / n_samples
     ss = CompensatedSum()
-    for chunk in chunks:
-        for v in chunk:
-            d = v - mean
-            ss.add(d * d)
+    for v in values:
+        d = v - mean
+        ss.add(d * d)
     sd = sqrt(max(ss.total, 0.0) / (n_samples - 1))
     return DensityEstimate(mean, sd / sqrt(n_samples), n_samples, seed)
 

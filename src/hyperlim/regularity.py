@@ -294,10 +294,6 @@ class CylinderIntersection:
         )
 
 
-def cylinder_membership(cyl: CylinderIntersection, subset: tuple[int, ...]) -> bool:
-    return cyl.contains(subset)
-
-
 def regularity_deviation(
     g: UniformHypergraph, cyl: CylinderIntersection, size_gate: float | Fraction
 ) -> Fraction | None:
@@ -339,6 +335,8 @@ def check_regularity_family(
     The witness is the first cylinder attaining the maximum, present iff
     that maximum exceeds epsilon (the same epsilon gates cylinder size).
     """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     admitted = 0
     max_dev: Fraction | None = None
     argmax = None
@@ -368,6 +366,8 @@ def sampled_cylinder_family(
     labeled substreams, so the family is a pure function of the seed.
     """
     check_seed(seed)
+    if count < 0:
+        raise ValueError("cylinder count must be nonnegative")
     if not density_grid or any(not 0.0 <= q <= 1.0 for q in density_grid):
         raise ValueError("density_grid must be nonempty with entries in [0, 1]")
     family = []

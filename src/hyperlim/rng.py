@@ -2,8 +2,8 @@
 
 Everything random in this package flows through SplitMix64. Substreams are
 derived by hashing ``(seed, label, *indices)`` through the SplitMix64
-finalizer, so the value drawn for a given index never depends on iteration
-order, chunking, or thread count. Draws are 64-bit fractions: an integer
+finalizer, so the value drawn for a given index never depends on the order
+in which indices are visited. Draws are 64-bit fractions: an integer
 ``m`` in ``[0, 2**64)`` standing for the real ``m / 2**64``. Box and label
 arithmetic stays in integers (``(m * l) >> 64``) so boundary decisions are
 exact.

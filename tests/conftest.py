@@ -13,7 +13,8 @@ def cli_env(threads: str) -> dict:
     Holds only `PATH`, `HYPERLIM_THREADS` and a `PYTHONPATH` pointing at the
     directory that holds the imported `hyperlim` package, so the child runs
     the same code as the test process (bare checkout, editable install or
-    wheel) and the thread count is the only setting that varies.
+    wheel). `HYPERLIM_THREADS` is the only setting that varies; the program
+    does not read it, so the byte tests check that it changes no output.
     """
     return {
         "PATH": os.environ.get("PATH", ""),

@@ -173,6 +173,19 @@ def test_regularity_rejects_bad_grid(files, capsys, tmp_path):
     assert "grid" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--eps", "-1"], "epsilon"), (["--eps", "nan"], "epsilon"), (["--M", "-3"], "count")],
+)
+def test_regularity_rejects_bad_eps_and_count(flags, message, capsys, tmp_path):
+    host = tmp_path / "k5.hg"
+    host.write_text(serialize_hypergraph(complete_hypergraph(2, 5)), encoding="utf-8")
+    code, out, err = run_main(["regularity", str(host), *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_removal_csv_and_success_exit(files, capsys, tmp_path):
     bipartite = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
     host_text = serialize_hypergraph(UniformHypergraph(2, 6, sorted(bipartite + [(0, 1)])))
@@ -283,13 +296,6 @@ def test_experiment_config_validation():
 
 
 # -- thread plumbing --------------------------------------------------------------
-
-
-def test_invalid_thread_env_exits_2(files, capsys, monkeypatch):
-    monkeypatch.setenv("HYPERLIM_THREADS", "many")
-    code, _, err = run_main(["hom", files["edge.hg"], files["triangle.hg"]], capsys)
-    assert code == 2
-    assert "HYPERLIM_THREADS" in err
 
 
 def test_thread_count_does_not_change_bytes(files):

@@ -78,8 +78,9 @@ def test_backtracking_matches_brute_force_on_random_instances():
             triangle(),
             UniformHypergraph(2, 3, [(0, 1), (1, 2)]),
             UniformHypergraph(2, 4, [(0, 1), (2, 3)]),
+            UniformHypergraph(2, 3, [(0, 1)]),
         ],
-        3: [single_triple(), shared_pair_triples()],
+        3: [single_triple(), shared_pair_triples(), UniformHypergraph(3, 4, [(0, 1, 2)])],
     }
     for _ in range(60):
         k = rng.choice([2, 3])
@@ -88,15 +89,6 @@ def test_backtracking_matches_brute_force_on_random_instances():
             fast = hom_count(pattern, host)
             brute = hom_count_brute(pattern, host)
             assert (fast.count, fast.domain_size) == (brute.count, brute.domain_size)
-
-
-def test_thread_count_does_not_change_the_answer():
-    rng = random.Random(77)
-    host = random_hypergraph(rng, 2, 6, 0.5)
-    pattern = triangle()
-    serial = hom_count(pattern, host, threads=None)
-    for t in (1, 2, 8):
-        assert hom_count(pattern, host, threads=t) == serial
 
 
 def test_single_edge_count_on_complete_host_is_falling_factorial():

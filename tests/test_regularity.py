@@ -19,7 +19,6 @@ from hyperlim import (
     check_regularity_family,
     check_regularity_sampled,
     complete_hypergraph,
-    cylinder_membership,
     equitability,
     exact_density,
     extract_step_hypergraphon,
@@ -261,7 +260,7 @@ def test_r2_membership_matches_the_two_sided_formula():
         cyl = CylinderIntersection((one_uniform(n, b1), one_uniform(n, b2)))
         for a, b in combinations(range(n), 2):
             expected = (a in b1 and b in b2) or (b in b1 and a in b2)
-            assert cylinder_membership(cyl, (a, b)) == expected
+            assert cyl.contains((a, b)) == expected
 
 
 def test_cylinder_complete_and_empty_sides():
@@ -325,6 +324,9 @@ def test_check_family_reports_first_argmax_as_witness():
     relaxed = check_regularity_family(g, 0.6, [cyl])
     assert relaxed.witness is None
     assert check_regularity_family(g, 0.1, []).max_deviation is None
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            check_regularity_family(g, bad, [cyl])
 
 
 def test_sampled_family_is_seeded_and_respects_the_grid():
@@ -339,6 +341,9 @@ def test_sampled_family_is_seeded_and_respects_the_grid():
     assert all(c.members == frozenset() for c in hollow)
     with pytest.raises(ValueError):
         sampled_cylinder_family(6, 2, 3, seed=0, density_grid=(0.5, 1.2))
+    assert sampled_cylinder_family(6, 2, 0, seed=0) == []
+    with pytest.raises(ValueError, match="count"):
+        sampled_cylinder_family(6, 2, -1, seed=0)
 
 
 def test_check_sampled_rejects_level_one_and_mismatched_plants():
