@@ -116,8 +116,8 @@ class ExperimentConfig:
             raise ValueError("every n must be positive")
         if self.reps < 1 or self.samples < 1 or self.budget < 1:
             raise ValueError("reps, sample counts, and budget must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < 1:
+            raise ValueError("epsilon must lie strictly between 0 and 1")
         if self.resolution is not None and self.resolution < 1:
             raise ValueError("resolution l must be at least 1")
 

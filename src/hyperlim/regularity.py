@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, permutations
 from math import comb, sqrt
 from typing import Mapping, Sequence
@@ -245,8 +244,10 @@ class CylinderIntersection:
 
     An r-subset {a_1..a_r} is a member iff the left-out elements can be
     assigned bijectively to the sides: some permutation puts, for every i,
-    the subset minus its i-th assigned element into side i. Checked by
-    brute force over all r! assignments (r <= 4).
+    the subset minus its i-th assigned element into side i. `contains`
+    decides one subset by brute force over all r! assignments (r <= 4)
+    and is the oracle for the counting kernel behind
+    `regularity_deviation`, which never lists the members.
     """
 
     sides: tuple[UniformHypergraph, ...]
@@ -285,13 +286,40 @@ class CylinderIntersection:
                 return True
         return False
 
-    @cached_property
-    def members(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(
-            sub
-            for sub in combinations(range(self.n_vertices), self.arity)
-            if self.contains(sub)
-        )
+
+def _good_masks(cyl: CylinderIntersection) -> dict[tuple[int, ...], int]:
+    """Per sorted (r-1)-subset T: bitmask of v > max(T) with T + {v} in cyl.
+
+    Side Y's link at an (r-2)-subset U is the mask of vertices w with
+    U + {w} in Y. For S = T + {v}, facet T goes to some side X holding T,
+    and the facets T - t + {v} go bijectively to the other sides, so the
+    mask is an OR over those r! assignments of ANDs of r-1 links. Subsets
+    T in no side have no members above them and are left out.
+    """
+    r = cyl.arity
+    links = []
+    for side in cyl.sides:
+        link: dict[tuple[int, ...], int] = {}
+        for e in side.edges:
+            for i, w in enumerate(e):
+                u = e[:i] + e[i + 1 :]
+                link[u] = link.get(u, 0) | (1 << w)
+        links.append(link)
+    good: dict[tuple[int, ...], int] = {}
+    for x, side in enumerate(cyl.sides):
+        others = links[:x] + links[x + 1 :]
+        for t in side.edges:
+            faces = [t[:i] + t[i + 1 :] for i in range(r - 1)]
+            acc = 0
+            for perm in permutations(faces):
+                m = -1
+                for link, u in zip(others, perm):
+                    m &= link.get(u, 0)
+                acc |= m
+            acc &= -(2 << t[-1])
+            if acc:
+                good[t] = good.get(t, 0) | acc
+    return good
 
 
 def regularity_deviation(
@@ -300,16 +328,18 @@ def regularity_deviation(
     """|density of g - density of g inside the cylinder|, or None.
 
     None marks a skipped (too small) cylinder: assessment requires
-    |L| >= size_gate * C(n, r).
+    |L| >= size_gate * C(n, r). |L| and |g inside L| are counted from
+    `_good_masks`; L itself is never listed.
     """
     if g.k != cyl.arity or g.n_vertices != cyl.n_vertices:
         raise ValueError("hypergraph and cylinder disagree on arity or vertex count")
     total = comb(g.n_vertices, g.k)
-    members = cyl.members
-    t = len(members)
+    good = _good_masks(cyl)
+    t = sum(mask.bit_count() for mask in good.values())
     if t == 0 or Fraction(t, total) < size_gate:
         return None
-    return abs(Fraction(len(g.edges), total) - Fraction(len(g.edge_set & members), t))
+    inside = sum(good.get(e[:-1], 0) >> e[-1] & 1 for e in g.edges)
+    return abs(Fraction(len(g.edges), total) - Fraction(inside, t))
 
 
 @dataclass(frozen=True)
@@ -334,9 +364,12 @@ def check_regularity_family(
 
     The witness is the first cylinder attaining the maximum, present iff
     that maximum exceeds epsilon (the same epsilon gates cylinder size).
+    Epsilon must lie in (0, 1): at 1 or above no deviation can exceed it
+    and no proper cylinder passes the size gate, so every verdict would be
+    regular without a test.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
     admitted = 0
     max_dev: Fraction | None = None
     argmax = None
@@ -395,9 +428,15 @@ def check_regularity_sampled(
     density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
     planted: Sequence[CylinderIntersection] = (),
 ) -> RegularityReport:
-    """Sampled regularity check: seeded random cylinders, planted first."""
+    """Sampled regularity check: seeded random cylinders, planted first.
+
+    An empty family (no plant and count 0) is refused: it would report a
+    regular verdict from no test at all.
+    """
     if g.k < 2:
         raise ValueError("level 1 has no cylinder structure; use equitability")
+    if not planted and count == 0:
+        raise ValueError("cylinder count must be positive when nothing is planted")
     for cyl in planted:
         if cyl.arity != g.k or cyl.n_vertices != g.n_vertices:
             raise ValueError("planted cylinder disagrees on arity or vertex count")

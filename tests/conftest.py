@@ -7,18 +7,19 @@ import hyperlim
 from hyperlim import INDICATOR, StepHypergraphon, UniformHypergraph
 
 
-def cli_env(threads: str) -> dict:
+def cli_env(hash_seed: str) -> dict:
     """Environment for a `python -m hyperlim` child process.
 
-    Holds only `PATH`, `HYPERLIM_THREADS` and a `PYTHONPATH` pointing at the
+    Holds only `PATH`, `PYTHONHASHSEED` and a `PYTHONPATH` pointing at the
     directory that holds the imported `hyperlim` package, so the child runs
     the same code as the test process (bare checkout, editable install or
-    wheel). `HYPERLIM_THREADS` is the only setting that varies; the program
-    does not read it, so the byte tests check that it changes no output.
+    wheel). `PYTHONHASHSEED` is the only setting that varies: it changes the
+    iteration order of every set or dict keyed by strings, so the byte tests
+    check that no output depends on that order.
     """
     return {
         "PATH": os.environ.get("PATH", ""),
-        "HYPERLIM_THREADS": threads,
+        "PYTHONHASHSEED": hash_seed,
         "PYTHONPATH": str(Path(hyperlim.__file__).resolve().parent.parent),
     }
 

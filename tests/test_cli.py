@@ -175,15 +175,29 @@ def test_regularity_rejects_bad_grid(files, capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--eps", "-1"], "epsilon"), (["--eps", "nan"], "epsilon"), (["--M", "-3"], "count")],
+    [
+        (["--eps", "-1"], "epsilon"),
+        (["--eps", "nan"], "epsilon"),
+        (["--M", "-3"], "count"),
+        (["--eps", "1"], "epsilon"),
+        (["--eps", "2"], "epsilon"),
+        (["--eps", "inf"], "epsilon"),
+        (["--M", "0"], "count"),
+    ],
 )
-def test_regularity_rejects_bad_eps_and_count(flags, message, capsys, tmp_path):
+def test_regularity_rejects_bad_eps_and_count(files, flags, message, capsys, tmp_path):
+    # eps >= 1 admits no cylinder and M = 0 tests none; either would print
+    # a regular verdict (witness=0) backed by no test.
     host = tmp_path / "k5.hg"
     host.write_text(serialize_hypergraph(complete_hypergraph(2, 5)), encoding="utf-8")
-    code, out, err = run_main(["regularity", str(host), *flags], capsys)
-    assert code == 2
-    assert out == ""
-    assert message in err
+    for argv in (
+        ["regularity", str(host)],
+        ["experiment", "regularity", files["half.hgon"], "--n", "6"],
+    ):
+        code, out, err = run_main([*argv, *flags], capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert message in err
 
 
 def test_removal_csv_and_success_exit(files, capsys, tmp_path):
@@ -287,24 +301,25 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="convergence", w_path="w", ns=(0,))
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig(kind="convergence", w_path="w", reps=0)
-    with pytest.raises(ValueError, match="epsilon"):
-        ExperimentConfig(kind="regularity", w_path="w", epsilon=0.0)
+    for bad in (0.0, 1.0, float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            ExperimentConfig(kind="regularity", w_path="w", epsilon=bad)
     with pytest.raises(ValueError, match="resolution"):
         ExperimentConfig(kind="regularity", w_path="w", resolution=0)
     with pytest.raises(ValueError):
         ExperimentConfig(kind="convergence", w_path="w", seed=-1)
 
 
-# -- thread plumbing --------------------------------------------------------------
+# -- hash-seed independence -------------------------------------------------------
 
 
-def test_thread_count_does_not_change_bytes(files):
+def test_hash_seed_does_not_change_bytes(files):
     argv = [sys.executable, "-m", "hyperlim", "density",
             files["triangle.hg"], files["half.hgon"],
             "--mode", "mc", "--samples", "3000", "--seed", "7"]
     outs = []
-    for threads in ("1", "2"):
-        proc = subprocess.run(argv, capture_output=True, env=cli_env(threads))
+    for hash_seed in ("0", "1", "random"):
+        proc = subprocess.run(argv, capture_output=True, env=cli_env(hash_seed))
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]

@@ -43,6 +43,13 @@ def one_uniform(n, members):
     return UniformHypergraph(1, n, [(v,) for v in sorted(members)])
 
 
+def scan(cyl):
+    """Members of a cylinder intersection, by the `contains` oracle."""
+    return frozenset(
+        sub for sub in combinations(range(cyl.n_vertices), cyl.arity) if cyl.contains(sub)
+    )
+
+
 # -- Hyperpartition ------------------------------------------------------------
 
 
@@ -265,9 +272,34 @@ def test_r2_membership_matches_the_two_sided_formula():
 
 def test_cylinder_complete_and_empty_sides():
     full = CylinderIntersection((complete_hypergraph(2, 5), complete_hypergraph(2, 5), complete_hypergraph(2, 5)))
-    assert full.members == set(combinations(range(5), 3))
+    assert scan(full) == set(combinations(range(5), 3))
     hollow = CylinderIntersection((complete_hypergraph(2, 5), UniformHypergraph(2, 5, []), complete_hypergraph(2, 5)))
-    assert hollow.members == frozenset()
+    assert scan(hollow) == frozenset()
+
+
+def test_deviation_counts_match_the_contains_scan():
+    # Side densities include 0 and 1, so empty and complete sides occur.
+    rng = random.Random(2024)
+    for _ in range(150):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(r, 9)
+        sides = []
+        for _ in range(r):
+            q = rng.choice((0.0, 0.3, 0.7, 1.0))
+            pool = combinations(range(n), r - 1)
+            sides.append(UniformHypergraph(r - 1, n, [s for s in pool if rng.random() < q]))
+        cyl = CylinderIntersection(tuple(sides))
+        members = scan(cyl)
+        g = UniformHypergraph(r, n, [e for e in combinations(range(n), r) if rng.random() < 0.5])
+        total = comb(n, r)
+        if not members:
+            assert regularity_deviation(g, cyl, 0) is None
+            continue
+        expected = abs(
+            Fraction(len(g.edges), total) - Fraction(len(g.edge_set & members), len(members))
+        )
+        assert regularity_deviation(g, cyl, Fraction(len(members), total)) == expected
+        assert regularity_deviation(g, cyl, Fraction(len(members) + 1, total)) is None
 
 
 def test_cylinder_membership_validates_subsets():
@@ -298,15 +330,15 @@ def test_deviation_of_complete_and_empty_hosts_is_zero():
 
 def test_deviation_half_sized_planted_cylinder():
     cyl = planted_half_cylinder()
-    assert len(cyl.members) == comb(8, 2) // 2 == 14
-    g = UniformHypergraph(2, 8, sorted(cyl.members))
+    assert len(scan(cyl)) == comb(8, 2) // 2 == 14
+    g = UniformHypergraph(2, 8, sorted(scan(cyl)))
     assert regularity_deviation(g, cyl, 0.25) == Fraction(1, 2)
 
 
 def test_deviation_respects_the_size_gate():
     small = CylinderIntersection((one_uniform(8, [0]), one_uniform(8, [1])))
     g = complete_hypergraph(2, 8)
-    assert len(small.members) == 1
+    assert len(scan(small)) == 1
     assert regularity_deviation(g, small, 0.25) is None
     assert regularity_deviation(g, small, Fraction(1, 28)) == 0
     empty = CylinderIntersection((one_uniform(8, []), one_uniform(8, [])))
@@ -315,7 +347,7 @@ def test_deviation_respects_the_size_gate():
 
 def test_check_family_reports_first_argmax_as_witness():
     cyl = planted_half_cylinder()
-    g = UniformHypergraph(2, 8, sorted(cyl.members))
+    g = UniformHypergraph(2, 8, sorted(scan(cyl)))
     report = check_regularity_family(g, 0.3, [cyl, cyl], mode="exhaustive")
     assert report.tested == 2 and report.admitted == 2
     assert report.max_deviation == Fraction(1, 2)
@@ -324,7 +356,7 @@ def test_check_family_reports_first_argmax_as_witness():
     relaxed = check_regularity_family(g, 0.6, [cyl])
     assert relaxed.witness is None
     assert check_regularity_family(g, 0.1, []).max_deviation is None
-    for bad in (0.0, -1.0, float("nan")):
+    for bad in (0.0, -1.0, float("nan"), 1.0, 2.0, float("inf")):
         with pytest.raises(ValueError, match="epsilon"):
             check_regularity_family(g, bad, [cyl])
 
@@ -336,9 +368,9 @@ def test_sampled_family_is_seeded_and_respects_the_grid():
     assert all(c.arity == 3 and c.sides[0].k == 2 for c in fam1)
 
     solid = sampled_cylinder_family(6, 2, 3, seed=0, density_grid=(1.0,))
-    assert all(c.members == set(combinations(range(6), 2)) for c in solid)
+    assert all(scan(c) == set(combinations(range(6), 2)) for c in solid)
     hollow = sampled_cylinder_family(6, 2, 3, seed=0, density_grid=(0.0,))
-    assert all(c.members == frozenset() for c in hollow)
+    assert all(scan(c) == frozenset() for c in hollow)
     with pytest.raises(ValueError):
         sampled_cylinder_family(6, 2, 3, seed=0, density_grid=(0.5, 1.2))
     assert sampled_cylinder_family(6, 2, 0, seed=0) == []
@@ -352,11 +384,15 @@ def test_check_sampled_rejects_level_one_and_mismatched_plants():
     plant = planted_half_cylinder()
     with pytest.raises(ValueError, match="planted"):
         check_regularity_sampled(complete_hypergraph(2, 9), 0.1, 5, seed=0, planted=[plant])
+    with pytest.raises(ValueError, match="count"):
+        check_regularity_sampled(complete_hypergraph(2, 8), 0.1, 0, seed=0)
+    planted_only = check_regularity_sampled(complete_hypergraph(2, 8), 0.1, 0, seed=0, planted=[plant])
+    assert planted_only.tested == 1
 
 
 def test_check_sampled_finds_a_prepended_planted_witness():
     cyl = planted_half_cylinder()
-    g = UniformHypergraph(2, 8, sorted(cyl.members))
+    g = UniformHypergraph(2, 8, sorted(scan(cyl)))
     report = check_regularity_sampled(g, 0.3, 4, seed=0, planted=[cyl])
     assert report.mode == "sampled"
     assert report.tested == 5
