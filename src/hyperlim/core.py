@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 MAX_ARITY = 4
@@ -151,10 +152,12 @@ class SubsetIndexing:
     Order: by size, then lexicographically. Coordinate vectors over this
     index carry the natural symmetric-group action; `canonicalize` returns
     the lexicographic minimum of an orbit, which is the storage key for
-    box grids and cell profiles alike.
+    box grids and cell profiles alike. The action of each permutation is
+    a fixed gather of coordinates, built once here; nothing is stored
+    afterwards.
     """
 
-    __slots__ = ("k", "subsets", "index", "perms", "_remaps", "_canon_cache")
+    __slots__ = ("k", "subsets", "index", "perms", "_actions")
 
     def __init__(self, k: int):
         if not 1 <= k <= MAX_ARITY:
@@ -166,8 +169,7 @@ class SubsetIndexing:
         self.subsets = tuple(subsets)
         self.index = {s: i for i, s in enumerate(subsets)}
         self.perms = tuple(permutations(range(k)))
-        self._remaps = {p: self._build_remap(p) for p in self.perms}
-        self._canon_cache: dict[tuple, tuple] = {}
+        self._actions = {p: self._build_action(p) for p in self.perms}
 
     @property
     def n_coords(self) -> int:
@@ -178,42 +180,40 @@ class SubsetIndexing:
         # The full set {0..k-1} sorts last (largest size).
         return len(self.subsets) - 1
 
-    def _build_remap(self, perm: tuple[int, ...]) -> tuple[int, ...]:
-        # remap[i] = index of perm(A_i)
-        return tuple(self.index[tuple(sorted(perm[a] for a in s))] for s in self.subsets)
+    def _build_action(self, perm: tuple[int, ...]):
+        # Coordinate j moves to the index of perm(A_j), so position i of
+        # the result reads the coordinate whose subset perm maps to A_i.
+        source = [0] * len(self.subsets)
+        for j, s in enumerate(self.subsets):
+            source[self.index[tuple(sorted(perm[a] for a in s))]] = j
+        if len(source) == 1:
+            # A one-index itemgetter returns the bare value, not a 1-tuple.
+            return lambda vec: (vec[0],)
+        return itemgetter(*source)
 
-    def index_remap(self, perm: tuple[int, ...]) -> tuple[int, ...]:
-        return self._remaps[perm]
+    def _vector(self, vec: Sequence) -> tuple:
+        key = tuple(vec)
+        if len(key) != len(self.subsets):
+            raise ValueError(f"vector {key}: expected {len(self.subsets)} coordinates")
+        return key
 
     def permute_point(self, perm: tuple[int, ...], vec: Sequence) -> tuple:
-        """Action on coordinate vectors: result[remap(perm)[j]] = vec[j]."""
-        remap = self._remaps[perm]
-        out = [None] * len(vec)
-        for j, value in enumerate(vec):
-            out[remap[j]] = value
-        return tuple(out)
+        """Action on coordinate vectors: result[index of perm(A_j)] = vec[j]."""
+        return self._actions[perm](self._vector(vec))
+
+    def orbit(self, vec: Sequence) -> list[tuple]:
+        """Images of ``vec`` under every permutation, in ``perms`` order."""
+        key = self._vector(vec)
+        return [action(key) for action in self._actions.values()]
 
     def canonicalize(self, vec: Sequence) -> tuple:
         """Lexicographic minimum of the orbit of ``vec`` under all of S_k."""
-        key = tuple(vec)
-        hit = self._canon_cache.get(key)
-        if hit is not None:
-            return hit
-        best = key
-        for remap in self._remaps.values():
-            out = [None] * len(key)
-            for j, value in enumerate(key):
-                out[remap[j]] = value
-            cand = tuple(out)
-            if cand < best:
-                best = cand
-        self._canon_cache[key] = best
-        return best
+        return min(self.orbit(vec))
 
 
 @lru_cache(maxsize=None)
 def subset_indexing(k: int) -> SubsetIndexing:
-    """Shared per-arity indexing instance (canonicalization cache included)."""
+    """Shared per-arity indexing instance."""
     return SubsetIndexing(k)
 
 

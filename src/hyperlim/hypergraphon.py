@@ -60,10 +60,14 @@ class StepHypergraphon:
     """Grid-valued symmetric step function; see module docstring.
 
     ``values`` maps canonical orbit representatives (tuples of 2**k - 1
-    box indices) to values; exact zeros are dropped on construction.
+    box indices) to values; exact zeros are dropped on construction. The
+    constructor also expands every stored orbit into a table from each of
+    its boxes to the orbit's value, at most k! * len(values) entries. That
+    table is the only source of box values and is never written after
+    construction.
     """
 
-    __slots__ = ("k", "resolution", "kind", "values", "_indexing", "_cache")
+    __slots__ = ("k", "resolution", "kind", "values", "_indexing", "_table")
 
     def __init__(self, k: int, resolution: int, kind: str, values: Mapping[tuple[int, ...], float]):
         if not 1 <= k <= MAX_ARITY:
@@ -74,13 +78,15 @@ class StepHypergraphon:
             raise ValueError(f"kind must be {INDICATOR!r} or {PROJECTED!r}, got {kind!r}")
         idx = subset_indexing(k)
         stored: dict[tuple[int, ...], float] = {}
+        table: dict[tuple[int, ...], float] = {}
         for key, value in values.items():
             key = tuple(key)
             if len(key) != idx.n_coords:
                 raise ValueError(f"box {key}: expected {idx.n_coords} coordinates")
             if any(not 0 <= b < resolution for b in key):
                 raise ValueError(f"box {key}: index out of range 0..{resolution - 1}")
-            if idx.canonicalize(key) != key:
+            orbit = idx.orbit(key)
+            if min(orbit) != key:
                 raise ValueError(f"box {key} is not a canonical orbit representative")
             v = float(value)
             if kind == INDICATOR:
@@ -91,26 +97,26 @@ class StepHypergraphon:
             if v == 0.0:
                 continue
             stored[key] = v
+            for box in orbit:
+                table[box] = v
         self.k = k
         self.resolution = resolution
         self.kind = kind
         self.values = stored
         self._indexing = idx
-        self._cache: dict[tuple[int, ...], float] = dict(stored)
+        self._table = table
 
     def eval_box(self, box: Sequence[int]) -> float:
         """Value on a raw (not necessarily canonical) box vector."""
         key = tuple(box)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        value = self._table.get(key)
+        if value is not None:
+            return value
         if len(key) != self._indexing.n_coords:
             raise ValueError(f"box {key}: expected {self._indexing.n_coords} coordinates")
         if any(not 0 <= b < self.resolution for b in key):
             raise ValueError(f"box {key}: index out of range 0..{self.resolution - 1}")
-        value = self.values.get(self._indexing.canonicalize(key), 0.0)
-        self._cache[key] = value
-        return value
+        return 0.0
 
     def eval_point(self, point: Sequence[float]) -> float:
         """Value at real coordinates, each in the half-open unit interval."""
@@ -166,9 +172,12 @@ def _edge_coordinate_map(pattern: UniformHypergraph, support: Sequence[tuple[int
 
 def _integrand(assign: Sequence[int], coord_maps, w: StepHypergraphon) -> float:
     # Shared by the exact and Monte-Carlo paths so both round identically.
+    # Boxes built from in-range assignments need no validation, so the
+    # table is read directly.
+    table = w._table
     value = 1.0
     for cmap in coord_maps:
-        f = w.eval_box(tuple(assign[i] for i in cmap))
+        f = table.get(tuple(assign[i] for i in cmap), 0.0)
         if f == 0.0:
             return 0.0
         value *= f
@@ -336,10 +345,11 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
             latents[sub] = stream(seed, "latent", r, *sub).next_fraction()
     boxes = {sub: fraction_box(m, l) for sub, m in latents.items()}
     idx = subset_indexing(k)
+    table = w._table
     edges = []
     for e in combinations(range(n), k):
         vec = tuple(boxes[tuple(e[i] for i in positions)] for positions in idx.subsets)
-        if w.eval_box(vec) == 1.0:
+        if table.get(vec, 0.0) == 1.0:
             edges.append(e)
     return LatentSample(UniformHypergraph(k, n, edges), latents, seed)
 
@@ -403,27 +413,38 @@ def parse_hypergraphon(text: str | bytes) -> StepHypergraphon:
     idx = subset_indexing(k)
     width = idx.n_coords
     values: dict[tuple[int, ...], float] = {}
-    for elineno, line in body:
-        tokens = line.split()
-        if len(tokens) != width + 1:
-            raise FormatError(f"expected {width} box indices and a value", elineno)
-        key = tuple(_parse_int(t, "box index", elineno) for t in tokens[:width])
-        if any(not 0 <= b < l for b in key):
-            raise FormatError(f"box index out of range 0..{l - 1}", elineno)
-        if idx.canonicalize(key) != key:
-            raise FormatError(f"box {key} is not a canonical orbit representative", elineno)
-        if key in values:
-            raise FormatError(f"duplicate orbit entry {key}", elineno)
-        try:
-            value = float(tokens[width])
-        except ValueError:
-            raise FormatError(f"value {tokens[width]!r} is not a number", elineno) from None
-        if kind == INDICATOR and value != 1.0:
-            raise FormatError("indicator entries must have value 1", elineno)
-        if not 0.0 <= value <= 1.0:
-            raise FormatError(f"value {value} outside [0, 1]", elineno)
-        values[key] = value
-    return StepHypergraphon(k, l, kind, values)
+    # Canonicity is left to the constructor, which computes each orbit
+    # once. On any refusal, the first non-canonical box read so far is
+    # reported instead, as a line-by-line check would have.
+    boxes: list[tuple[int, tuple[int, ...]]] = []
+    try:
+        for elineno, line in body:
+            tokens = line.split()
+            if len(tokens) != width + 1:
+                raise FormatError(f"expected {width} box indices and a value", elineno)
+            key = tuple(_parse_int(t, "box index", elineno) for t in tokens[:width])
+            if any(not 0 <= b < l for b in key):
+                raise FormatError(f"box index out of range 0..{l - 1}", elineno)
+            boxes.append((elineno, key))
+            if key in values:
+                raise FormatError(f"duplicate orbit entry {key}", elineno)
+            try:
+                value = float(tokens[width])
+            except ValueError:
+                raise FormatError(f"value {tokens[width]!r} is not a number", elineno) from None
+            if kind == INDICATOR and value != 1.0:
+                raise FormatError("indicator entries must have value 1", elineno)
+            if not 0.0 <= value <= 1.0:
+                raise FormatError(f"value {value} outside [0, 1]", elineno)
+            values[key] = value
+        return StepHypergraphon(k, l, kind, values)
+    except ValueError:
+        for elineno, key in boxes:
+            if idx.canonicalize(key) != key:
+                raise FormatError(
+                    f"box {key} is not a canonical orbit representative", elineno
+                ) from None
+        raise
 
 
 def serialize_hypergraphon(w: StepHypergraphon) -> str:

@@ -174,8 +174,8 @@ def cell_counts(
     """Per cell: (number of k-subsets, number of those that are edges)."""
     _check_host_partition(host, partition)
     counts: dict[CellProfile, list[int]] = {}
-    for sub, profile in induce_cells(partition).items():
-        entry = counts.setdefault(profile, [0, 0])
+    for sub in combinations(range(partition.n_vertices), partition.k):
+        entry = counts.setdefault(cell_profile(partition, sub), [0, 0])
         entry[0] += 1
         if sub in host.edge_set:
             entry[1] += 1

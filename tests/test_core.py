@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,14 +121,17 @@ def test_permute_point_respects_composition(k):
             )
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_canonicalize_is_orbit_minimum_by_independent_construction(k):
     # Rebuild the action from scratch: position i of the permuted vector
-    # reads the original coordinate of the preimage subset.
+    # reads the original coordinate of the preimage subset. k=1 is the
+    # one-coordinate case; k=4 takes a seeded sample over three values.
     idx = subset_indexing(k)
-    import itertools
-
-    vecs = list(itertools.product(range(2), repeat=idx.n_coords))
+    if k < 4:
+        vecs = list(product(range(2), repeat=idx.n_coords))
+    else:
+        rng = random.Random(4)
+        vecs = [tuple(rng.randrange(3) for _ in range(idx.n_coords)) for _ in range(300)]
     for vec in vecs:
         orbit = []
         for p in idx.perms:
@@ -139,9 +143,23 @@ def test_canonicalize_is_orbit_minimum_by_independent_construction(k):
             )
             orbit.append(out)
         assert idx.canonicalize(vec) == min(orbit)
+        assert idx.orbit(vec) == orbit
         assert idx.canonicalize(idx.canonicalize(vec)) == idx.canonicalize(vec)
         for p in idx.perms:
             assert idx.canonicalize(idx.permute_point(p, vec)) == idx.canonicalize(vec)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_coordinate_action_rejects_wrong_length(k):
+    idx = subset_indexing(k)
+    for n in (idx.n_coords - 1, idx.n_coords + 1):
+        vec = (0,) * n
+        with pytest.raises(ValueError, match="coordinates"):
+            idx.canonicalize(vec)
+        with pytest.raises(ValueError, match="coordinates"):
+            idx.orbit(vec)
+        with pytest.raises(ValueError, match="coordinates"):
+            idx.permute_point(idx.perms[-1], vec)
 
 
 # -- derived constructions -----------------------------------------------------

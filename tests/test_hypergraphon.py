@@ -1,6 +1,8 @@
 """Step hypergraphons: evaluation, densities, sampling, formats."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb, sqrt
@@ -27,6 +29,7 @@ from hyperlim import (
     serialize_hypergraphon,
     serialize_latents,
     simplicial_support,
+    subset_indexing,
 )
 from hyperlim.hypergraphon import CompensatedSum
 
@@ -69,6 +72,50 @@ def test_eval_box_is_symmetric():
         w.eval_box((0, 1))
     with pytest.raises(ValueError):
         w.eval_box((0, 1, 5))
+
+
+def random_symmetric_w(k: int, l: int, kind: str, seed: int) -> StepHypergraphon:
+    """About half of all orbits nonzero; projected values are distinct random floats."""
+    rng = random.Random(seed)
+    idx = subset_indexing(k)
+    values = {}
+    for box in product(range(l), repeat=idx.n_coords):
+        if idx.canonicalize(box) != box:
+            continue
+        if kind == PROJECTED:
+            values[box] = rng.choice((0.0, rng.random()))
+        elif rng.random() < 0.5:
+            values[box] = 1.0
+    return StepHypergraphon(k, l, kind, values)
+
+
+@pytest.mark.parametrize("k,l", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("kind", [INDICATOR, PROJECTED])
+def test_eval_box_matches_the_stored_orbit_of_every_box(k, l, kind):
+    w = random_symmetric_w(k, l, kind, seed=1000 * k + 10 * l + (kind == INDICATOR))
+    idx = subset_indexing(k)
+    for box in product(range(l), repeat=idx.n_coords):
+        assert w.eval_box(box) == w.values.get(idx.canonicalize(box), 0.0)
+    m = idx.n_coords
+    for bad in [(0,) * (m - 1), (0,) * (m + 1), (-1,) + (0,) * (m - 1), (0,) * (m - 1) + (l,)]:
+        with pytest.raises(ValueError):
+            w.eval_box(bad)
+
+
+def test_exact_density_retains_no_memory():
+    # Every one of the 5**7 boxes is read once; nothing read may be kept.
+    w = random_symmetric_w(3, 5, PROJECTED, seed=35)
+    pattern = single_triple()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        exact_density(pattern, w)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 def test_eval_point_boxes_coordinates():
@@ -315,6 +362,32 @@ def test_hgon_serialization_is_stable(fixture_w):
 def test_hgon_parse_errors(text, fragment):
     with pytest.raises(FormatError, match=fragment):
         parse_hypergraphon(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # A whole orbit listed: its second box is refused.
+        ("HGON 2 2 ind 3\n0 0 0 1\n0 1 0 1\n1 0 0 1\n",
+         "line 4: box (1, 0, 0) is not a canonical orbit representative"),
+        # A non-canonical box is reported ahead of any later fault.
+        ("HGON 2 2 ind 2\n1 0 0 1\n0 0 0 0.5\n",
+         "line 2: box (1, 0, 0) is not a canonical orbit representative"),
+        ("HGON 2 2 ind 2\n1 0 0 1\n1 0 0 1\n",
+         "line 2: box (1, 0, 0) is not a canonical orbit representative"),
+        ("HGON 2 2 ind 2\n1 0 0 1\n0 0\n",
+         "line 2: box (1, 0, 0) is not a canonical orbit representative"),
+        ("HGON 2 2 ind 1\n1 0 0 0.5\n",
+         "line 2: box (1, 0, 0) is not a canonical orbit representative"),
+        # An earlier fault is reported ahead of a later non-canonical box.
+        ("HGON 2 2 ind 2\n0 0 0 0.5\n1 0 0 1\n", "line 2: indicator entries must have value 1"),
+        ("HGON 2 2 ind 3\n0 0 0 1\n0 0 0 1\n1 0 0 1\n", "line 3: duplicate orbit entry (0, 0, 0)"),
+    ],
+)
+def test_hgon_reports_the_first_faulty_line(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_hypergraphon(text)
+    assert str(info.value) == message
 
 
 # -- LAT format ----------------------------------------------------------------
