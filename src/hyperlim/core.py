@@ -291,7 +291,12 @@ def parse_edge_line(line: str, lineno: int, k: int, n: int) -> tuple[int, ...]:
 
 def parse_hypergraph(text: str | bytes) -> UniformHypergraph:
     """Parse the HG format; raises FormatError with a line number."""
-    lines = _content_lines(text)
+    return _parse_hypergraph_lines(_content_lines(text))
+
+
+def _parse_hypergraph_lines(lines: list[tuple[int, str]]) -> UniformHypergraph:
+    # Content lines keep their numbers in the enclosing file, so an HG
+    # block embedded in another format reports the file's line numbers.
     if not lines:
         raise FormatError("empty input: missing HG header")
     lineno, header = lines[0]

@@ -10,8 +10,9 @@ takes values in [0,1].
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb, sqrt
 from typing import Mapping, Sequence
 
@@ -21,13 +22,13 @@ from .core import (
     MAX_ARITY,
     UniformHypergraph,
     _content_lines,
+    _parse_hypergraph_lines,
     _parse_int,
-    parse_hypergraph,
     serialize_hypergraph,
     simplicial_support,
     subset_indexing,
 )
-from .rng import check_seed, fraction_box, stream
+from .rng import Stream, check_seed, derive, fold, fraction_box, subset_draws
 
 INDICATOR = "ind"
 PROJECTED = "proj"
@@ -274,9 +275,10 @@ def mc_density(
 ) -> DensityEstimate:
     """Monte-Carlo estimate of the density integral.
 
-    Each sample index derives its own substream from (seed, "mc", index)
-    and the values are summed in index order, so the estimate is a pure
-    function of (seed, n_samples). Standard error is the ddof=1 sample
+    Each sample index derives its own substream from (seed, "mc", index),
+    folding the index onto the shared ``derive(seed, "mc")``, and the
+    values are summed in index order, so the estimate is a pure function
+    of (seed, n_samples). Standard error is the ddof=1 sample
     deviation over sqrt(n_samples).
     """
     _check_density_args(pattern, w)
@@ -289,8 +291,9 @@ def mc_density(
     coord_maps = _edge_coordinate_map(pattern, support)
 
     values = []
+    base = derive(seed, "mc")
     for i in range(n_samples):
-        st = stream(seed, "mc", i)
+        st = Stream(fold(base, i))
         assign = [fraction_box(st.next_fraction(), l) for _ in range(s)]
         values.append(_integrand(assign, coord_maps, w))
 
@@ -332,6 +335,15 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     derived from (seed, "latent", |B|, *B); the k-subset E becomes an edge
     iff w is 1 at the box vector of E's subset latents. Deterministic
     given (w, n, seed), independent of evaluation order.
+
+    Latents come from :func:`subset_draws`, level by level in
+    lexicographic order. Edges are tested by the same prefix walk: each
+    level's boxes are stored as rows over the last vertex, keyed by the
+    other members, and the box table is reindexed once so that a box
+    vector lists its coordinates in the order the walk fixes them (every
+    subset whose largest position is j, once position j is fixed). At the
+    last position the rows of the new coordinates are zipped, so each
+    candidate edge costs one tuple concatenation and one table lookup.
     """
     if w.kind != INDICATOR:
         raise ValueError("sampling requires an indicator-kind hypergraphon")
@@ -340,17 +352,41 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     check_seed(seed)
     k, l = w.k, w.resolution
     latents: dict[tuple[int, ...], int] = {}
+    # rows[r - 1][T]: boxes of the r-subsets T + (v,), for v from max(T) + 1 to n - 1.
+    rows: list[dict[tuple[int, ...], list[int]]] = []
     for r in range(1, k + 1):
-        for sub in combinations(range(n), r):
-            latents[sub] = stream(seed, "latent", r, *sub).next_fraction()
-    boxes = {sub: fraction_box(m, l) for sub, m in latents.items()}
-    idx = subset_indexing(k)
-    table = w._table
-    edges = []
-    for e in combinations(range(n), k):
-        vec = tuple(boxes[tuple(e[i] for i in positions)] for positions in idx.subsets)
-        if table.get(vec, 0.0) == 1.0:
-            edges.append(e)
+        draws = subset_draws(seed, "latent", n, r)
+        latents.update(zip(combinations(range(n), r), draws))
+        boxes = ((m * l) >> 64 for m in draws)
+        rows.append({
+            prefix: list(islice(boxes, n - 1 - prefix[-1] if prefix else n))
+            for prefix in combinations(range(n), r - 1)
+        })
+
+    # steps[j]: the position subsets T < j whose coordinate T + (j,)
+    # becomes known when position j is fixed. The table is reindexed to
+    # list a box's coordinates in that order.
+    steps = [[t for size in range(j + 1) for t in combinations(range(j), size)] for j in range(k)]
+    index = subset_indexing(k).index
+    order = [index[t + (j,)] for j, step in enumerate(steps) for t in step]
+    table = {tuple(box[i] for i in order) for box in w._table}
+    edges: list[tuple[int, ...]] = []
+
+    def walk(verts: tuple[int, ...], key: tuple[int, ...]) -> None:
+        j = len(verts)
+        lo = verts[-1] + 1 if verts else 0
+        cols = []
+        for t in steps[j]:
+            members = tuple(verts[i] for i in t)
+            # Row T starts at vertex max(T) + 1; slice it from lo.
+            cols.append(rows[len(t)][members][lo - (members[-1] + 1 if members else 0):])
+        if j == k - 1:
+            edges.extend(verts + (v,) for v, c in enumerate(zip(*cols), lo) if key + c in table)
+        else:
+            for v, c in enumerate(zip(*cols), lo):
+                walk(verts + (v,), key + c)
+
+    walk((), ())
     return LatentSample(UniformHypergraph(k, n, edges), latents, seed)
 
 
@@ -462,17 +498,28 @@ def serialize_hypergraphon(w: StepHypergraphon) -> str:
 #   LAT <k> <n> <seed>
 #   <v_1> ... <v_r> <u-hex>        (one line per subset, size 1..k,
 #                                   ordered by size then lexicographically;
-#                                   u is a 64-bit fraction, 16 hex digits)
+#                                   u is a 64-bit fraction, exactly 16
+#                                   lowercase hex digits)
 #   HG ...                         (embedded HG block)
 # ---------------------------------------------------------------------------
 
 
+_HEX64 = re.compile("[0-9a-f]{16}")
+
+
 def serialize_latents(sample: LatentSample) -> str:
     hg = sample.hypergraph
-    lines = [f"LAT {hg.k} {hg.n_vertices} {sample.seed}"]
+    n, latents = hg.n_vertices, sample.latents
+    names = [str(v) for v in range(n)]
+    lines = [f"LAT {hg.k} {n} {sample.seed}"]
     for r in range(1, hg.k + 1):
-        for sub in combinations(range(hg.n_vertices), r):
-            lines.append(" ".join(str(v) for v in sub) + f" {sample.latents[sub]:016x}")
+        # One line per extension of each (r-1)-prefix by a larger last vertex.
+        for prefix in combinations(range(n), r - 1):
+            head = "".join([names[v] + " " for v in prefix])
+            lines.extend(
+                f"{head}{names[v]} {latents[prefix + (v,)]:016x}"
+                for v in range(prefix[-1] + 1 if prefix else 0, n)
+            )
     return "\n".join(lines) + "\n" + serialize_hypergraph(hg)
 
 
@@ -500,7 +547,8 @@ def parse_latents(text: str | bytes) -> LatentSample:
     if len(body) < expected:
         raise FormatError(f"expected {expected} latent lines before the HG block", lineno)
     latents: dict[tuple[int, ...], int] = {}
-    for elineno, line in body[:expected]:
+    order = chain.from_iterable(combinations(range(n), r) for r in range(1, k + 1))
+    for (elineno, line), want in zip(body[:expected], order):
         tokens = line.split()
         if len(tokens) < 2:
             raise FormatError("expected subset members and a hex fraction", elineno)
@@ -513,17 +561,16 @@ def parse_latents(text: str | bytes) -> LatentSample:
             raise FormatError(f"subset {sub} not strictly increasing", elineno)
         if sub in latents:
             raise FormatError(f"duplicate latent for subset {sub}", elineno)
-        try:
-            u = int(tokens[-1], 16)
-        except ValueError:
-            raise FormatError(f"{tokens[-1]!r} is not a hex fraction", elineno) from None
-        if not 0 <= u < 1 << 64:
-            raise FormatError("latent fraction must fit in 64 bits", elineno)
-        latents[sub] = u
-    if len(latents) != expected:
-        raise FormatError("latent lines do not cover every subset exactly once", lineno)
-    hg_text = "\n".join(line for _, line in body[expected:])
-    hypergraph = parse_hypergraph(hg_text)
+        if sub != want:
+            raise FormatError(
+                f"subset {sub} out of order: expected {want} (size, then lexicographic)", elineno
+            )
+        if _HEX64.fullmatch(tokens[-1]) is None:
+            raise FormatError(
+                f"{tokens[-1]!r} is not a fraction of 16 lowercase hex digits", elineno
+            )
+        latents[sub] = int(tokens[-1], 16)
+    hypergraph = _parse_hypergraph_lines(body[expected:])
     if hypergraph.k != k or hypergraph.n_vertices != n:
         raise FormatError("embedded HG block disagrees with the LAT header", lineno)
     return LatentSample(hypergraph, latents, seed)

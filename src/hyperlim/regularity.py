@@ -24,7 +24,7 @@ from .core import (
     subset_indexing,
 )
 from .hypergraphon import PROJECTED, LatentSample, StepHypergraphon
-from .rng import check_seed, derive, fraction_box, stream
+from .rng import check_seed, derive, fraction_box, stream, subset_draws
 
 #: CellProfile: the class labels of every nonempty position-subset of a
 #: k-subset, canonicalized under the symmetric-group coordinate action.
@@ -101,19 +101,16 @@ class Hyperpartition:
 def random_hyperpartition(k: int, n: int, l: int, seed: int) -> Hyperpartition:
     """Independent uniform class labels for every subset, per level.
 
-    Each label is derived from (seed, "hyperpartition", r, *subset), so
-    the partition is a pure function of the seed, independent of
-    iteration order.
+    Each label is derived from (seed, "hyperpartition", r, *subset) as
+    ``stream(...).next_below(l)``: the first u64 of that stream times l,
+    shifted down 64 bits. The partition is therefore a pure function of
+    the seed, independent of iteration order.
     """
     check_seed(seed)
     levels = []
     for r in range(1, k + 1):
-        levels.append(
-            {
-                sub: stream(seed, "hyperpartition", r, *sub).next_below(l)
-                for sub in combinations(range(n), r)
-            }
-        )
+        draws = subset_draws(seed, "hyperpartition", n, r)
+        levels.append(dict(zip(combinations(range(n), r), [(u * l) >> 64 for u in draws])))
     return Hyperpartition(k, n, l, levels)
 
 

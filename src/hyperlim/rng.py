@@ -7,6 +7,13 @@ in which indices are visited. Draws are 64-bit fractions: an integer
 ``m`` in ``[0, 2**64)`` standing for the real ``m / 2**64``. Box and label
 arithmetic stays in integers (``(m * l) >> 64``) so boundary decisions are
 exact.
+
+``derive`` and ``stream`` are the definition of every draw. ``derive``
+folds its indices left to right, so streams whose index tuples share a
+prefix share the partial hash after it. The per-subset draws (labels
+``latent`` and ``hyperpartition``) and the Monte-Carlo samples (``mc``)
+are computed by folding onto that shared prefix with :func:`fold` and
+:func:`subset_draws`; the results equal ``derive``/``stream`` bit for bit.
 """
 
 from __future__ import annotations
@@ -83,6 +90,48 @@ class Stream:
 
 def stream(seed: int, label: str, *indices: int) -> Stream:
     return Stream(derive(seed, label, *indices))
+
+
+def fold(state: int, index: int) -> int:
+    """One index step of :func:`derive`.
+
+    ``derive(seed, label, *indices, i) == fold(derive(seed, label, *indices), i)``.
+    """
+    return mix64((state + _GAMMA) ^ (index & MASK64))
+
+
+def subset_draws(seed: int, label: str, n: int, r: int) -> list[int]:
+    """First u64 of ``stream(seed, label, r, *sub)`` for every r-subset of range(n).
+
+    Subsets are visited in lexicographic order (that of
+    ``itertools.combinations``), as the leaves of a prefix tree: the hash
+    after ``(seed, label, r)`` is computed once and each inner node's
+    partial hash is folded once and shared by all its extensions. A leaf
+    costs one fold and one ``next_u64``, both inlined.
+    """
+    if r < 1:
+        raise ValueError("subset size r must be at least 1")
+    out: list[int] = []
+
+    def walk(h: int, lo: int, depth: int) -> None:
+        if depth < r:
+            # The last r - depth members need r - depth - 1 larger vertices.
+            for i in range(lo, n - r + depth):
+                walk(fold(h, i), i + 1, depth + 1)
+            return
+        h += _GAMMA
+        append = out.append
+        for i in range(lo, n):
+            x = (h ^ i) & MASK64
+            x = ((x ^ (x >> 30)) * _MIX1) & MASK64
+            x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+            x = ((x ^ (x >> 31)) + _GAMMA) & MASK64
+            x = ((x ^ (x >> 30)) * _MIX1) & MASK64
+            x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+            append(x ^ (x >> 31))
+
+    walk(fold(derive(seed, label), r), 0, 1)
+    return out
 
 
 def fraction_box(m: int, l: int) -> int:

@@ -4,7 +4,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, sqrt
 
 import pytest
@@ -32,6 +32,7 @@ from hyperlim import (
     subset_indexing,
 )
 from hyperlim.hypergraphon import CompensatedSum
+from hyperlim.rng import fraction_box, stream
 
 from conftest import build_fixture_w, build_half_w, shared_pair_triples, single_triple, triangle
 
@@ -229,6 +230,28 @@ def test_mc_density_is_deterministic(fixture_w):
     assert mc_density(pattern, fixture_w, 6000, seed=12) != a
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_mc_density_draws_are_the_documented_streams(half_w, seed):
+    # Sample i reads its support coordinates from stream(seed, "mc", i).
+    # Indicator values make every estimate an exact hit count, so checking
+    # each prefix of the samples pins each sample's own value.
+    pattern = triangle()
+    support = simplicial_support(pattern)
+    idx = subset_indexing(2)
+    hits = []
+    for i in range(40):
+        st = stream(seed, "mc", i)
+        assign = {sub: fraction_box(st.next_fraction(), 2) for sub in support}
+        hits.append(all(
+            half_w.eval_box([assign[tuple(e[p] for p in pos)] for pos in idx.subsets]) == 1.0
+            for e in pattern.edges
+        ))
+    assert 0 < sum(hits) < len(hits)
+    for n_samples in range(2, len(hits) + 1):
+        estimate = mc_density(pattern, half_w, n_samples, seed).estimate
+        assert estimate == sum(hits[:n_samples]) / n_samples
+
+
 def test_mc_density_matches_exact_within_four_sigma(fixture_w):
     pattern = single_triple()
     exact = exact_density(pattern, fixture_w)
@@ -276,16 +299,50 @@ def test_sample_latents_cover_all_subsets(fixture_w):
 
 def test_sampling_matches_latent_boxes_exactly(fixture_w):
     # Edge iff the indicator is 1 on the subset boxes; recompute directly.
-    from hyperlim.rng import fraction_box
-    from hyperlim import subset_indexing
-    from itertools import combinations
-
     sample = sample_w_random(fixture_w, 8, seed=21)
     idx = subset_indexing(3)
     boxes = {sub: fraction_box(m, 2) for sub, m in sample.latents.items()}
     for e in combinations(range(8), 3):
         vec = tuple(boxes[tuple(e[i] for i in pos)] for pos in idx.subsets)
         assert (fixture_w.eval_box(vec) == 1.0) == sample.hypergraph.has_edge(e)
+
+
+SEEDS = (0, 1, 2**40 + 17, 2**64 - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sampled_latents_are_the_documented_streams(k):
+    # The prefix walk must reproduce stream(seed, "latent", r, *sub) for
+    # every subset, in size-then-lex insertion order.
+    w = StepHypergraphon(k, 1, INDICATOR, {})
+    for n in sorted({0, 1, k - 1, k, 9}):
+        expected = [s for r in range(1, k + 1) for s in combinations(range(n), r)]
+        for seed in SEEDS:
+            latents = sample_w_random(w, n, seed).latents
+            assert list(latents) == expected
+            for sub, m in latents.items():
+                assert m == stream(seed, "latent", len(sub), *sub).next_fraction()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_sampled_edges_match_eval_box_on_random_w(k, l):
+    # W holds a seeded random half of the orbits that the sample's own
+    # box vectors fall in, so edges and non-edges both occur.
+    idx = subset_indexing(k)
+    rng = random.Random(1000 * k + l)
+    for n, seed in ((k, 5), (9, 2**40 + 17)):
+        latents = sample_w_random(StepHypergraphon(k, l, INDICATOR, {}), n, seed).latents
+
+        def vec(e):
+            return tuple(fraction_box(latents[tuple(e[i] for i in pos)], l) for pos in idx.subsets)
+
+        orbits = sorted({idx.canonicalize(vec(e)) for e in combinations(range(n), k)})
+        w = StepHypergraphon(k, l, INDICATOR, {o: 1.0 for o in orbits if rng.random() < 0.5})
+        sample = sample_w_random(w, n, seed)
+        assert sample.latents == latents
+        expected = [e for e in combinations(range(n), k) if w.eval_box(vec(e)) == 1.0]
+        assert list(sample.hypergraph.edges) == expected
 
 
 # -- projection ----------------------------------------------------------------
@@ -413,3 +470,38 @@ def test_lat_parse_errors(fixture_w):
     bad = text.replace("0 1 2 ", "0 1 5 ", 1)
     with pytest.raises(FormatError):
         parse_latents(bad)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "0x0123456789abcdef",  # radix prefix
+        "+0123456789abcdef",  # sign
+        "01234567_89abcdef",  # digit separator
+        "123456789abcdef",  # 15 digits
+        "00123456789abcdef",  # 17 digits
+        "0123456789ABCDEF",  # upper case
+    ],
+)
+def test_lat_latents_are_exactly_16_lowercase_hex_digits(fixture_w, token):
+    lines = serialize_latents(sample_w_random(fixture_w, 4, seed=1)).splitlines()
+    lines[1] = "0 " + token
+    with pytest.raises(FormatError, match="^line 2: .*16 lowercase hex digits"):
+        parse_latents("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("a,b", [(1, 2), (5, 6), (4, 5)])
+def test_lat_lines_must_be_in_size_then_lex_order(fixture_w, a, b):
+    # Swaps (0,) with (1,), (0, 1) with (0, 2), and (3,) with (0, 1).
+    lines = serialize_latents(sample_w_random(fixture_w, 4, seed=1)).splitlines()
+    lines[a], lines[b] = lines[b], lines[a]
+    with pytest.raises(FormatError, match=f"^line {a + 1}: .*out of order"):
+        parse_latents("\n".join(lines) + "\n")
+
+
+def test_lat_reports_embedded_hg_faults_at_their_file_line(fixture_w):
+    lines = serialize_latents(sample_w_random(fixture_w, 4, seed=1)).splitlines()
+    assert lines[-1] == "0 1 2"
+    lines[-1] = "0 1 9"
+    with pytest.raises(FormatError, match=f"^line {len(lines)}: vertex 9 out of range"):
+        parse_latents("\n".join(lines) + "\n")

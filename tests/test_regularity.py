@@ -90,6 +90,18 @@ def test_random_hyperpartition_is_seeded_and_uniform():
     assert abs(size0 - 10) <= 4 * (20 * 0.25) ** 0.5
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_random_hyperpartition_labels_are_the_documented_draws(k, l):
+    for n in sorted({0, 1, k - 1, k, 9}):
+        for seed in (0, 1, 2**40 + 17, 2**64 - 1):
+            p = random_hyperpartition(k, n, l, seed)
+            for r, level in enumerate(p.levels, start=1):
+                assert list(level) == list(combinations(range(n), r))
+                for sub, label in level.items():
+                    assert label == stream(seed, "hyperpartition", r, *sub).next_below(l)
+
+
 def test_latent_hyperpartition_boxes_the_latents():
     u03 = int(0.3 * 2**64)
     u07 = int(0.7 * 2**64)

@@ -1,11 +1,12 @@
 """Determinism and distribution contracts of the seeded stream layer."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperlim.rng import MASK64, check_seed, derive, fraction_box, mix64, stream
+from hyperlim.rng import MASK64, check_seed, derive, fold, fraction_box, mix64, stream, subset_draws
 
 
 def test_streams_are_pure_functions_of_their_coordinates():
@@ -35,6 +36,27 @@ def test_labels_and_indices_separate_streams():
     assert derive(0, "latent", 1) != derive(0, "latent", 2)
     assert derive(0, "latent", 1, 2) != derive(0, "latent", 2, 1)
     assert derive(1, "latent") != derive(2, "latent")
+
+
+@given(
+    st.integers(0, MASK64), st.text(max_size=8), st.lists(st.integers(0, MASK64), max_size=5)
+)
+def test_derive_is_a_left_fold_of_its_indices(seed, label, indices):
+    h = derive(seed, label)
+    for i in indices:
+        h = fold(h, i)
+    assert h == derive(seed, label, *indices)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40 + 17, 2**64 - 1])
+def test_subset_draws_are_first_draws_of_the_subset_streams(seed):
+    for r in range(1, 5):
+        for n in range(0, 9):
+            subs = combinations(range(n), r)
+            expected = [stream(seed, "latent", r, *sub).next_u64() for sub in subs]
+            assert subset_draws(seed, "latent", n, r) == expected
+    with pytest.raises(ValueError):
+        subset_draws(seed, "latent", 3, 0)
 
 
 def test_mix64_behaves_like_a_permutation_on_a_sample():
