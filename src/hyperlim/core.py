@@ -231,6 +231,20 @@ def simplicial_support(hypergraph: UniformHypergraph) -> tuple[tuple[int, ...], 
     return tuple(sorted(seen, key=lambda s: (len(s), s)))
 
 
+def link_masks(hypergraph: UniformHypergraph) -> dict[tuple[int, ...], int]:
+    """Per sorted (k-1)-subset S: the int with bit v set iff S + {v} is an edge.
+
+    Subsets that complete to no edge are left out, so a missing key reads
+    as the empty mask 0.
+    """
+    links: dict[tuple[int, ...], int] = {}
+    for e in hypergraph.edges:
+        for i, v in enumerate(e):
+            s = e[:i] + e[i + 1 :]
+            links[s] = links.get(s, 0) | (1 << v)
+    return links
+
+
 def complete_hypergraph(k: int, n: int) -> UniformHypergraph:
     """All k-subsets of {0..n-1}; empty when k > n."""
     return UniformHypergraph(k, n, list(combinations(range(n), k)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import UniformHypergraph, symmetric_membership
+from .core import UniformHypergraph, link_masks, symmetric_membership
 
 
 @dataclass(frozen=True)
@@ -50,57 +50,46 @@ def _assignment_order(pattern: UniformHypergraph) -> list[int]:
     return sorted(range(pattern.n_vertices), key=lambda v: (deg[v], v), reverse=True)
 
 
-def _link_table(host: UniformHypergraph) -> dict[tuple[int, ...], frozenset[int]]:
-    # (k-1)-subset -> vertices completing it to an edge.
-    links: dict[tuple[int, ...], set[int]] = {}
-    for e in host.edges:
-        for j in range(host.k):
-            sub = e[:j] + e[j + 1 :]
-            links.setdefault(sub, set()).add(e[j])
-    return {s: frozenset(v) for s, v in links.items()}
+def _covered_order(pattern: UniformHypergraph) -> list[int]:
+    # The assignment order cut to vertices that lie in some edge.
+    covered = {v for e in pattern.edges for v in e}
+    return [v for v in _assignment_order(pattern) if v in covered]
 
 
-def _pending_edges(pattern: UniformHypergraph, order: list[int]):
-    """Per position: the K-edges whose last-assigned vertex sits there.
+def _mask_plan(pattern: UniformHypergraph, order: list[int], links, full: int):
+    """Starting candidate masks per position, and what placing each one fixes.
 
-    Each entry is (others, ...) where `others` lists the edge's remaining
-    vertices; their images plus the candidate image must form a host edge.
-    A partial map dies as soon as any fully-assigned edge fails, which the
-    link-set intersection below performs wholesale.
+    A K-edge constrains the position j of its last-placed vertex to the
+    host link mask of its other vertices' images. That mask is known once
+    the latest of those others is placed, at some position i < j, so it is
+    ANDed into j's candidates there: ``updates[i]`` lists the pairs
+    (j, others). Arity-1 edges have no others and narrow j from the start.
+    Unconstrained positions start from ``full``. A repeated vertex among
+    the others' images is no key of ``links``, so it reads as the empty
+    mask.
     """
     pos = {v: i for i, v in enumerate(order)}
-    pending: list[list[tuple[int, ...]]] = [[] for _ in order]
+    masks = [full] * len(order)
+    updates: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
     for e in pattern.edges:
-        last = max(e, key=lambda v: pos[v])
-        pending[pos[last]].append(tuple(v for v in e if v != last))
-    return pending
-
-
-def _candidates(others_list, assignment, links, n_host):
-    """Intersection of host link sets for every edge completing here."""
-    cand = None
-    for others in others_list:
-        img = sorted(assignment[v] for v in others)
-        if len(set(img)) != len(img):
-            return frozenset()
-        link = links.get(tuple(img))
-        if not link:
-            return frozenset()
-        cand = link if cand is None else cand & link
-        if not cand:
-            return frozenset()
-    if cand is None:
-        return range(n_host)  # no constraint at this position
-    return cand
+        last = max(e, key=pos.__getitem__)
+        others = tuple(v for v in e if v != last)
+        if others:
+            updates[max(pos[v] for v in others)].append((pos[last], others))
+        else:
+            masks[pos[last]] &= links.get((), 0)
+    return masks, updates
 
 
 def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
     """Exact number of homomorphisms pattern -> host (arbitrary precision).
 
-    Backtracks over pattern vertices in descending (degree, id) order,
-    restricting each image to the intersection of host link sets of the
-    edges completed at that position. Vertices outside every edge come last
-    in that order and contribute a factor of |V(H)| each.
+    Backtracks over pattern vertices in descending (degree, id) order. Each
+    position's candidates are a bitmask over host vertices: the AND of the
+    host link masks of the pattern edges it completes, carried down as
+    soon as each link is known. Candidates are taken lowest bit first, and
+    the last position is a popcount. Vertices outside every edge
+    contribute a factor of |V(H)| each.
     """
     _check_arity(pattern, host)
     n_pat, n_host = pattern.n_vertices, host.n_vertices
@@ -109,28 +98,30 @@ def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
     domain = n_host**n_pat
     if n_host == 0:
         return HomCount(0, 0)
-    order = _assignment_order(pattern)
-    pending = _pending_edges(pattern, order)
-    links = _link_table(host)
-    covered = sum(1 for v in order if any(v in e for e in pattern.edges))
-    if covered == 0:
+    order = _covered_order(pattern)
+    if not order:
         return HomCount(domain, domain)
-    free_factor = n_host ** (n_pat - covered)
+    free_factor = n_host ** (n_pat - len(order))
+    links = link_masks(host)
+    masks, updates = _mask_plan(pattern, order, links, (1 << n_host) - 1)
+    last = len(order) - 1
     assignment = [-1] * n_pat
 
-    def count_from(i: int) -> int:
-        cand = _candidates(pending[i], assignment, links, n_host)
-        if i == covered - 1:
-            return len(cand)
+    def count_from(i: int, masks: list[int]) -> int:
+        cand, v, fixed = masks[i], order[i], updates[i]
         total = 0
-        v = order[i]
-        for x in cand:
-            assignment[v] = x
-            total += count_from(i + 1)
-        assignment[v] = -1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            assignment[v] = low.bit_length() - 1
+            nxt = masks.copy()
+            for j, others in fixed:
+                nxt[j] &= links.get(tuple(sorted([assignment[u] for u in others])), 0)
+            total += nxt[last].bit_count() if i + 1 == last else count_from(i + 1, nxt)
         return total
 
-    return HomCount(count_from(0) * free_factor, domain)
+    count = count_from(0, masks) if last else masks[0].bit_count()
+    return HomCount(count * free_factor, domain)
 
 
 def hom_count_brute(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
@@ -179,36 +170,39 @@ def enumerate_hom_images(
     if host.n_vertices == 0:
         return HomImageSet(frozenset(), False)
 
-    order = [v for v in _assignment_order(pattern) if any(v in e for e in pattern.edges)]
-    pending = _pending_edges(pattern, order)  # positions align: covered prefix
-    pending = pending[: len(order)]
-    links = _link_table(host)
+    order = _covered_order(pattern)
+    links = link_masks(host)
+    masks, updates = _mask_plan(pattern, order, links, (1 << host.n_vertices) - 1)
+    last = len(order) - 1
     assignment = [-1] * pattern.n_vertices
     images: set[frozenset[tuple[int, ...]]] = set()
     truncated = False
 
-    def walk(i: int) -> bool:
+    def walk(i: int, masks: list[int]) -> bool:
         nonlocal truncated
-        cand = _candidates(pending[i], assignment, links, host.n_vertices)
-        for x in sorted(cand):
-            assignment[order[i]] = x
-            if i == len(order) - 1:
-                image = frozenset(
-                    tuple(sorted(assignment[v] for v in e)) for e in pattern.edges
-                )
-                if image not in images:
-                    if len(images) >= cap:
-                        truncated = True
-                        assignment[order[i]] = -1
-                        return False
-                    images.add(image)
-            elif not walk(i + 1):
-                assignment[order[i]] = -1
-                return False
-        assignment[order[i]] = -1
+        cand, v = masks[i], order[i]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            assignment[v] = low.bit_length() - 1
+            if i < last:
+                nxt = masks.copy()
+                for j, others in updates[i]:
+                    nxt[j] &= links.get(tuple(sorted([assignment[u] for u in others])), 0)
+                if not walk(i + 1, nxt):
+                    return False
+                continue
+            image = frozenset(
+                tuple(sorted(assignment[u] for u in e)) for e in pattern.edges
+            )
+            if image not in images:
+                if len(images) >= cap:
+                    truncated = True
+                    return False
+                images.add(image)
         return True
 
-    walk(0)
+    walk(0, masks)
     return HomImageSet(frozenset(images), truncated)
 
 

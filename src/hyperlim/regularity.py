@@ -21,6 +21,7 @@ from .core import (
     UniformHypergraph,
     _content_lines,
     _parse_int,
+    link_masks,
     subset_indexing,
 )
 from .hypergraphon import PROJECTED, LatentSample, StepHypergraphon
@@ -294,14 +295,7 @@ def _good_masks(cyl: CylinderIntersection) -> dict[tuple[int, ...], int]:
     T in no side have no members above them and are left out.
     """
     r = cyl.arity
-    links = []
-    for side in cyl.sides:
-        link: dict[tuple[int, ...], int] = {}
-        for e in side.edges:
-            for i, w in enumerate(e):
-                u = e[:i] + e[i + 1 :]
-                link[u] = link.get(u, 0) | (1 << w)
-        links.append(link)
+    links = [link_masks(side) for side in cyl.sides]
     good: dict[tuple[int, ...], int] = {}
     for x, side in enumerate(cyl.sides):
         others = links[:x] + links[x + 1 :]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 
 from .core import UniformHypergraph
 from .homomorphism import HomImageSet, enumerate_hom_images, hom_count
@@ -18,18 +19,46 @@ from .homomorphism import HomImageSet, enumerate_hom_images, hom_count
 Edge = tuple[int, ...]
 
 
-def _greedy(images: list[frozenset[Edge]]) -> list[Edge]:
-    chosen: list[Edge] = []
-    remaining = list(images)
+# An encoded image is (popcount, bit indices, mask) over the sorted candidate
+# edges, bit i standing for candidates[i]. Images are only ever filtered,
+# never shrunk, so the branch key (popcount, indices) is fixed at encoding.
+Encoded = tuple[int, tuple[int, ...], int]
+
+
+def _encode(images) -> tuple[list[Edge], list[Encoded]]:
+    """Sorted candidate edges, and the images as masks ordered by indices."""
+    candidates = sorted({e for img in images for e in img})
+    index = {e: i for i, e in enumerate(candidates)}
+    encoded = []
+    for img in images:
+        bits = tuple(sorted(index[e] for e in img))
+        mask = 0
+        for i in bits:
+            mask |= 1 << i
+        encoded.append((len(bits), bits, mask))
+    encoded.sort(key=itemgetter(1))
+    return candidates, encoded
+
+
+def _greedy(encoded: list[Encoded], n_candidates: int) -> list[int]:
+    chosen: list[int] = []
+    remaining = encoded
     while remaining:
-        coverage: dict[Edge, int] = {}
-        for img in remaining:
-            for e in img:
-                coverage[e] = coverage.get(e, 0) + 1
-        best = min(coverage, key=lambda e: (-coverage[e], e))
+        coverage = [0] * n_candidates
+        for _, bits, _ in remaining:
+            for i in bits:
+                coverage[i] += 1
+        # Most covered first; the first maximum is the smallest edge.
+        best = coverage.index(max(coverage))
         chosen.append(best)
-        remaining = [img for img in remaining if best not in img]
+        bit = 1 << best
+        remaining = [img for img in remaining if not img[2] & bit]
     return sorted(chosen)
+
+
+def _greedy_edges(images) -> tuple[Edge, ...]:
+    candidates, encoded = _encode(images)
+    return tuple(candidates[i] for i in _greedy(encoded, len(candidates)))
 
 
 def greedy_hitting_set(images: HomImageSet) -> tuple[Edge, ...]:
@@ -41,18 +70,23 @@ def greedy_hitting_set(images: HomImageSet) -> tuple[Edge, ...]:
     """
     if images.truncated:
         raise ValueError("image enumeration was truncated; hitting it proves nothing")
-    return tuple(_greedy([set_ for set_ in images.images]))
+    return _greedy_edges(images.images)
 
 
-def _packing_bound(uncovered: list[frozenset[Edge]]) -> int:
+def _packing_bound(uncovered: list[Encoded]) -> int:
     # Edge-disjoint images each force a distinct removal.
-    used: set[Edge] = set()
+    used = 0
     bound = 0
-    for img in uncovered:
-        if not (img & used):
+    for _, _, mask in uncovered:
+        if not mask & used:
             bound += 1
-            used |= img
+            used |= mask
     return bound
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
 
 
 def exact_hitting_set(
@@ -61,19 +95,20 @@ def exact_hitting_set(
     """Minimum hitting set when the edge universe is small.
 
     Branch and bound seeded with the greedy solution, pruned by a
-    disjoint-image packing lower bound. Instances whose candidate edge
-    set exceeds `budget` fall back to greedy and report optimal=False.
+    disjoint-image packing lower bound. Images are bitmasks over the
+    sorted candidate edges, decoded only in the answer. Instances whose
+    candidate edge set exceeds `budget` fall back to greedy and report
+    optimal=False; a negative budget is refused.
     """
+    _check_budget(budget)
     if images.truncated:
         raise ValueError("image enumeration was truncated; hitting it proves nothing")
-    image_list = sorted(images.images, key=lambda img: sorted(img))
-    candidates = sorted({e for img in image_list for e in img})
+    candidates, encoded = _encode(images.images)
+    best = _greedy(encoded, len(candidates))
     if len(candidates) > budget:
-        return tuple(_greedy(image_list)), False
+        return tuple(candidates[i] for i in best), False
 
-    best = _greedy(image_list)
-
-    def search(uncovered: list[frozenset[Edge]], chosen: list[Edge]) -> None:
+    def search(uncovered: list[Encoded], chosen: list[int]) -> None:
         nonlocal best
         if not uncovered:
             if len(chosen) < len(best):
@@ -81,14 +116,15 @@ def exact_hitting_set(
             return
         if len(chosen) + _packing_bound(uncovered) >= len(best):
             return
-        branch = min(uncovered, key=lambda img: (len(img), sorted(img)))
-        for e in sorted(branch):
-            chosen.append(e)
-            search([img for img in uncovered if e not in img], chosen)
+        _, branch, _ = min(uncovered)
+        for i in branch:
+            bit = 1 << i
+            chosen.append(i)
+            search([img for img in uncovered if not img[2] & bit], chosen)
             chosen.pop()
 
-    search(image_list, [])
-    return tuple(best), True
+    search(encoded, [])
+    return tuple(candidates[i] for i in best), True
 
 
 @dataclass(frozen=True)
@@ -124,14 +160,14 @@ def removal_experiment(
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}: expected 'exact' or 'greedy'")
+    _check_budget(exact_budget)
     images = enumerate_hom_images(pattern, host, cap=cap)
-    image_list = sorted(images.images, key=lambda img: sorted(img))
     if mode == "exact" and not images.truncated:
         removed, optimal = exact_hitting_set(images, budget=exact_budget)
         method = "exact" if optimal else "greedy"
     else:
-        removed = tuple(_greedy(image_list))
-        optimal = not image_list and not images.truncated
+        removed = _greedy_edges(images.images)
+        optimal = not images.images and not images.truncated
         method = "greedy"
 
     stripped = host.without_edges(removed)

@@ -213,6 +213,18 @@ def test_removal_csv_and_success_exit(files, capsys, tmp_path):
     )
 
 
+def test_removal_budget_must_be_nonnegative(files, capsys, tmp_path):
+    host = tmp_path / "k5.hg"
+    host.write_text(serialize_hypergraph(complete_hypergraph(2, 5)), encoding="utf-8")
+    code, out, err = run_main(["removal", files["triangle.hg"], str(host), "--budget", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+    code, out, _ = run_main(["removal", files["triangle.hg"], str(host), "--budget", "0"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[3] == "greedy"
+
+
 def test_removal_truncation_exits_4(files, capsys, tmp_path):
     host = tmp_path / "k6.hg"
     host.write_text(serialize_hypergraph(complete_hypergraph(2, 6)), encoding="utf-8")

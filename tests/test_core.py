@@ -17,6 +17,7 @@ from hyperlim import (
     subset_indexing,
     symmetric_membership,
 )
+from hyperlim.core import link_masks
 
 from conftest import triangle
 
@@ -184,6 +185,19 @@ def test_complete_hypergraph_counts():
     assert complete_hypergraph(3, 2).edges == ()  # k > n: nothing to take
     with pytest.raises(ValueError):
         complete_hypergraph(5, 6)
+
+
+def test_link_masks_mark_exactly_the_completing_vertices():
+    rng = random.Random(7)
+    for k in (1, 2, 3):
+        n = 7
+        h = UniformHypergraph(k, n, [e for e in combinations(range(n), k) if rng.random() < 0.5])
+        links = link_masks(h)
+        for s in combinations(range(n), k - 1):
+            mask = links.get(s, 0)
+            for v in range(n):
+                assert mask >> v & 1 == (tuple(sorted(s + (v,))) in h.edge_set)
+        assert all(mask for mask in links.values())
 
 
 def test_edge_density_values():

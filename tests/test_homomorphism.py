@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -70,9 +70,9 @@ def test_triangle_into_bipartite_host_is_zero():
     assert hom_count(triangle(), c4).count == 0
 
 
-def test_backtracking_matches_brute_force_on_random_instances():
-    rng = random.Random(401)
-    patterns = {
+def random_instance_patterns() -> dict[int, list[UniformHypergraph]]:
+    """Small patterns per arity, for the random-host oracle comparisons."""
+    return {
         2: [
             UniformHypergraph(2, 2, [(0, 1)]),
             triangle(),
@@ -82,6 +82,21 @@ def test_backtracking_matches_brute_force_on_random_instances():
         ],
         3: [single_triple(), shared_pair_triples(), UniformHypergraph(3, 4, [(0, 1, 2)])],
     }
+
+
+def brute_images(pattern: UniformHypergraph, host: UniformHypergraph) -> set:
+    """Image sets of every map V(K) -> V(H) that sends each edge to an edge."""
+    images = set()
+    for f in product(range(host.n_vertices), repeat=pattern.n_vertices):
+        image = frozenset(tuple(sorted(f[v] for v in e)) for e in pattern.edges)
+        if all(img in host.edge_set for img in image):
+            images.add(image)
+    return images
+
+
+def test_backtracking_matches_brute_force_on_random_instances():
+    rng = random.Random(401)
+    patterns = random_instance_patterns()
     for _ in range(60):
         k = rng.choice([2, 3])
         host = random_hypergraph(rng, k, rng.randint(0, 5), rng.random())
@@ -99,6 +114,28 @@ def test_single_edge_count_on_complete_host_is_falling_factorial():
         for i in range(k):
             expected *= n - i
         assert hom_count(pattern, host).count == expected
+
+
+def falling(n: int, k: int) -> int:
+    out = 1
+    for i in range(k):
+        out *= n - i
+    return out
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_counts_on_hosts_across_machine_word_boundaries(n):
+    # Host links at these n fill one word exactly, spill one bit into a
+    # second word, or reach a third; small-n brute force never gets there.
+    for k in (2, 3):
+        edge = UniformHypergraph(k, k, [tuple(range(k))])
+        assert hom_count(edge, complete_hypergraph(k, n)).count == falling(n, k)
+    k4 = complete_hypergraph(2, 4)
+    assert hom_count(k4, complete_hypergraph(2, n)).count == falling(n, 4)
+    a = n // 2
+    bipartite = UniformHypergraph(2, n, [(u, w) for u in range(a) for w in range(a, n)])
+    assert hom_count(triangle(), bipartite).count == 0
+    assert hom_count(UniformHypergraph(2, 2, [(0, 1)]), bipartite).count == 2 * a * (n - a)
 
 
 def test_multiplicativity_over_disjoint_union():
@@ -156,6 +193,44 @@ def test_image_cap_sets_truncated_flag():
     assert len(images.images) == 2
     with pytest.raises(ValueError, match="truncated"):
         greedy_hitting_set(images)
+
+
+def test_images_match_brute_force_on_random_instances():
+    rng = random.Random(409)
+    patterns = random_instance_patterns()
+    for _ in range(60):
+        k = rng.choice([2, 3])
+        host = random_hypergraph(rng, k, rng.randint(0, 5), rng.random())
+        for pattern in patterns[k]:
+            expected = brute_images(pattern, host)
+            found = enumerate_hom_images(pattern, host)
+            assert not found.truncated
+            assert found.images == expected
+            for cap in (1, 2, 3):
+                capped = enumerate_hom_images(pattern, host, cap=cap)
+                assert capped.truncated == (len(expected) > cap)
+                assert len(capped.images) == min(cap, len(expected))
+                assert capped.images <= expected
+
+
+def test_image_cap_keeps_the_first_images_in_walk_order():
+    # The walk takes each vertex's candidates in increasing order, so a cap
+    # keeps the images of the lexicographically first homomorphisms.
+    host = complete_hypergraph(2, 5)
+    capped = enumerate_hom_images(triangle(), host, cap=2)
+    assert capped.truncated
+    assert capped.images == {
+        frozenset({(0, 1), (0, 2), (1, 2)}),
+        frozenset({(0, 1), (0, 3), (1, 3)}),
+    }
+    path = UniformHypergraph(2, 3, [(0, 1), (1, 2)])
+    capped = enumerate_hom_images(path, host, cap=3)
+    assert capped.truncated
+    assert capped.images == {
+        frozenset({(0, 1)}),
+        frozenset({(0, 1), (0, 2)}),
+        frozenset({(0, 1), (0, 3)}),
+    }
 
 
 def test_images_require_an_edge_and_positive_cap():

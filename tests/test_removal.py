@@ -105,6 +105,13 @@ def test_exact_agrees_with_exhaustion_and_greedy_never_wins():
         assert len(greedy_hitting_set(hs)) >= len(removed)
 
 
+def test_negative_budget_is_refused():
+    hs = image_set([(0, 1)])
+    with pytest.raises(ValueError, match="budget"):
+        exact_hitting_set(hs, budget=-1)
+    assert exact_hitting_set(hs, budget=0) == (((0, 1),), False)
+
+
 def test_budget_overflow_falls_back_to_greedy():
     hs = image_set(*([(2 * i, 100), (2 * i + 1, 100)] for i in range(13)))
     assert len({e for img in hs.images for e in img}) == 26
@@ -188,6 +195,11 @@ def test_empty_host_is_trivially_verified():
 def test_experiment_validates_inputs():
     with pytest.raises(ValueError, match="mode"):
         removal_experiment(triangle(), complete_hypergraph(2, 4), mode="fast")
+    for mode in ("exact", "greedy"):
+        with pytest.raises(ValueError, match="budget"):
+            removal_experiment(triangle(), complete_hypergraph(2, 4), mode=mode, exact_budget=-1)
+    r = removal_experiment(triangle(), complete_hypergraph(2, 4), exact_budget=0)
+    assert r.method == "greedy" and r.verified
     with pytest.raises(ValueError, match="at least one edge"):
         removal_experiment(UniformHypergraph(2, 3, []), complete_hypergraph(2, 4))
 
@@ -202,3 +214,55 @@ def test_removal_over_random_hosts_always_verifies():
         assert r.verified and r.residual == 0
         assert hom_count(triangle(), host.without_edges(r.removed)).count == 0
         assert len(r.removed) <= len(edges)
+
+
+# Hitting sets as returned before images became bitmasks, pinned so that a
+# change to the branch order or the tie-break fails even where the optimum
+# size holds. Each entry lists the removed edges as two hex digits, one per
+# vertex.
+K9_REMOVED = "01 06 07 08 16 17 18 23 24 25 34 35 45 67 68 78"
+RANDOM_HOST_REMOVED = [  # (exact, greedy) for host i: G(6 + i % 7, 1/2) drawn by Random(i)
+    ("03", "03"),
+    ("01 06 25", "01 06 25"),
+    ("34", "34"),
+    ("07 13", "07 13"),
+    ("01 05 15 26 46", "01 05 06 15 16 56"),
+    ("13 18 27 59 5a 6a 9a", "13 18 27 59 5a 6a 9a"),
+    ("04 09 2a 2b 35 56 7a 8a", "04 09 26 29 35 38 5a 68 7a"),
+    ("12 24", "12 24"),
+    ("01 23 35 36 56", "01 23 35 36 56"),
+    ("02 15 26", "02 15 26"),
+    ("04 14 27 46", "04 14 27 46"),
+    ("14 29 35 38 47", "01 13 29 36 37 47"),
+    ("06 14 15 39 48 57 59 7a", "06 14 15 39 48 57 59 7a"),
+    ("05 07 18 19 35 37 49 57 68 69 6a 8a", "05 06 07 18 19 35 36 37 49 56 57 67 6b 8a"),
+    ("01", "01"),
+    ("06", "06"),
+    ("01 07 16 23", "01 07 16 23"),
+    ("48 56", "48 56"),
+    ("01 03 07 23 56 58", "01 03 07 23 56 58"),
+    ("05 0a 12 14 16 1a 4a 59 78", "05 0a 12 14 16 1a 4a 59 78"),
+    ("05 13 25 29 46 48 78 ab", "0b 13 1a 25 29 46 48 5a 78"),
+]
+
+
+def decode(pinned: str) -> tuple:
+    return tuple(tuple(int(c, 16) for c in token) for token in pinned.split())
+
+
+def test_exact_search_returns_the_pinned_k9_hitting_set():
+    r = removal_experiment(triangle(), complete_hypergraph(2, 9), exact_budget=64)
+    assert r.method == "exact" and r.optimal
+    assert r.removed == decode(K9_REMOVED)
+
+
+@pytest.mark.parametrize("i", range(len(RANDOM_HOST_REMOVED)))
+def test_hitting_sets_on_random_hosts_are_pinned(i):
+    n = 6 + i % 7
+    rng = random.Random(i)
+    host = UniformHypergraph(2, n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+    exact, greedy = RANDOM_HOST_REMOVED[i]
+    r = removal_experiment(triangle(), host, exact_budget=64)
+    assert r.method == "exact"
+    assert r.removed == decode(exact)
+    assert removal_experiment(triangle(), host, mode="greedy").removed == decode(greedy)
