@@ -28,7 +28,7 @@ from .core import (
     simplicial_support,
     subset_indexing,
 )
-from .rng import Stream, check_seed, derive, fold, fraction_box, subset_draws
+from .rng import MASK64, _GAMMA, _MIX1, _MIX2, check_seed, derive, subset_draws
 
 INDICATOR = "ind"
 PROJECTED = "proj"
@@ -172,9 +172,10 @@ def _edge_coordinate_map(pattern: UniformHypergraph, support: Sequence[tuple[int
 
 
 def _integrand(assign: Sequence[int], coord_maps, w: StepHypergraphon) -> float:
-    # Shared by the exact and Monte-Carlo paths so both round identically.
-    # Boxes built from in-range assignments need no validation, so the
-    # table is read directly.
+    # Used by both exact sums. mc_density inlines the same product, edge
+    # by edge from 1.0, so all three paths round identically. Boxes built
+    # from in-range assignments need no validation, so the table is read
+    # directly.
     table = w._table
     value = 1.0
     for cmap in coord_maps:
@@ -188,6 +189,14 @@ def _integrand(assign: Sequence[int], coord_maps, w: StepHypergraphon) -> float:
 def _check_density_args(pattern: UniformHypergraph, w: StepHypergraphon) -> None:
     if pattern.k != w.k:
         raise ValueError(f"arity mismatch: pattern k={pattern.k}, hypergraphon k={w.k}")
+
+
+def _check_budget(what: str, boxes: int, budget: int) -> None:
+    """Refuse a budget below 1 as bad input, then a grid larger than it."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    if boxes > budget:
+        raise BudgetError(f"{what} needs {boxes} grid boxes, budget is {budget}")
 
 
 def exact_density(
@@ -205,8 +214,7 @@ def exact_density(
     s = len(support)
     l = w.resolution
     boxes = l**s
-    if boxes > budget:
-        raise BudgetError(f"exact density needs {boxes} grid boxes, budget is {budget}")
+    _check_budget("exact density", boxes, budget)
     if s == 0:
         return 1.0
     coord_maps = _edge_coordinate_map(pattern, support)
@@ -236,8 +244,7 @@ def exact_density_grouped(
     if sorted(flat) != list(range(s)):
         raise ValueError("groups must partition the support indices")
     l = w.resolution
-    if l**s > budget:
-        raise BudgetError(f"exact density needs {l**s} grid boxes, budget is {budget}")
+    _check_budget("exact density", l**s, budget)
     if s == 0:
         return 1.0
     coord_maps = _edge_coordinate_map(pattern, support)
@@ -275,11 +282,18 @@ def mc_density(
 ) -> DensityEstimate:
     """Monte-Carlo estimate of the density integral.
 
-    Each sample index derives its own substream from (seed, "mc", index),
-    folding the index onto the shared ``derive(seed, "mc")``, and the
-    values are summed in index order, so the estimate is a pure function
-    of (seed, n_samples). Standard error is the ddof=1 sample
-    deviation over sqrt(n_samples).
+    Sample i reads support coordinate j from draw j + 1 of
+    ``stream(seed, "mc", i)``, and the values are summed in index order,
+    so the estimate is a pure function of (seed, n_samples). Standard
+    error is the ddof=1 sample deviation over sqrt(n_samples).
+
+    The stream is counter-based, so each coordinate is drawn on its own,
+    only when it is needed. A coordinate may only take box values that
+    occur, at every grid position it fills, in some nonzero box of W.
+    Those coordinates are drawn first, fewest allowed values first, and a
+    sample is 0 at the first drawn value outside its allowed set. Samples
+    that pass draw the rest edge by edge and multiply the edge values in
+    pattern order from 1.0, as :func:`_integrand` does.
     """
     _check_density_args(pattern, w)
     check_seed(seed)
@@ -289,13 +303,63 @@ def mc_density(
     s = len(support)
     l = w.resolution
     coord_maps = _edge_coordinate_map(pattern, support)
+    table = w._table
 
+    # allowed[j]: bit b set iff box value b can occur at coordinate j of
+    # a nonzero sample.
+    full = (1 << l) - 1
+    position_masks = [0] * subset_indexing(w.k).n_coords
+    for box in table:
+        for p, b in enumerate(box):
+            position_masks[p] |= 1 << b
+    allowed = [full] * s
+    for cmap in coord_maps:
+        for p, j in enumerate(cmap):
+            allowed[j] &= position_masks[p]
+    # A step (j, counter increment of draw j + 1, allowed mask, None) draws
+    # coordinate j and checks it; a step (0, 0, 0, cmap) multiplies in one
+    # edge's value. Every coordinate is drawn before the first edge reads it.
+    checked = sorted((j for j in range(s) if allowed[j] != full),
+                     key=lambda j: (allowed[j].bit_count(), j))
+    steps = [(j, ((j + 1) * _GAMMA) & MASK64, allowed[j], None) for j in checked]
+    drawn = set(checked)
+    for cmap in coord_maps:
+        for j in cmap:
+            if j not in drawn:
+                drawn.add(j)
+                steps.append((j, ((j + 1) * _GAMMA) & MASK64, full, None))
+        steps.append((0, 0, 0, cmap))
+
+    # Sample i's state is fold(derive(seed, "mc"), i); draw j + 1 of its
+    # stream is mix64(state + (j + 1) * gamma). Both are inlined.
+    get = table.get
+    head = (derive(seed, "mc") + _GAMMA) & MASK64
+    assign = [0] * s
     values = []
-    base = derive(seed, "mc")
+    append = values.append
     for i in range(n_samples):
-        st = Stream(fold(base, i))
-        assign = [fraction_box(st.next_fraction(), l) for _ in range(s)]
-        values.append(_integrand(assign, coord_maps, w))
+        x = head ^ i
+        x = ((x ^ (x >> 30)) * _MIX1) & MASK64
+        x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+        state = x ^ (x >> 31)
+        value = 1.0
+        for j, inc, mask, cmap in steps:
+            if cmap is None:
+                x = (state + inc) & MASK64
+                x = ((x ^ (x >> 30)) * _MIX1) & MASK64
+                x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+                b = ((x ^ (x >> 31)) * l) >> 64
+                if not mask >> b & 1:
+                    value = 0.0
+                    break
+                assign[j] = b
+            else:
+                f = get(tuple([assign[c] for c in cmap]), 0.0)
+                if f == 0.0:
+                    value = 0.0
+                    break
+                value *= f
+        append(value)
 
     total = CompensatedSum()
     for v in values:
@@ -400,8 +464,7 @@ def project(w: StepHypergraphon, budget: int = 1 << 22) -> StepHypergraphon:
     idx = subset_indexing(w.k)
     l = w.resolution
     m = idx.n_coords
-    if l**m > budget:
-        raise BudgetError(f"projection needs {l**m} grid boxes, budget is {budget}")
+    _check_budget("projection", l**m, budget)
     values: dict[tuple[int, ...], float] = {}
     for key in product(range(l), repeat=m):
         if idx.canonicalize(key) != key:

@@ -8,12 +8,19 @@ in which indices are visited. Draws are 64-bit fractions: an integer
 arithmetic stays in integers (``(m * l) >> 64``) so boundary decisions are
 exact.
 
+``Stream`` is counter-based: the j-th ``next_u64`` of ``Stream(S)``
+(j = 1, 2, ...) is ``mix64((S + j * gamma) mod 2**64)``, with gamma the
+golden-gamma increment, so any draw of a stream can be computed on its own
+without the ones before it.
+
 ``derive`` and ``stream`` are the definition of every draw. ``derive``
 folds its indices left to right, so streams whose index tuples share a
 prefix share the partial hash after it. The per-subset draws (labels
 ``latent`` and ``hyperpartition``) and the Monte-Carlo samples (``mc``)
-are computed by folding onto that shared prefix with :func:`fold` and
-:func:`subset_draws`; the results equal ``derive``/``stream`` bit for bit.
+are computed by folding onto that shared prefix, through :func:`fold` and
+:func:`subset_draws` or inlined, and the Monte-Carlo coordinates by the
+counter identity above; the results equal ``derive``/``stream`` bit for
+bit.
 """
 
 from __future__ import annotations

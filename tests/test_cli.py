@@ -85,6 +85,38 @@ def test_density_budget_exit_code(files, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "triangle.hg", "half.hgon", "--budget", "-1"],
+        ["density", "triangle.hg", "half.hgon", "--budget", "0"],
+        ["experiment", "convergence", "half.hgon", "triangle.hg", "--budget", "0"],
+        ["removal", "triangle.hg", "triangle.hg", "--budget", "-1"],
+    ],
+)
+def test_budget_below_one_exits_2(files, capsys, argv):
+    code, out, err = run_main([files.get(a, a) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "seed,out,err",
+    [
+        (0, "0.001\n", "se=0.00022350055396996502 samples=20000\n"),
+        (2, "0.0012999999999999999\n", "se=0.00025479157352097982 samples=20000\n"),
+    ],
+)
+def test_density_mc_bytes_are_pinned(files, capsys, tmp_path, seed, out, err):
+    # K4^(3) against the k=3 fixture: the exact density is 2**-10.
+    k4_3 = tmp_path / "k4_3.hg"
+    k4_3.write_text("HG 3 4 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n", encoding="utf-8")
+    argv = ["density", str(k4_3), files["w3.hgon"], "--mode", "mc", "--samples", "20000",
+            "--seed", str(seed)]
+    assert run_main(argv, capsys) == (0, out, err)
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         "HG 2\n0 1\n",          # malformed header

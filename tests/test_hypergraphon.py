@@ -4,10 +4,12 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import comb, sqrt
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hyperlim import (
     BudgetError,
@@ -31,8 +33,8 @@ from hyperlim import (
     simplicial_support,
     subset_indexing,
 )
-from hyperlim.hypergraphon import CompensatedSum
-from hyperlim.rng import fraction_box, stream
+from hyperlim.hypergraphon import CompensatedSum, _edge_coordinate_map, _integrand
+from hyperlim.rng import MASK64, Stream, derive, fold, fraction_box, stream
 
 from conftest import build_fixture_w, build_half_w, shared_pair_triples, single_triple, triangle
 
@@ -193,6 +195,18 @@ def test_density_arity_mismatch_and_budget():
         exact_density(triangle(), w, budget=10**6)  # 11**6 boxes
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_bad_input(budget, half_w):
+    # A BudgetError would report a refused grid; a budget below 1 is a
+    # malformed argument, whatever the grid size.
+    with pytest.raises(ValueError, match="budget"):
+        exact_density(triangle(), half_w, budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        exact_density_grouped(triangle(), half_w, [[0, 1, 2, 3, 4, 5]], budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        project(half_w, budget=budget)
+
+
 def test_grouped_sum_matches_flat_sum(fixture_w):
     pattern = shared_pair_triples()
     s = len(simplicial_support(pattern))
@@ -250,6 +264,79 @@ def test_mc_density_draws_are_the_documented_streams(half_w, seed):
     for n_samples in range(2, len(hits) + 1):
         estimate = mc_density(pattern, half_w, n_samples, seed).estimate
         assert estimate == sum(hits[:n_samples]) / n_samples
+
+
+def reference_mc_density(pattern, w, n_samples, seed):
+    """The sequential definition of mc_density: (estimate, standard error).
+
+    Sample i draws all s support coordinates in order from
+    Stream(fold(derive(seed, "mc"), i)) and evaluates them with
+    _integrand; the two compensated passes are those of mc_density.
+    """
+    support = simplicial_support(pattern)
+    coord_maps = _edge_coordinate_map(pattern, support)
+    base = derive(seed, "mc")
+    values = []
+    for i in range(n_samples):
+        st_i = Stream(fold(base, i))
+        assign = [fraction_box(st_i.next_fraction(), w.resolution) for _ in support]
+        values.append(_integrand(assign, coord_maps, w))
+    total = CompensatedSum()
+    for v in values:
+        total.add(v)
+    mean = total.total / n_samples
+    ss = CompensatedSum()
+    for v in values:
+        ss.add((v - mean) * (v - mean))
+    return mean, sqrt(max(ss.total, 0.0) / (n_samples - 1)) / sqrt(n_samples)
+
+
+@cache
+def _orbits(k, l):
+    idx = subset_indexing(k)
+    return sorted({idx.canonicalize(b) for b in product(range(l), repeat=idx.n_coords)})
+
+
+def _dense_projected_w(k, l, seed):
+    # Every orbit nonzero, each at its own random value.
+    rng = random.Random(seed)
+    return StepHypergraphon(k, l, PROJECTED, {o: rng.random() for o in _orbits(k, l)})
+
+
+@st.composite
+def mc_cases(draw):
+    """(pattern, W): W of either kind at k, l in 1..3, empty at density 0.
+
+    Projected values are distinct random floats, so a change in the order
+    of the product over edges shows up in the last bits.
+    """
+    k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    density = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+    kind = draw(st.sampled_from((INDICATOR, PROJECTED)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    values = {
+        o: 1.0 if kind == INDICATOR else rng.random()
+        for o in _orbits(k, l)
+        if rng.random() < density
+    }
+    w = StepHypergraphon(k, l, kind, values)
+    # Random patterns include edgeless ones and ones with isolated vertices.
+    n = draw(st.integers(0, 5))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))), unique=True,
+                          max_size=4)) if n >= k else []
+    patterns = [UniformHypergraph(k, n, sorted(edges)), complete_hypergraph(k, k + 2)]
+    if k == 3:
+        patterns.append(shared_pair_triples())
+    return draw(st.sampled_from(patterns)), w
+
+
+@given(mc_cases(), st.integers(2, 60),
+       st.one_of(st.sampled_from((0, MASK64)), st.integers(0, MASK64)))
+@example((complete_hypergraph(2, 4), _dense_projected_w(2, 2, seed=1)), 60, 0)
+def test_mc_density_equals_the_sequential_reference_bit_for_bit(case, n_samples, seed):
+    pattern, w = case
+    est = mc_density(pattern, w, n_samples, seed)
+    assert (est.estimate, est.standard_error) == reference_mc_density(pattern, w, n_samples, seed)
 
 
 def test_mc_density_matches_exact_within_four_sigma(fixture_w):

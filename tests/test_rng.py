@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperlim.rng import MASK64, check_seed, derive, fold, fraction_box, mix64, stream, subset_draws
+from hyperlim.rng import MASK64, Stream, check_seed, derive, fold, fraction_box, mix64, stream, subset_draws
 
 
 def test_streams_are_pure_functions_of_their_coordinates():
@@ -46,6 +46,18 @@ def test_derive_is_a_left_fold_of_its_indices(seed, label, indices):
     for i in indices:
         h = fold(h, i)
     assert h == derive(seed, label, *indices)
+
+
+# SplitMix64's golden-gamma increment, written out so the test pins it.
+GAMMA = 0x9E37_79B9_7F4B_7C15
+
+
+@given(st.integers(0, MASK64), st.integers(1, 40))
+def test_stream_draw_j_is_mix64_of_the_jth_counter(state, j):
+    s = Stream(state)
+    for _ in range(j - 1):
+        s.next_u64()
+    assert s.next_u64() == mix64((state + j * GAMMA) % 2**64)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**40 + 17, 2**64 - 1])
