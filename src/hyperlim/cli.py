@@ -226,6 +226,8 @@ def cmd_hom(args) -> int:
 def cmd_density(args) -> int:
     pattern = parse_hypergraph(_read(args.pattern))
     w = parse_hypergraphon(_read(args.w))
+    if args.budget < 1:
+        raise ValueError(f"budget must be at least 1, got {args.budget}")
     if args.mode == "exact":
         print(_real(exact_density(pattern, w, budget=args.budget)))
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import itemgetter
+from typing import NamedTuple
 
 from .core import UniformHypergraph
 from .homomorphism import HomImageSet, enumerate_hom_images, hom_count
@@ -19,46 +19,70 @@ from .homomorphism import HomImageSet, enumerate_hom_images, hom_count
 Edge = tuple[int, ...]
 
 
-# An encoded image is (popcount, bit indices, mask) over the sorted candidate
-# edges, bit i standing for candidates[i]. Images are only ever filtered,
-# never shrunk, so the branch key (popcount, indices) is fixed at encoding.
-Encoded = tuple[int, tuple[int, ...], int]
+class _Family(NamedTuple):
+    """An image family on bitsets, in the order the search branches.
+
+    Bit i of an edge mask stands for candidates[i], and bit j of an image
+    mask for images[j]. Images are sorted by (size, edge indices), so the
+    lowest uncovered image is the one with the fewest edges, then the
+    lexicographically smallest.
+    """
+
+    candidates: list[Edge]
+    images: list[int]  # per image, the mask of its edges
+    hits: list[int]  # per candidate edge, the mask of the images containing it
 
 
-def _encode(images) -> tuple[list[Edge], list[Encoded]]:
-    """Sorted candidate edges, and the images as masks ordered by indices."""
+def _encode(images) -> _Family:
     candidates = sorted({e for img in images for e in img})
     index = {e: i for i, e in enumerate(candidates)}
-    encoded = []
-    for img in images:
-        bits = tuple(sorted(index[e] for e in img))
+    keyed = sorted(
+        (tuple(sorted(index[e] for e in img)) for img in images),
+        key=lambda bits: (len(bits), bits),
+    )
+    masks = []
+    hits = [0] * len(candidates)
+    for j, bits in enumerate(keyed):
         mask = 0
         for i in bits:
             mask |= 1 << i
-        encoded.append((len(bits), bits, mask))
-    encoded.sort(key=itemgetter(1))
-    return candidates, encoded
+            hits[i] |= 1 << j
+        masks.append(mask)
+    return _Family(candidates, masks, hits)
 
 
-def _greedy(encoded: list[Encoded], n_candidates: int) -> list[int]:
-    chosen: list[int] = []
-    remaining = encoded
+def _bits(mask: int):
+    """Indices of the set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _decode(family: _Family, chosen: int) -> tuple[Edge, ...]:
+    return tuple(family.candidates[i] for i in _bits(chosen))
+
+
+def _greedy(family: _Family) -> int:
+    """Max-coverage greedy cover, as a mask over the candidate edges."""
+    images, hits = family.images, family.hits
+    coverage = [h.bit_count() for h in hits]
+    remaining = (1 << len(images)) - 1
+    chosen = 0
     while remaining:
-        coverage = [0] * n_candidates
-        for _, bits, _ in remaining:
-            for i in bits:
-                coverage[i] += 1
         # Most covered first; the first maximum is the smallest edge.
         best = coverage.index(max(coverage))
-        chosen.append(best)
-        bit = 1 << best
-        remaining = [img for img in remaining if not img[2] & bit]
-    return sorted(chosen)
+        chosen |= 1 << best
+        for j in _bits(remaining & hits[best]):
+            for i in _bits(images[j]):
+                coverage[i] -= 1
+        remaining &= ~hits[best]
+    return chosen
 
 
 def _greedy_edges(images) -> tuple[Edge, ...]:
-    candidates, encoded = _encode(images)
-    return tuple(candidates[i] for i in _greedy(encoded, len(candidates)))
+    family = _encode(images)
+    return _decode(family, _greedy(family))
 
 
 def greedy_hitting_set(images: HomImageSet) -> tuple[Edge, ...]:
@@ -73,15 +97,47 @@ def greedy_hitting_set(images: HomImageSet) -> tuple[Edge, ...]:
     return _greedy_edges(images.images)
 
 
-def _packing_bound(uncovered: list[Encoded]) -> int:
-    # Edge-disjoint images each force a distinct removal.
-    used = 0
-    bound = 0
-    for _, _, mask in uncovered:
-        if not mask & used:
-            bound += 1
-            used |= mask
-    return bound
+def _branch_and_bound(family: _Family) -> tuple[int, int]:
+    """Minimum hitting set as an edge mask, and the number of search nodes.
+
+    A node is (uncovered images, chosen edges, excluded edges). It branches
+    on the lowest uncovered image, one child per non-excluded edge in bit
+    order, and each child excludes the edges of the siblings before it, so
+    a node whose lowest uncovered image has no free edge left has no
+    children. A node is pruned when a greedy packing of pairwise
+    edge-disjoint uncovered images, each needing its own edge, shows that
+    it cannot beat the incumbent, which starts as the greedy cover.
+    """
+    images, hits = family.images, family.hits
+    meets = [0] * len(images)
+    for j, mask in enumerate(images):
+        for i in _bits(mask):
+            meets[j] |= hits[i]
+    best = _greedy(family)
+    best_size = best.bit_count()
+    nodes = 0
+    stack = [((1 << len(images)) - 1, 0, 0)]
+    while stack:
+        uncovered, chosen, excluded = stack.pop()
+        nodes += 1
+        size = chosen.bit_count()
+        if not uncovered:
+            if size < best_size:
+                best, best_size = chosen, size
+            continue
+        room = best_size - size
+        packed, rest = 0, uncovered
+        while rest and packed < room:
+            rest &= ~meets[(rest & -rest).bit_length() - 1]
+            packed += 1
+        if packed >= room:
+            continue
+        children = []
+        for i in _bits(images[(uncovered & -uncovered).bit_length() - 1] & ~excluded):
+            children.append((uncovered & ~hits[i], chosen | 1 << i, excluded))
+            excluded |= 1 << i
+        stack.extend(reversed(children))
+    return best, nodes
 
 
 def _check_budget(budget: int) -> None:
@@ -94,37 +150,26 @@ def exact_hitting_set(
 ) -> tuple[tuple[Edge, ...], bool]:
     """Minimum hitting set when the edge universe is small.
 
-    Branch and bound seeded with the greedy solution, pruned by a
-    disjoint-image packing lower bound. Images are bitmasks over the
-    sorted candidate edges, decoded only in the answer. Instances whose
-    candidate edge set exceeds `budget` fall back to greedy and report
-    optimal=False; a negative budget is refused.
+    Branch and bound over image bitsets, seeded with the greedy cover,
+    pruned by a disjoint-image packing bound and by sibling exclusion, and
+    run on its own stack, so a deep search needs no recursion. Ties break
+    as in a plain depth-first search in the same branch order: the answer
+    is the greedy cover if that is minimum, else the first minimum-size
+    leaf in that order. A valid lower bound never prunes the path to that
+    leaf before it is found, and the leaf holds no excluded sibling edge,
+    since the subtree of that earlier sibling would hold a minimum leaf
+    that comes first. Instances whose candidate edge set exceeds `budget`
+    fall back to greedy and report optimal=False; a negative budget is
+    refused.
     """
     _check_budget(budget)
     if images.truncated:
         raise ValueError("image enumeration was truncated; hitting it proves nothing")
-    candidates, encoded = _encode(images.images)
-    best = _greedy(encoded, len(candidates))
-    if len(candidates) > budget:
-        return tuple(candidates[i] for i in best), False
-
-    def search(uncovered: list[Encoded], chosen: list[int]) -> None:
-        nonlocal best
-        if not uncovered:
-            if len(chosen) < len(best):
-                best = sorted(chosen)
-            return
-        if len(chosen) + _packing_bound(uncovered) >= len(best):
-            return
-        _, branch, _ = min(uncovered)
-        for i in branch:
-            bit = 1 << i
-            chosen.append(i)
-            search([img for img in uncovered if not img[2] & bit], chosen)
-            chosen.pop()
-
-    search(encoded, [])
-    return tuple(candidates[i] for i in best), True
+    family = _encode(images.images)
+    if len(family.candidates) > budget:
+        return _decode(family, _greedy(family)), False
+    best, _ = _branch_and_bound(family)
+    return _decode(family, best), True
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,9 @@ def test_density_budget_exit_code(files, capsys):
         ["density", "triangle.hg", "half.hgon", "--budget", "0"],
         ["experiment", "convergence", "half.hgon", "triangle.hg", "--budget", "0"],
         ["removal", "triangle.hg", "triangle.hg", "--budget", "-1"],
+        ["density", "triangle.hg", "half.hgon", "--mode", "exact", "--budget", "-1"],
+        ["density", "triangle.hg", "half.hgon", "--mode", "mc", "--samples", "100", "--budget", "-1"],
+        ["density", "triangle.hg", "half.hgon", "--mode", "mc", "--samples", "100", "--budget", "0"],
     ],
 )
 def test_budget_below_one_exits_2(files, capsys, argv):

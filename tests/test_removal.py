@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperlim import (
     UniformHypergraph,
@@ -15,7 +17,8 @@ from hyperlim import (
     hom_count,
     removal_experiment,
 )
-from hyperlim.homomorphism import HomImageSet
+from hyperlim.homomorphism import HomImageSet, enumerate_hom_images
+from hyperlim.removal import _branch_and_bound, _decode, _encode
 
 from conftest import single_triple, triangle
 
@@ -31,6 +34,85 @@ def brute_minimum(images):
             if all(set(sub) & img for img in images):
                 return m
     raise AssertionError("unhittable family")
+
+
+def _reference_packing_bound(uncovered):
+    # Edge-disjoint images each force a distinct removal.
+    used = 0
+    bound = 0
+    for _, _, mask in uncovered:
+        if not mask & used:
+            bound += 1
+            used |= mask
+    return bound
+
+
+def reference_hitting_set(images):
+    """The list-based branch and bound that the bitset search replaced.
+
+    Recursive, no sibling exclusion, packing bound rebuilt over the image
+    list at every node; the edges it returns are the ones to match.
+    """
+    candidates = sorted({e for img in images for e in img})
+    index = {e: i for i, e in enumerate(candidates)}
+    encoded = []
+    for img in images:
+        bits = tuple(sorted(index[e] for e in img))
+        mask = 0
+        for i in bits:
+            mask |= 1 << i
+        encoded.append((len(bits), bits, mask))
+    encoded.sort(key=itemgetter(1))
+
+    best = []
+    remaining = encoded
+    while remaining:
+        coverage = [0] * len(candidates)
+        for _, bits, _ in remaining:
+            for i in bits:
+                coverage[i] += 1
+        pick = coverage.index(max(coverage))
+        best.append(pick)
+        remaining = [img for img in remaining if not img[2] & 1 << pick]
+    best.sort()
+
+    def search(uncovered, chosen):
+        nonlocal best
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = sorted(chosen)
+            return
+        if len(chosen) + _reference_packing_bound(uncovered) >= len(best):
+            return
+        _, branch, _ = min(uncovered)
+        for i in branch:
+            chosen.append(i)
+            search([img for img in uncovered if not img[2] & 1 << i], chosen)
+            chosen.pop()
+
+    search(encoded, [])
+    return tuple(candidates[i] for i in best)
+
+
+def search(images):
+    """The bitset search: (hitting set, node count)."""
+    family = _encode(images)
+    best, nodes = _branch_and_bound(family)
+    return _decode(family, best), nodes
+
+
+def random_family(rng):
+    # Images drawn from a sliding window of at most 12 edges keep the large
+    # families sparse enough for the reference to finish quickly.
+    edges = [(0, i + 1) for i in range(rng.randint(1, 100))]
+    size = rng.randint(1, 4)
+    width = rng.randint(size, max(size, min(len(edges), 12)))
+    images = set()
+    for _ in range(rng.randint(1, 100)):
+        start = rng.randrange(max(1, len(edges) - width + 1))
+        window = edges[start:start + width]
+        images.add(frozenset(rng.sample(window, rng.randint(1, min(size, len(window))))))
+    return frozenset(images)
 
 
 # -- hitting sets -----------------------------------------------------------
@@ -120,6 +202,63 @@ def test_budget_overflow_falls_back_to_greedy():
     assert removed == greedy_hitting_set(hs)
     removed, optimal = exact_hitting_set(hs, budget=26)
     assert optimal and len(removed) == 13
+
+
+def test_search_returns_the_reference_edges_on_seeded_families():
+    rng = random.Random(2024)
+    wide = 0
+    for _ in range(2000):
+        images = random_family(rng)
+        expected = reference_hitting_set(images)
+        assert exact_hitting_set(HomImageSet(images, False), budget=100) == (expected, True)
+        wide += len(images) > 64 and len({e for img in images for e in img}) > 64
+    # Image and edge bitsets both span more than one machine word here.
+    assert wide >= 50
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 140).map(lambda v: (v, v + 1)), min_size=1, max_size=4),
+        max_size=24,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_search_matches_the_reference_on_generated_families(images):
+    images = frozenset(images)
+    assert search(images)[0] == reference_hitting_set(images)
+
+
+@pytest.mark.parametrize("n,nodes", [(9, 2206), (10, 9716)])
+def test_search_on_complete_graphs_matches_the_reference_in_pinned_work(n, nodes):
+    # A weaker bound or a lost sibling exclusion raises the node count,
+    # which is exact on any machine.
+    images = enumerate_hom_images(triangle(), complete_hypergraph(2, n)).images
+    removed, visited = search(images)
+    # The reference needs about 10 s on K10, so its answer there is pinned.
+    expected = reference_hitting_set(images) if n == 9 else decode(K10_REFERENCE_REMOVED)
+    assert removed == expected
+    assert len(removed) == comb(n, 2) - n * n // 4  # Mantel
+    assert visited == nodes
+
+
+def test_a_search_deeper_than_the_recursion_limit_finishes():
+    # 1 100 disjoint triangles under the pinned greedy-beating gadget: the
+    # first descent chooses 1 103 edges, one per level.
+    gadget = [
+        [(0, 1), (0, 2)],
+        [(0, 1), (0, 2), (0, 4)],
+        [(0, 1), (0, 4), (0, 5)],
+        [(0, 2)],
+        [(0, 3), (0, 5)],
+        [(0, 4)],
+    ]
+    disjoint = [[(v, v + 1), (v, v + 2), (v + 1, v + 2)] for v in range(10, 3310, 3)]
+    hs = image_set(*gadget, *disjoint)
+    assert len(greedy_hitting_set(hs)) == 1104
+    removed, optimal = exact_hitting_set(hs, budget=10**4)
+    assert optimal and len(removed) == 1103
+    assert removed[:3] == ((0, 2), (0, 3), (0, 4))
+    assert all(set(removed) & img for img in hs.images)
 
 
 # -- removal experiments -----------------------------------------------------
@@ -221,6 +360,8 @@ def test_removal_over_random_hosts_always_verifies():
 # size holds. Each entry lists the removed edges as two hex digits, one per
 # vertex.
 K9_REMOVED = "01 06 07 08 16 17 18 23 24 25 34 35 45 67 68 78"
+# What reference_hitting_set returns for triangles in K10.
+K10_REFERENCE_REMOVED = "01 02 03 04 12 13 14 23 24 34 56 57 58 59 67 68 69 78 79 89"
 RANDOM_HOST_REMOVED = [  # (exact, greedy) for host i: G(6 + i % 7, 1/2) drawn by Random(i)
     ("03", "03"),
     ("01 06 25", "01 06 25"),
