@@ -2,8 +2,7 @@
 
 The arity cap is k <= 4: coordinate grids and cell enumerations grow
 doubly-exponentially in k, and 2**k - 1 = 15 coordinates is the tested
-ceiling. Edges are unordered k-subsets stored as sorted tuples; the
-symmetric (ordered-tuple) view is derived, never stored.
+ceiling. Edges are unordered k-subsets stored as sorted tuples.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_ARITY = 4
 
@@ -110,40 +109,6 @@ class UniformHypergraph:
 
     def __repr__(self) -> str:
         return f"UniformHypergraph(k={self.k}, n={self.n_vertices}, m={len(self.edges)})"
-
-
-class SymmetricTupleView:
-    """Ordered-tuple membership view of a hypergraph's edge set.
-
-    A k-tuple is a member iff its entries are distinct and the underlying
-    set is an edge. Membership is invariant under all coordinate
-    permutations by construction.
-    """
-
-    __slots__ = ("hypergraph",)
-
-    def __init__(self, hypergraph: UniformHypergraph):
-        self.hypergraph = hypergraph
-
-    def __contains__(self, tup: tuple[int, ...]) -> bool:
-        return symmetric_membership(self.hypergraph, tup)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for e in self.hypergraph.edges:
-            yield from permutations(e)
-
-
-def symmetric_membership(hypergraph: UniformHypergraph, tup: tuple[int, ...]) -> bool:
-    """True iff ``tup`` has distinct, in-range entries forming an edge."""
-    if len(tup) != hypergraph.k:
-        raise ValueError(f"tuple {tup} does not have arity {hypergraph.k}")
-    for v in tup:
-        if not 0 <= v < hypergraph.n_vertices:
-            raise ValueError(f"vertex {v} out of range 0..{hypergraph.n_vertices - 1}")
-    s = tuple(sorted(tup))
-    if len(set(s)) != len(s):
-        return False
-    return s in hypergraph.edge_set
 
 
 class SubsetIndexing:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .core import UniformHypergraph, link_masks, symmetric_membership
+from .core import UniformHypergraph, link_masks
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,18 @@ def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
     links = link_masks(host)
     masks, updates = _mask_plan(pattern, order, links, (1 << n_host) - 1)
     last = len(order) - 1
+    if not last:
+        return HomCount(masks[0].bit_count() * free_factor, domain)
     assignment = [-1] * n_pat
-
-    def count_from(i: int, masks: list[int]) -> int:
-        cand, v, fixed = masks[i], order[i], updates[i]
-        total = 0
+    # level[i]: the candidate masks in force at position i; cands[i]: the
+    # candidates of position i not yet tried. Position last - 1 runs in
+    # the inner loop, and the last position is a popcount.
+    level = [masks] + [None] * last
+    cands = [masks[0]] + [0] * last
+    count = 0
+    i = 0
+    while i >= 0:
+        cand, v, fixed, masks = cands[i], order[i], updates[i], level[i]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -117,31 +123,17 @@ def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
             nxt = masks.copy()
             for j, others in fixed:
                 nxt[j] &= links.get(tuple(sorted([assignment[u] for u in others])), 0)
-            total += nxt[last].bit_count() if i + 1 == last else count_from(i + 1, nxt)
-        return total
-
-    count = count_from(0, masks) if last else masks[0].bit_count()
+            if i + 1 < last:
+                break
+            count += nxt[last].bit_count()
+        else:
+            i -= 1
+            continue
+        cands[i] = cand
+        i += 1
+        level[i] = nxt
+        cands[i] = nxt[i]
     return HomCount(count * free_factor, domain)
-
-
-def hom_count_brute(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
-    """Reference oracle: enumerate all |V(H)|**|V(K)| maps directly.
-
-    Kept deliberately independent of the backtracking path (membership via
-    the symmetric tuple rule, no link tables) so the two can check each
-    other.
-    """
-    _check_arity(pattern, host)
-    n_pat, n_host = pattern.n_vertices, host.n_vertices
-    if n_pat == 0:
-        return HomCount(1, 1)
-    count = 0
-    total = 0
-    for f in product(range(n_host), repeat=n_pat):
-        total += 1
-        if all(symmetric_membership(host, tuple(f[v] for v in e)) for e in pattern.edges):
-            count += 1
-    return HomCount(count, total if n_host > 0 else 0)
 
 
 def hom_density(pattern: UniformHypergraph, host: UniformHypergraph) -> Fraction:
@@ -178,38 +170,34 @@ def enumerate_hom_images(
     images: set[frozenset[tuple[int, ...]]] = set()
     truncated = False
 
-    def walk(i: int, masks: list[int]) -> bool:
-        nonlocal truncated
-        cand, v = masks[i], order[i]
+    # As in hom_count; the last position runs in the inner loop.
+    level = [masks] + [None] * last
+    cands = [masks[0]] + [0] * last
+    i = 0
+    while i >= 0:
+        cand, v = cands[i], order[i]
         while cand:
             low = cand & -cand
             cand ^= low
             assignment[v] = low.bit_length() - 1
             if i < last:
-                nxt = masks.copy()
-                for j, others in updates[i]:
-                    nxt[j] &= links.get(tuple(sorted([assignment[u] for u in others])), 0)
-                if not walk(i + 1, nxt):
-                    return False
-                continue
-            image = frozenset(
-                tuple(sorted(assignment[u] for u in e)) for e in pattern.edges
-            )
+                break
+            image = frozenset(tuple(sorted(assignment[u] for u in e)) for e in pattern.edges)
             if image not in images:
                 if len(images) >= cap:
                     truncated = True
-                    return False
+                    break
                 images.add(image)
-        return True
-
-    walk(0, masks)
+        else:
+            i -= 1
+            continue
+        if truncated:
+            break
+        cands[i] = cand
+        nxt = level[i].copy()
+        for j, others in updates[i]:
+            nxt[j] &= links.get(tuple(sorted([assignment[u] for u in others])), 0)
+        i += 1
+        level[i] = nxt
+        cands[i] = nxt[i]
     return HomImageSet(frozenset(images), truncated)
-
-
-def disjoint_union(a: UniformHypergraph, b: UniformHypergraph) -> UniformHypergraph:
-    """Place ``b`` beside ``a`` on fresh vertices; edge sets concatenate."""
-    if a.k != b.k:
-        raise ValueError(f"arity mismatch: {a.k} vs {b.k}")
-    off = a.n_vertices
-    shifted = [tuple(v + off for v in e) for e in b.edges]
-    return UniformHypergraph(a.k, a.n_vertices + b.n_vertices, list(a.edges) + shifted)

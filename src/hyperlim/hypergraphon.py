@@ -6,14 +6,23 @@ subset of {0..k-1}, invariantly under the symmetric-group action. Only
 canonical orbit representatives are stored; missing orbits read 0.
 Indicator kind ("ind") takes values in {0,1}; projected kind ("proj")
 takes values in [0,1].
+
+The density integral t(K, W) and the projection of W are both sums of
+products of box values, and both are computed by one sparse exact
+eliminator over the box table: each value is a dyadic rational, so the
+sums run on ints over one power-of-two denominator, and the result is
+rounded to a float once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import chain, combinations, islice
 from math import comb, sqrt
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .core import (
@@ -171,97 +180,156 @@ def _edge_coordinate_map(pattern: UniformHypergraph, support: Sequence[tuple[int
     return out
 
 
-def _integrand(assign: Sequence[int], coord_maps, w: StepHypergraphon) -> float:
-    # Used by both exact sums. mc_density inlines the same product, edge
-    # by edge from 1.0, so all three paths round identically. Boxes built
-    # from in-range assignments need no validation, so the table is read
-    # directly.
-    table = w._table
-    value = 1.0
-    for cmap in coord_maps:
-        f = table.get(tuple(assign[i] for i in cmap), 0.0)
-        if f == 0.0:
-            return 0.0
-        value *= f
-    return value
-
-
 def _check_density_args(pattern: UniformHypergraph, w: StepHypergraphon) -> None:
     if pattern.k != w.k:
         raise ValueError(f"arity mismatch: pattern k={pattern.k}, hypergraphon k={w.k}")
 
 
-def _check_budget(what: str, boxes: int, budget: int) -> None:
-    """Refuse a budget below 1 as bad input, then a grid larger than it."""
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    if boxes > budget:
-        raise BudgetError(f"{what} needs {boxes} grid boxes, budget is {budget}")
+# ---------------------------------------------------------------------------
+# Exact sums of products of sparse factors (bucket elimination).
+#
+# A factor is (scope, entries, ints). Position i of every key of
+# ``entries`` is the value of variable scope[i]; absent keys are 0. A
+# factor read straight from a hypergraphon's box table carries ``ints``,
+# the map from its float values to ints over one power-of-two
+# denominator; a derived factor holds ints and carries None.
+# ---------------------------------------------------------------------------
+
+_UNIT = ((), {(): 1}, None)
+
+
+def _integer_values(w: StepHypergraphon) -> tuple[dict[float, int], int]:
+    """Each stored value as an int over one power-of-two denominator, and that denominator."""
+    ratios = {v: v.as_integer_ratio() for v in w.values.values()}
+    scale = max((d for _, d in ratios.values()), default=1)
+    return {v: n * (scale // d) for v, (n, d) in ratios.items()}, scale
+
+
+def _pick(positions: Sequence[int]):
+    """Callable returning the tuple of a key's entries at ``positions``."""
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda key: (key[p],)
+    return itemgetter(*positions) if positions else lambda key: ()
+
+
+def _items(factor):
+    _, entries, ints = factor
+    return entries.items() if ints is None else ((key, ints[v]) for key, v in entries.items())
+
+
+def _join(a, b, keep: tuple[int, ...]):
+    """Product of factors a and b, summed onto the variables ``keep``.
+
+    The smaller factor is indexed by the variables the two share, and
+    the larger one is read once against that index.
+    """
+    if len(a[1]) < len(b[1]):
+        a, b = b, a
+    sa, sb = a[0], b[0]
+    shared = [v for v in sa if v in sb]
+    pick_a = _pick([sa.index(v) for v in shared])
+    pick_b = _pick([sb.index(v) for v in shared])
+    joint = sa + sb
+    pick_out = _pick([joint.index(v) for v in keep])
+    index: dict[tuple[int, ...], list] = {}
+    for kb, vb in _items(b):
+        index.setdefault(pick_b(kb), []).append((kb, vb))
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for ka, va in _items(a):
+        for kb, vb in index.get(pick_a(ka), ()):
+            key = pick_out(ka + kb)
+            out[key] = get(key, 0) + va * vb
+    return keep, out, None
+
+
+def _min_degree_order(scopes: Sequence[tuple[int, ...]], kept: set[int]) -> list[int]:
+    """Variables outside ``kept``, fewest neighbours first (ties by index), with fill-in."""
+    adj: dict[int, set[int]] = {}  # each variable's set holds itself too
+    for scope in scopes:
+        for v in scope:
+            adj.setdefault(v, set()).update(scope)
+    heap = [(len(nb), v) for v, nb in adj.items() if v not in kept]
+    heapify(heap)
+    order = []
+    while heap:
+        d, v = heappop(heap)
+        if v in adj and d == len(adj[v]):  # else summed out already, or a stale degree
+            nb = adj.pop(v)
+            order.append(v)
+            for u in nb - {v}:
+                adj[u] |= nb
+                adj[u].discard(v)
+                if u not in kept:
+                    heappush(heap, (len(adj[u]), u))
+    return order
+
+
+def _eliminate(table, ints, scopes: Sequence[tuple[int, ...]], keep: tuple[int, ...] = ()):
+    """Sum over every variable outside ``keep`` of the product of one factor per scope.
+
+    Every factor reads ``table`` itself, its scope naming the variables of
+    the box coordinates, and each variable in ``keep`` must occur in some
+    scope. Variables go in min-degree order: the factors that mention one
+    are joined one by one, and each variable that no factor left mentions
+    is summed out as soon as it is joined. Returns the result's entries
+    over ``keep``, in that order.
+    """
+    kept = set(keep)
+    factors = {i: (scope, table, ints) for i, scope in enumerate(scopes)}
+    where: dict[int, set[int]] = {}  # variable -> ids of the live factors that mention it
+    for i, scope in enumerate(scopes):
+        for u in scope:
+            where.setdefault(u, set()).add(i)
+    for i, v in enumerate([*_min_degree_order(scopes, kept), None], len(scopes)):
+        # None: every factor left lies over ``keep``; join them all.
+        if v is not None and v not in where:
+            continue  # summed out with an earlier group
+        ids = set(factors if v is None else where[v])
+        group = [factors.pop(j) for j in sorted(ids)]
+        for scope, _, _ in group:
+            for u in scope:
+                where[u] -= ids
+        product = _UNIT
+        for j, factor in enumerate(group):
+            later = {u for scope, _, _ in group[j + 1 :] for u in scope}
+            joint = dict.fromkeys(product[0] + factor[0])
+            out = [u for u in keep if u in joint]
+            out += [u for u in joint if u not in kept and (where[u] or u in later)]
+            product = _join(product, factor, tuple(out))
+            for u in joint.keys() - kept - set(out):
+                del where[u]
+        factors[i] = product
+        for u in product[0]:
+            where[u].add(i)
+    return product[1]
 
 
 def exact_density(
     pattern: UniformHypergraph, w: StepHypergraphon, budget: int = 10**6
 ) -> float:
-    """Exact grid sum of the density integral of ``pattern`` against ``w``.
+    """Exact density integral of ``pattern`` against ``w``, rounded once.
 
     One coordinate per element of the simplicial support of the pattern;
     the integrand multiplies the box value of every edge. The box count
-    l**s is checked against ``budget`` before any work. Compensated
-    summation throughout.
+    l**s is checked against ``budget`` before any work, which also bounds
+    every intermediate table. Each edge is one sparse factor over W's box
+    table, and the coordinates are summed out exactly by
+    :func:`_eliminate`, on ints over the power-of-two denominator of W's
+    values; the work follows the table, not the l**s boxes.
     """
     _check_density_args(pattern, w)
     support = simplicial_support(pattern)
-    s = len(support)
-    l = w.resolution
-    boxes = l**s
-    _check_budget("exact density", boxes, budget)
-    if s == 0:
-        return 1.0
-    coord_maps = _edge_coordinate_map(pattern, support)
-    acc = CompensatedSum()
-    for assign in product(range(l), repeat=s):
-        acc.add(_integrand(assign, coord_maps, w))
-    return acc.total / boxes
-
-
-def exact_density_grouped(
-    pattern: UniformHypergraph,
-    w: StepHypergraphon,
-    groups: Sequence[Sequence[int]],
-    budget: int = 10**6,
-) -> float:
-    """Iterated form of :func:`exact_density` over coordinate groups.
-
-    ``groups`` partitions the support indices; summation nests group by
-    group (innermost last), which is the finite shadow of integrating the
-    coordinate groups in that order. Agrees with the flat sum to within
-    accumulation error.
-    """
-    _check_density_args(pattern, w)
-    support = simplicial_support(pattern)
-    s = len(support)
-    flat = [i for g in groups for i in g]
-    if sorted(flat) != list(range(s)):
-        raise ValueError("groups must partition the support indices")
-    l = w.resolution
-    _check_budget("exact density", l**s, budget)
-    if s == 0:
-        return 1.0
-    coord_maps = _edge_coordinate_map(pattern, support)
-    assign = [0] * s
-
-    def layer(gi: int) -> float:
-        if gi == len(groups):
-            return _integrand(assign, coord_maps, w)
-        indices = groups[gi]
-        acc = CompensatedSum()
-        for combo in product(range(l), repeat=len(indices)):
-            for j, i in zip(combo, indices):
-                assign[i] = j
-            acc.add(layer(gi + 1))
-        return acc.total / l ** len(indices)
-
-    return layer(0)
+    boxes = w.resolution ** len(support)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    if boxes > budget:
+        raise BudgetError(f"exact density needs {boxes} grid boxes, budget is {budget}")
+    ints, scale = _integer_values(w)
+    scopes = _edge_coordinate_map(pattern, support)
+    total = _eliminate(w._table, ints, scopes).get((), 0)
+    return float(Fraction(total, scale ** len(scopes) * boxes))
 
 
 @dataclass(frozen=True)
@@ -293,7 +361,7 @@ def mc_density(
     Those coordinates are drawn first, fewest allowed values first, and a
     sample is 0 at the first drawn value outside its allowed set. Samples
     that pass draw the rest edge by edge and multiply the edge values in
-    pattern order from 1.0, as :func:`_integrand` does.
+    pattern order, starting from 1.0 and stopping at the first 0.
     """
     _check_density_args(pattern, w)
     check_seed(seed)
@@ -454,27 +522,27 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     return LatentSample(UniformHypergraph(k, n, edges), latents, seed)
 
 
-def project(w: StepHypergraphon, budget: int = 1 << 22) -> StepHypergraphon:
+def project(w: StepHypergraphon) -> StepHypergraphon:
     """Average out the top (full-set) coordinate; projected kind.
 
     The result is represented on the full coordinate grid, constant in the
-    top coordinate. Enumerates the whole grid, so l**(2**k - 1) is checked
-    against ``budget`` first.
+    top coordinate. The top coordinate is summed out of W's box table by
+    :func:`_eliminate`, exactly, and each average is rounded once. The top
+    coordinate is fixed by every permutation, so a box is canonical iff
+    its lower coordinates are; each canonical lower box with a nonzero
+    average is stored once per top box value.
     """
     idx = subset_indexing(w.k)
     l = w.resolution
-    m = idx.n_coords
-    _check_budget("projection", l**m, budget)
+    lower = tuple(range(idx.top_index))
+    ints, scale = _integer_values(w)
+    sums = _eliminate(w._table, ints, [lower + (idx.top_index,)], lower)
     values: dict[tuple[int, ...], float] = {}
-    for key in product(range(l), repeat=m):
-        if idx.canonicalize(key) != key:
-            continue
-        acc = CompensatedSum()
-        for j in range(l):
-            acc.add(w.eval_box(key[:-1] + (j,)))
-        v = acc.total / l
-        if v != 0.0:
-            values[key] = v
+    for prefix, total in sums.items():
+        if idx.canonicalize(prefix + (0,))[:-1] == prefix:
+            v = float(Fraction(total, scale * l))
+            for t in range(l):
+                values[prefix + (t,)] = v
     return StepHypergraphon(w.k, l, PROJECTED, values)
 
 

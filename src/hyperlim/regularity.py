@@ -151,16 +151,6 @@ def cell_profile(partition: Hyperpartition, subset: tuple[int, ...]) -> CellProf
     return idx.canonicalize(raw)
 
 
-def induce_cells(partition: Hyperpartition) -> dict[tuple[int, ...], CellProfile]:
-    """Profile of every k-subset of the vertex set."""
-    if partition.n_vertices < partition.k:
-        return {}
-    return {
-        sub: cell_profile(partition, sub)
-        for sub in combinations(range(partition.n_vertices), partition.k)
-    }
-
-
 def _check_host_partition(host: UniformHypergraph, partition: Hyperpartition) -> None:
     if host.k != partition.k or host.n_vertices != partition.n_vertices:
         raise ValueError("host and partition disagree on arity or vertex count")

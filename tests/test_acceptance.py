@@ -19,7 +19,6 @@ from hyperlim import (
     check_regularity_family,
     constant_hypergraphon,
     exact_density,
-    exact_density_grouped,
     hom_count,
     hom_density,
     independence_test,
@@ -34,10 +33,11 @@ from hyperlim import (
     simplicial_support,
 )
 from hyperlim.cli import convergence_table
-from hyperlim.homomorphism import disjoint_union, enumerate_hom_images
+from hyperlim.homomorphism import enumerate_hom_images
 from hyperlim.rng import derive
 
 from conftest import build_fixture_w, build_half_w, cli_env, shared_pair_triples, single_triple
+from oracles import disjoint_union, nested_density
 
 EXACT_TOL = 1e-12          # closed forms and algebraic identities
 MC_SIGMA = 4.0             # Monte-Carlo agreement window, in standard errors
@@ -286,8 +286,10 @@ def test_7_algebraic_identities_hold():
             assert abs(flat - exact_density(pat, project(w))) <= EXACT_TOL
             s = len(simplicial_support(pat))
             groups = [list(range(s // 2)), list(range(s // 2, s))]
-            assert abs(flat - exact_density_grouped(pat, w, groups)) <= EXACT_TOL
-        info["detail"] = "100 product instances exact, 4 projection/nesting cases within 1e-12"
+            assert flat == float(nested_density(pat, w, groups))
+        info["detail"] = (
+            "100 product instances exact, 4 projection cases within 1e-12, 4 nesting cases exact"
+        )
 
 
 def test_8_hash_seed_never_changes_output(tmp_path):

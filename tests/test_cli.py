@@ -260,6 +260,20 @@ def test_removal_budget_must_be_nonnegative(files, capsys, tmp_path):
     assert out.splitlines()[1].split(",")[3] == "greedy"
 
 
+def test_patterns_deeper_than_the_recursion_limit(files, capsys, tmp_path):
+    # Both backtracking walks descend one level per covered pattern vertex;
+    # a 1 201-vertex path is deeper than Python's default recursion limit.
+    n = 1201
+    path = tmp_path / "path.hg"
+    path.write_text(serialize_hypergraph(
+        UniformHypergraph(2, n, [(i, i + 1) for i in range(n - 1)])), encoding="utf-8")
+    code, out, _ = run_main(["hom", str(path), files["edge.hg"]], capsys)
+    assert (code, out) == (0, f"hom=2 t=1/{2 ** (n - 1)}\n")
+    code, out, _ = run_main(["removal", str(path), files["edge.hg"]], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "edge,1,1,exact,1,1,0,1"
+
+
 def test_removal_truncation_exits_4(files, capsys, tmp_path):
     host = tmp_path / "k6.hg"
     host.write_text(serialize_hypergraph(complete_hypergraph(2, 6)), encoding="utf-8")

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from hyperlim import (
     FormatError,
-    SymmetricTupleView,
     UniformHypergraph,
     complete_hypergraph,
     edge_density,
@@ -15,7 +14,6 @@ from hyperlim import (
     serialize_hypergraph,
     simplicial_support,
     subset_indexing,
-    symmetric_membership,
 )
 from hyperlim.core import link_masks
 
@@ -75,29 +73,6 @@ def test_equality_and_hash_are_structural():
     b = UniformHypergraph(2, 3, [(0, 1)])
     assert a == b and hash(a) == hash(b)
     assert a != UniformHypergraph(2, 4, [(0, 1)])
-
-
-# -- symmetric tuple view ------------------------------------------------------
-
-
-def test_symmetric_membership_ignores_order_and_rejects_repeats():
-    tri = triangle()
-    assert symmetric_membership(tri, (1, 0))
-    assert symmetric_membership(tri, (2, 1))
-    assert not symmetric_membership(tri, (1, 1))
-    with pytest.raises(ValueError):
-        symmetric_membership(tri, (0, 1, 2))
-    with pytest.raises(ValueError):
-        symmetric_membership(tri, (0, 3))
-
-
-def test_symmetric_tuple_view_iterates_all_orderings():
-    tri = triangle()
-    view = SymmetricTupleView(tri)
-    tuples = list(view)
-    assert len(tuples) == len(tri.edges) * 2
-    assert (1, 0) in view
-    assert all(t in view for t in tuples)
 
 
 # -- subset indexing and the coordinate action --------------------------------

@@ -9,15 +9,14 @@ import pytest
 from hyperlim import (
     UniformHypergraph,
     complete_hypergraph,
-    disjoint_union,
     enumerate_hom_images,
     greedy_hitting_set,
     hom_count,
-    hom_count_brute,
     hom_density,
 )
 
 from conftest import shared_pair_triples, single_triple, triangle
+from oracles import disjoint_union, hom_count_brute
 
 
 def random_hypergraph(rng: random.Random, k: int, n: int, p: float) -> UniformHypergraph:

@@ -22,7 +22,6 @@ from hyperlim import (
     constant_hypergraphon,
     edge_density,
     exact_density,
-    exact_density_grouped,
     mc_density,
     parse_hypergraphon,
     parse_latents,
@@ -33,10 +32,11 @@ from hyperlim import (
     simplicial_support,
     subset_indexing,
 )
-from hyperlim.hypergraphon import CompensatedSum, _edge_coordinate_map, _integrand
+from hyperlim.hypergraphon import CompensatedSum, _edge_coordinate_map
 from hyperlim.rng import MASK64, Stream, derive, fold, fraction_box, stream
 
 from conftest import build_fixture_w, build_half_w, shared_pair_triples, single_triple, triangle
+from oracles import flat_density, nested_density
 
 CLOSED_FORM_TOL = 1e-12
 
@@ -106,7 +106,8 @@ def test_eval_box_matches_the_stored_orbit_of_every_box(k, l, kind):
 
 
 def test_exact_density_retains_no_memory():
-    # Every one of the 5**7 boxes is read once; nothing read may be kept.
+    # W's whole table (5**7 boxes, about half of them nonzero) is read;
+    # nothing read may be kept.
     w = random_symmetric_w(3, 5, PROJECTED, seed=35)
     pattern = single_triple()
     gc.collect()
@@ -201,13 +202,11 @@ def test_budget_below_one_is_bad_input(budget, half_w):
     # malformed argument, whatever the grid size.
     with pytest.raises(ValueError, match="budget"):
         exact_density(triangle(), half_w, budget=budget)
-    with pytest.raises(ValueError, match="budget"):
-        exact_density_grouped(triangle(), half_w, [[0, 1, 2, 3, 4, 5]], budget=budget)
-    with pytest.raises(ValueError, match="budget"):
-        project(half_w, budget=budget)
 
 
 def test_grouped_sum_matches_flat_sum(fixture_w):
+    # Fubini on the grid: the iterated exact mean over any grouping of the
+    # coordinates, rounded once, is exact_density's value.
     pattern = shared_pair_triples()
     s = len(simplicial_support(pattern))
     flat = exact_density(pattern, fixture_w)
@@ -221,16 +220,49 @@ def test_grouped_sum_matches_flat_sum(fixture_w):
         for c in cut + [s]:
             groups.append(coords[prev:c])
             prev = c
-        grouped = exact_density_grouped(pattern, fixture_w, groups)
-        assert abs(grouped - flat) < CLOSED_FORM_TOL
+        assert float(nested_density(pattern, fixture_w, groups)) == flat
 
 
-def test_grouped_sum_validates_partition(fixture_w):
-    pattern = single_triple()
-    with pytest.raises(ValueError):
-        exact_density_grouped(pattern, fixture_w, [[0, 1], [1, 2]])
-    with pytest.raises(ValueError):
-        exact_density_grouped(pattern, fixture_w, [[0, 1]])
+@cache
+def _orbits(k, l):
+    idx = subset_indexing(k)
+    return sorted({idx.canonicalize(b) for b in product(range(l), repeat=idx.n_coords)})
+
+
+def _random_w(k, l, kind, density, rng):
+    values = {
+        o: 1.0 if kind == INDICATOR else rng.random()
+        for o in _orbits(k, l)
+        if rng.random() < density
+    }
+    return StepHypergraphon(k, l, kind, values)
+
+
+@st.composite
+def density_cases(draw):
+    """(pattern, W) at k in {2, 3}, with at most 2**11 boxes for the oracle.
+
+    W is an indicator, a projected W with random values, or the projection
+    of either; projected values make the rounding of every sum visible.
+    """
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(k, k + 2))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))), unique=True,
+                          max_size=3))
+    pattern = UniformHypergraph(k, n, sorted(edges))
+    s = len(simplicial_support(pattern))
+    l = draw(st.sampled_from([l for l in (1, 2, 3) if l**s <= 2**11]))
+    kind = draw(st.sampled_from((INDICATOR, PROJECTED)))
+    density = draw(st.sampled_from((0.1, 0.5, 0.9, 1.0)))
+    w = _random_w(k, l, kind, density, random.Random(draw(st.integers(0, 2**32))))
+    return pattern, project(w) if draw(st.booleans()) else w
+
+
+@given(density_cases())
+@example((shared_pair_triples(), project(build_fixture_w())))
+def test_exact_density_is_the_exact_sum_rounded_once(case):
+    pattern, w = case
+    assert exact_density(pattern, w) == float(flat_density(pattern, w))
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -270,8 +302,9 @@ def reference_mc_density(pattern, w, n_samples, seed):
     """The sequential definition of mc_density: (estimate, standard error).
 
     Sample i draws all s support coordinates in order from
-    Stream(fold(derive(seed, "mc"), i)) and evaluates them with
-    _integrand; the two compensated passes are those of mc_density.
+    Stream(fold(derive(seed, "mc"), i)) and multiplies the edge values in
+    pattern order from 1.0, stopping at the first 0; the two compensated
+    passes are those of mc_density.
     """
     support = simplicial_support(pattern)
     coord_maps = _edge_coordinate_map(pattern, support)
@@ -280,7 +313,14 @@ def reference_mc_density(pattern, w, n_samples, seed):
     for i in range(n_samples):
         st_i = Stream(fold(base, i))
         assign = [fraction_box(st_i.next_fraction(), w.resolution) for _ in support]
-        values.append(_integrand(assign, coord_maps, w))
+        value = 1.0
+        for cmap in coord_maps:
+            f = w.eval_box([assign[c] for c in cmap])
+            if f == 0.0:
+                value = 0.0
+                break
+            value *= f
+        values.append(value)
     total = CompensatedSum()
     for v in values:
         total.add(v)
@@ -289,12 +329,6 @@ def reference_mc_density(pattern, w, n_samples, seed):
     for v in values:
         ss.add((v - mean) * (v - mean))
     return mean, sqrt(max(ss.total, 0.0) / (n_samples - 1)) / sqrt(n_samples)
-
-
-@cache
-def _orbits(k, l):
-    idx = subset_indexing(k)
-    return sorted({idx.canonicalize(b) for b in product(range(l), repeat=idx.n_coords)})
 
 
 def _dense_projected_w(k, l, seed):
@@ -313,13 +347,7 @@ def mc_cases(draw):
     k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     density = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
     kind = draw(st.sampled_from((INDICATOR, PROJECTED)))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    values = {
-        o: 1.0 if kind == INDICATOR else rng.random()
-        for o in _orbits(k, l)
-        if rng.random() < density
-    }
-    w = StepHypergraphon(k, l, kind, values)
+    w = _random_w(k, l, kind, density, random.Random(draw(st.integers(0, 2**32))))
     # Random patterns include edgeless ones and ones with isolated vertices.
     n = draw(st.integers(0, 5))
     edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))), unique=True,
@@ -454,10 +482,18 @@ def test_projection_averages_the_top_coordinate(half_w):
     assert projected.eval_box((0, 1, 1)) == 0.5
 
 
-def test_projection_budget():
-    w = StepHypergraphon(3, 10, INDICATOR, {})
-    with pytest.raises(BudgetError):
-        project(w, budget=10**6)  # 10**7 grid boxes
+@pytest.mark.parametrize("k,l", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("kind", [INDICATOR, PROJECTED])
+def test_projection_is_the_exact_mean_over_the_top_coordinate_rounded_once(k, l, kind):
+    w = random_symmetric_w(k, l, kind, seed=100 * k + l)
+    expected = {}
+    for box in _orbits(k, l):
+        mean = sum(Fraction(w.eval_box(box[:-1] + (t,))) for t in range(l)) / l
+        if mean:
+            expected[box] = float(mean)
+    projected = project(w)
+    assert projected.kind == PROJECTED
+    assert projected.values == expected
 
 
 # -- compensated summation -----------------------------------------------------

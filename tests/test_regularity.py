@@ -24,7 +24,6 @@ from hyperlim import (
     extract_step_hypergraphon,
     hom_density,
     independence_test,
-    induce_cells,
     latent_hyperpartition,
     parse_hyperpartition,
     random_hyperpartition,
@@ -37,6 +36,7 @@ from hyperlim.hypergraphon import LatentSample
 from hyperlim.rng import stream
 
 from conftest import build_fixture_w, single_triple
+from oracles import induce_cells
 
 
 def one_uniform(n, members):

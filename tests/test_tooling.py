@@ -1,0 +1,76 @@
+"""The benchmark's span tracer names hyperlim functions and their parameters.
+
+`bench/tracer.py` wraps functions by name and skips any name it cannot
+find, and a work counter that reads a renamed parameter is dropped
+silently. These tests read the tracer's tables (the file is only loaded,
+never changed) and check every name against the package.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load_tracer()
+
+
+def span_functions() -> dict:
+    """Span name -> every function the tracer wraps under that name."""
+    out: dict = {}
+    for module, attr, name in tracer.SPANS:
+        out.setdefault(name, []).append(getattr(importlib.import_module(f"hyperlim.{module}"), attr))
+    return out
+
+
+def counter_reads() -> dict[str, set[str]]:
+    """Span name -> the argument names its COUNTERS lambda subscripts."""
+    tree = ast.parse(TRACER_PATH.read_text(encoding="utf-8"))
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "COUNTERS" for t in node.targets)
+    )
+    reads = {}
+    for key, fn in zip(table.keys, table.values):
+        args = fn.args.args[0].arg
+        reads[key.value] = {
+            node.slice.value for node in ast.walk(fn.body)
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == args
+        }
+    return reads
+
+
+@pytest.mark.parametrize("module,attr,name", tracer.SPANS)
+def test_every_span_target_resolves(module, attr, name):
+    assert callable(getattr(importlib.import_module(f"hyperlim.{module}"), attr, None)), name
+
+
+@pytest.mark.parametrize("module,cls,attr,name", tracer.LEAVES)
+def test_every_leaf_target_resolves(module, cls, attr, name):
+    owner = importlib.import_module(f"hyperlim.{module}")
+    if cls is not None:
+        owner = getattr(owner, cls, None)
+    assert callable(getattr(owner, attr, None)), name
+
+
+def test_counters_read_only_parameters_of_the_wrapped_function():
+    functions = span_functions()
+    reads = counter_reads()
+    assert set(reads) == set(tracer.COUNTERS)
+    for name, args in reads.items():
+        assert name in functions, f"COUNTERS names {name!r}, which no span wraps"
+        for fn in functions[name]:
+            params = inspect.signature(fn).parameters
+            assert args <= params.keys(), f"{name} reads {sorted(args - params.keys())}"
