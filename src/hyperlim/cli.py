@@ -163,7 +163,7 @@ def regularity_table(
     cylinders: int,
     seed: int,
     density_grid: tuple[float, ...] = DEFAULT_DENSITY_GRID,
-) -> tuple[list[list[str]], dict]:
+) -> list[list[str]]:
     """One W-sample's partition diagnostics: equitability, regularity, cells.
 
     Samples H ~ W with latents under (seed, "regularity-sample"), boxes
@@ -175,25 +175,19 @@ def regularity_table(
     sample = sample_w_random(w, n, derive(seed, "regularity-sample"))
     partition = latent_hyperpartition(sample, l)
     rows: list[list[str]] = []
-    summary: dict = {}
 
     eq = equitability(partition)
     for r in sorted(eq):
         rows.append(["equitability", str(r), "", str(eq[r]), ""])
-    summary["equitability"] = eq
 
-    witnesses: dict[tuple[int, int], bool] = {}
-    deviations: dict[tuple[int, int], object] = {}
     for r in range(2, w.k + 1):
         family = sampled_cylinder_family(
             n, r, cylinders, derive(seed, "regularity-cylinders", r), density_grid
         )
         for j in range(l):
             g = partition.class_hypergraph(r, j)
-            report = check_regularity_family(g, epsilon, family, mode="sampled")
+            report = check_regularity_family(g, epsilon, family)
             found = report.witness is not None
-            witnesses[(r, j)] = found
-            deviations[(r, j)] = report.max_deviation
             rows.append(
                 [
                     "regularity",
@@ -203,13 +197,10 @@ def regularity_table(
                     f"tested={report.tested};admitted={report.admitted};witness={int(found)}",
                 ]
             )
-    summary["witnesses"] = witnesses
-    summary["max_deviation"] = deviations
 
     _, err = cell_approximation(sample.hypergraph, partition)
     rows.append(["cell_error", "", "", str(err), ""])
-    summary["cell_error"] = err
-    return rows, summary
+    return rows
 
 
 # -- subcommands --------------------------------------------------------------
@@ -353,7 +344,7 @@ def cmd_experiment_regularity(args) -> int:
     w = parse_hypergraphon(_read(config.w_path))
     l = config.resolution if config.resolution is not None else w.resolution
     grid = _parse_grid(args.grid)
-    rows, _ = regularity_table(w, args.n, l, config.epsilon, config.samples, config.seed, grid)
+    rows = regularity_table(w, args.n, l, config.epsilon, config.samples, config.seed, grid)
     _write_csv(config.out, REGULARITY_HEADER, rows)
     return 0
 

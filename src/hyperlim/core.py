@@ -273,20 +273,33 @@ def parse_hypergraph(text: str | bytes) -> UniformHypergraph:
     return _parse_hypergraph_lines(_content_lines(text))
 
 
+def _header(lines: list[tuple[int, str]], form: str) -> tuple[int, int, list[str]]:
+    """Check the header line of a text format against ``form``.
+
+    ``form`` reads like 'HG <k> <n> <m>': a tag, then k, then the other
+    fields. Checks that the input is not empty, the tag and the field
+    count, and parses k and checks its arity. Returns the header's line
+    number, k, and the header tokens after k.
+    """
+    fields = form.split()
+    if not lines:
+        raise FormatError(f"empty input: missing {fields[0]} header")
+    lineno, header = lines[0]
+    tokens = header.split()
+    if len(tokens) != len(fields) or tokens[0] != fields[0]:
+        raise FormatError(f"malformed header: expected '{form}'", lineno)
+    k = _parse_int(tokens[1], "arity k", lineno)
+    if not 1 <= k <= MAX_ARITY:
+        raise FormatError(f"arity k={k} out of supported range 1..{MAX_ARITY}", lineno)
+    return lineno, k, tokens[2:]
+
+
 def _parse_hypergraph_lines(lines: list[tuple[int, str]]) -> UniformHypergraph:
     # Content lines keep their numbers in the enclosing file, so an HG
     # block embedded in another format reports the file's line numbers.
-    if not lines:
-        raise FormatError("empty input: missing HG header")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "HG":
-        raise FormatError("malformed header: expected 'HG <k> <n> <m>'", lineno)
-    k = _parse_int(tokens[1], "arity k", lineno)
-    n = _parse_int(tokens[2], "vertex count n", lineno)
-    m = _parse_int(tokens[3], "edge count m", lineno)
-    if not 1 <= k <= MAX_ARITY:
-        raise FormatError(f"arity k={k} out of supported range 1..{MAX_ARITY}", lineno)
+    lineno, k, (n_tok, m_tok) = _header(lines, "HG <k> <n> <m>")
+    n = _parse_int(n_tok, "vertex count n", lineno)
+    m = _parse_int(m_tok, "edge count m", lineno)
     if n < 0 or m < 0:
         raise FormatError("n and m must be nonnegative", lineno)
     body = lines[1:]

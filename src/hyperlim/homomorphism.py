@@ -40,19 +40,14 @@ def _check_arity(pattern: UniformHypergraph, host: UniformHypergraph) -> None:
         raise ValueError(f"arity mismatch: pattern k={pattern.k}, host k={host.k}")
 
 
-def _assignment_order(pattern: UniformHypergraph) -> list[int]:
-    # Descending (degree, id): high-degree vertices first, isolated last.
+def _covered_order(pattern: UniformHypergraph) -> list[int]:
+    # Vertices that lie in some edge, in descending (degree, id) order.
     deg = [0] * pattern.n_vertices
     for e in pattern.edges:
         for v in e:
             deg[v] += 1
-    return sorted(range(pattern.n_vertices), key=lambda v: (deg[v], v), reverse=True)
-
-
-def _covered_order(pattern: UniformHypergraph) -> list[int]:
-    # The assignment order cut to vertices that lie in some edge.
-    covered = {v for e in pattern.edges for v in e}
-    return [v for v in _assignment_order(pattern) if v in covered]
+    covered = [v for v in range(pattern.n_vertices) if deg[v]]
+    return sorted(covered, key=lambda v: (deg[v], v), reverse=True)
 
 
 def _mask_plan(pattern: UniformHypergraph, order: list[int], links, full: int):
@@ -80,39 +75,30 @@ def _mask_plan(pattern: UniformHypergraph, order: list[int], links, full: int):
     return masks, updates
 
 
-def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
-    """Exact number of homomorphisms pattern -> host (arbitrary precision).
+def _last_masks(
+    pattern: UniformHypergraph, host: UniformHypergraph, order: list[int], assignment: list[int]
+):
+    """The last position's candidate mask, once per placement of the others.
 
-    Backtracks over pattern vertices in descending (degree, id) order. Each
+    Backtracks over every position of ``order`` but the last. Each
     position's candidates are a bitmask over host vertices: the AND of the
     host link masks of the pattern edges it completes, carried down as
-    soon as each link is known. Candidates are taken lowest bit first, and
-    the last position is a popcount. Vertices outside every edge
-    contribute a factor of |V(H)| each.
+    soon as each link is known. Candidates are taken lowest bit first.
+    While a mask is yielded, ``assignment`` holds the image of every
+    earlier position. With one position there is nothing to place, and
+    its starting mask is yielded once.
     """
-    _check_arity(pattern, host)
-    n_pat, n_host = pattern.n_vertices, host.n_vertices
-    if n_pat == 0:
-        return HomCount(1, 1)
-    domain = n_host**n_pat
-    if n_host == 0:
-        return HomCount(0, 0)
-    order = _covered_order(pattern)
-    if not order:
-        return HomCount(domain, domain)
-    free_factor = n_host ** (n_pat - len(order))
     links = link_masks(host)
-    masks, updates = _mask_plan(pattern, order, links, (1 << n_host) - 1)
+    masks, updates = _mask_plan(pattern, order, links, (1 << host.n_vertices) - 1)
     last = len(order) - 1
     if not last:
-        return HomCount(masks[0].bit_count() * free_factor, domain)
-    assignment = [-1] * n_pat
+        yield masks[0]
+        return
     # level[i]: the candidate masks in force at position i; cands[i]: the
     # candidates of position i not yet tried. Position last - 1 runs in
-    # the inner loop, and the last position is a popcount.
+    # the inner loop.
     level = [masks] + [None] * last
     cands = [masks[0]] + [0] * last
-    count = 0
     i = 0
     while i >= 0:
         cand, v, fixed, masks = cands[i], order[i], updates[i], level[i]
@@ -125,7 +111,7 @@ def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
                 nxt[j] &= links.get(tuple(sorted([assignment[u] for u in others])), 0)
             if i + 1 < last:
                 break
-            count += nxt[last].bit_count()
+            yield nxt[last]
         else:
             i -= 1
             continue
@@ -133,7 +119,28 @@ def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
         i += 1
         level[i] = nxt
         cands[i] = nxt[i]
-    return HomCount(count * free_factor, domain)
+
+
+def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
+    """Exact number of homomorphisms pattern -> host (arbitrary precision).
+
+    Walks the covered pattern vertices in descending (degree, id) order
+    (see ``_last_masks``); the last position is a popcount. Vertices
+    outside every edge contribute a factor of |V(H)| each.
+    """
+    _check_arity(pattern, host)
+    n_pat, n_host = pattern.n_vertices, host.n_vertices
+    if n_pat == 0:
+        return HomCount(1, 1)
+    domain = n_host**n_pat
+    if n_host == 0:
+        return HomCount(0, 0)
+    order = _covered_order(pattern)
+    if not order:
+        return HomCount(domain, domain)
+    assignment = [-1] * n_pat
+    count = sum(map(int.bit_count, _last_masks(pattern, host, order, assignment)))
+    return HomCount(count * n_host ** (n_pat - len(order)), domain)
 
 
 def hom_density(pattern: UniformHypergraph, host: UniformHypergraph) -> Fraction:
@@ -150,9 +157,10 @@ def enumerate_hom_images(
 
     Only vertices covered by pattern edges are enumerated: isolated
     vertices never change an image set, and (host being nonempty) never
-    change whether a homomorphism exists. The result is empty iff no
-    homomorphism exists. Collecting more than ``cap`` distinct images
-    stops the walk and sets the truncated flag.
+    change whether a homomorphism exists. The walk is hom_count's, with
+    each candidate of the last position taken lowest bit first. The result
+    is empty iff no homomorphism exists. Collecting more than ``cap``
+    distinct images stops the walk and sets the truncated flag.
     """
     _check_arity(pattern, host)
     if not pattern.edges:
@@ -163,41 +171,17 @@ def enumerate_hom_images(
         return HomImageSet(frozenset(), False)
 
     order = _covered_order(pattern)
-    links = link_masks(host)
-    masks, updates = _mask_plan(pattern, order, links, (1 << host.n_vertices) - 1)
-    last = len(order) - 1
+    v = order[-1]
     assignment = [-1] * pattern.n_vertices
     images: set[frozenset[tuple[int, ...]]] = set()
-    truncated = False
-
-    # As in hom_count; the last position runs in the inner loop.
-    level = [masks] + [None] * last
-    cands = [masks[0]] + [0] * last
-    i = 0
-    while i >= 0:
-        cand, v = cands[i], order[i]
+    for cand in _last_masks(pattern, host, order, assignment):
         while cand:
             low = cand & -cand
             cand ^= low
             assignment[v] = low.bit_length() - 1
-            if i < last:
-                break
             image = frozenset(tuple(sorted(assignment[u] for u in e)) for e in pattern.edges)
             if image not in images:
                 if len(images) >= cap:
-                    truncated = True
-                    break
+                    return HomImageSet(frozenset(images), True)
                 images.add(image)
-        else:
-            i -= 1
-            continue
-        if truncated:
-            break
-        cands[i] = cand
-        nxt = level[i].copy()
-        for j, others in updates[i]:
-            nxt[j] &= links.get(tuple(sorted([assignment[u] for u in others])), 0)
-        i += 1
-        level[i] = nxt
-        cands[i] = nxt[i]
-    return HomImageSet(frozenset(images), truncated)
+    return HomImageSet(frozenset(images), False)

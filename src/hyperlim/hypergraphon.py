@@ -31,6 +31,7 @@ from .core import (
     MAX_ARITY,
     UniformHypergraph,
     _content_lines,
+    _header,
     _parse_hypergraph_lines,
     _parse_int,
     serialize_hypergraph,
@@ -558,20 +559,11 @@ def project(w: StepHypergraphon) -> StepHypergraphon:
 
 def parse_hypergraphon(text: str | bytes) -> StepHypergraphon:
     lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty input: missing HGON header")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 5 or tokens[0] != "HGON":
-        raise FormatError("malformed header: expected 'HGON <k> <l> <kind> <s>'", lineno)
-    k = _parse_int(tokens[1], "arity k", lineno)
-    l = _parse_int(tokens[2], "resolution l", lineno)
-    kind = tokens[3]
-    s = _parse_int(tokens[4], "entry count s", lineno)
+    lineno, k, (l_tok, kind, s_tok) = _header(lines, "HGON <k> <l> <kind> <s>")
+    l = _parse_int(l_tok, "resolution l", lineno)
+    s = _parse_int(s_tok, "entry count s", lineno)
     if kind not in (INDICATOR, PROJECTED):
         raise FormatError(f"kind must be 'ind' or 'proj', got {kind!r}", lineno)
-    if not 1 <= k <= MAX_ARITY:
-        raise FormatError(f"arity k={k} out of supported range 1..{MAX_ARITY}", lineno)
     if l < 1:
         raise FormatError("resolution l must be at least 1", lineno)
     body = lines[1:]
@@ -656,17 +648,9 @@ def serialize_latents(sample: LatentSample) -> str:
 
 def parse_latents(text: str | bytes) -> LatentSample:
     lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty input: missing LAT header")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "LAT":
-        raise FormatError("malformed header: expected 'LAT <k> <n> <seed>'", lineno)
-    k = _parse_int(tokens[1], "arity k", lineno)
-    n = _parse_int(tokens[2], "vertex count n", lineno)
-    seed = _parse_int(tokens[3], "seed", lineno)
-    if not 1 <= k <= MAX_ARITY:
-        raise FormatError(f"arity k={k} out of supported range 1..{MAX_ARITY}", lineno)
+    lineno, k, (n_tok, seed_tok) = _header(lines, "LAT <k> <n> <seed>")
+    n = _parse_int(n_tok, "vertex count n", lineno)
+    seed = _parse_int(seed_tok, "seed", lineno)
     if n < 0:
         raise FormatError("n must be nonnegative", lineno)
     try:

@@ -20,6 +20,7 @@ from .core import (
     MAX_ARITY,
     UniformHypergraph,
     _content_lines,
+    _header,
     _parse_int,
     link_masks,
     subset_indexing,
@@ -327,7 +328,6 @@ def regularity_deviation(
 class RegularityReport:
     """Outcome of testing one hypergraph against a cylinder family."""
 
-    mode: str
     epsilon: float
     tested: int
     admitted: int
@@ -339,7 +339,6 @@ def check_regularity_family(
     g: UniformHypergraph,
     epsilon: float,
     family: Sequence[CylinderIntersection],
-    mode: str = "exhaustive",
 ) -> RegularityReport:
     """Max admitted deviation over a provided cylinder family.
 
@@ -363,7 +362,7 @@ def check_regularity_family(
             max_dev = dev
             argmax = cyl
     witness = argmax if (max_dev is not None and max_dev > epsilon) else None
-    return RegularityReport(mode, epsilon, len(family), admitted, max_dev, witness)
+    return RegularityReport(epsilon, len(family), admitted, max_dev, witness)
 
 
 def sampled_cylinder_family(
@@ -407,24 +406,18 @@ def check_regularity_sampled(
     count: int,
     seed: int,
     density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
-    planted: Sequence[CylinderIntersection] = (),
 ) -> RegularityReport:
-    """Sampled regularity check: seeded random cylinders, planted first.
+    """Sampled regularity check against ``count`` seeded random cylinders.
 
-    An empty family (no plant and count 0) is refused: it would report a
-    regular verdict from no test at all.
+    Count 0 is refused: it would report a regular verdict from no test at
+    all.
     """
     if g.k < 2:
         raise ValueError("level 1 has no cylinder structure; use equitability")
-    if not planted and count == 0:
-        raise ValueError("cylinder count must be positive when nothing is planted")
-    for cyl in planted:
-        if cyl.arity != g.k or cyl.n_vertices != g.n_vertices:
-            raise ValueError("planted cylinder disagrees on arity or vertex count")
-    family = list(planted) + sampled_cylinder_family(
-        g.n_vertices, g.k, count, seed, density_grid
-    )
-    return check_regularity_family(g, epsilon, family, mode="sampled")
+    if count == 0:
+        raise ValueError("cylinder count must be positive")
+    family = sampled_cylinder_family(g.n_vertices, g.k, count, seed, density_grid)
+    return check_regularity_family(g, epsilon, family)
 
 
 # -- total-independence diagnostic -------------------------------------------
@@ -543,17 +536,9 @@ def serialize_hyperpartition(partition: Hyperpartition) -> str:
 
 def parse_hyperpartition(text: str | bytes) -> Hyperpartition:
     lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty input: missing HP header")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "HP":
-        raise FormatError("malformed header: expected 'HP <k> <n> <l>'", lineno)
-    k = _parse_int(tokens[1], "arity k", lineno)
-    n = _parse_int(tokens[2], "vertex count n", lineno)
-    l = _parse_int(tokens[3], "resolution l", lineno)
-    if not 1 <= k <= MAX_ARITY:
-        raise FormatError(f"arity k={k} out of supported range 1..{MAX_ARITY}", lineno)
+    lineno, k, (n_tok, l_tok) = _header(lines, "HP <k> <n> <l>")
+    n = _parse_int(n_tok, "vertex count n", lineno)
+    l = _parse_int(l_tok, "resolution l", lineno)
     if n < 0 or l < 1:
         raise FormatError("need n >= 0 and l >= 1", lineno)
     pos = 1

@@ -226,9 +226,7 @@ def test_5_latent_partition_regularity_shadow():
                 60, 2, REG_CYLINDERS, derive(seed, "cylinder-battery")
             )
             reports = [
-                check_regularity_family(
-                    partition.class_hypergraph(2, j), REG_EPSILON, family, mode="sampled"
-                )
+                check_regularity_family(partition.class_hypergraph(2, j), REG_EPSILON, family)
                 for j in range(w.resolution)
             ]
             clean += all(r.witness is None for r in reports)

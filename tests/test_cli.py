@@ -7,10 +7,16 @@ from fractions import Fraction
 import pytest
 
 from hyperlim import (
+    FormatError,
     UniformHypergraph,
     complete_hypergraph,
+    parse_latents,
+    random_hyperpartition,
+    sample_w_random,
     serialize_hypergraph,
     serialize_hypergraphon,
+    serialize_hyperpartition,
+    serialize_latents,
 )
 from hyperlim.cli import ExperimentConfig, main
 
@@ -133,6 +139,49 @@ def test_parse_errors_exit_2(files, capsys, bad, tmp_path):
     code, _, err = run_main(["hom", str(p), files["triangle.hg"]], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+def header_case(fmt, files):
+    """A valid file of each format with its header on line 1, and the argv
+    that reads it; LAT has no reading subcommand, so its argv is None."""
+    if fmt == "HG":
+        return TRIANGLE_HG, lambda path: ["hom", path, files["triangle.hg"]]
+    if fmt == "HGON":
+        text = serialize_hypergraphon(build_half_w())
+        return text, lambda path: ["density", files["edge.hg"], path]
+    if fmt == "HP":
+        text = serialize_hyperpartition(random_hyperpartition(2, 3, 2, seed=0))
+        return text, lambda path: ["cells", files["triangle.hg"], path]
+    return serialize_latents(sample_w_random(build_fixture_w(), 4, seed=1)), None
+
+
+@pytest.mark.parametrize("fmt", ["HG", "HGON", "HP", "LAT"])
+def test_every_single_header_fault_is_reported_at_line_1(files, capsys, tmp_path, fmt):
+    # Dropping, duplicating or garbling any one header token.
+    text, argv = header_case(fmt, files)
+    header, body = text.split("\n", 1)
+    tokens = header.split()
+    assert tokens[0] == fmt
+    if argv is not None:
+        path = tmp_path / "good"
+        path.write_text(text, encoding="utf-8")
+        assert run_main(argv(str(path)), capsys)[0] == 0
+    for i, tok in enumerate(tokens):
+        for mutated in (
+            tokens[:i] + tokens[i + 1 :],
+            tokens[:i] + [tok, tok] + tokens[i + 1 :],
+            tokens[:i] + [tok + "x"] + tokens[i + 1 :],
+        ):
+            bad = " ".join(mutated) + "\n" + body
+            if argv is None:
+                with pytest.raises(FormatError, match="^line 1: "):
+                    parse_latents(bad)
+                continue
+            path = tmp_path / f"bad-{i}"
+            path.write_text(bad, encoding="utf-8")
+            code, out, err = run_main(argv(str(path)), capsys)
+            assert (code, out) == (2, ""), mutated
+            assert err.startswith("error: line 1: "), (mutated, err)
 
 
 def test_missing_file_exits_2(files, capsys):

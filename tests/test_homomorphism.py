@@ -72,6 +72,11 @@ def test_triangle_into_bipartite_host_is_zero():
 def random_instance_patterns() -> dict[int, list[UniformHypergraph]]:
     """Small patterns per arity, for the random-host oracle comparisons."""
     return {
+        1: [
+            UniformHypergraph(1, 1, [(0,)]),
+            UniformHypergraph(1, 2, [(0,), (1,)]),
+            UniformHypergraph(1, 3, [(1,)]),
+        ],
         2: [
             UniformHypergraph(2, 2, [(0, 1)]),
             triangle(),
@@ -80,6 +85,11 @@ def random_instance_patterns() -> dict[int, list[UniformHypergraph]]:
             UniformHypergraph(2, 3, [(0, 1)]),
         ],
         3: [single_triple(), shared_pair_triples(), UniformHypergraph(3, 4, [(0, 1, 2)])],
+        4: [
+            UniformHypergraph(4, 4, [(0, 1, 2, 3)]),
+            UniformHypergraph(4, 5, [(0, 1, 2, 3), (1, 2, 3, 4)]),
+            UniformHypergraph(4, 5, [(0, 1, 2, 4)]),
+        ],
     }
 
 
@@ -97,7 +107,7 @@ def test_backtracking_matches_brute_force_on_random_instances():
     rng = random.Random(401)
     patterns = random_instance_patterns()
     for _ in range(60):
-        k = rng.choice([2, 3])
+        k = rng.choice(sorted(patterns))
         host = random_hypergraph(rng, k, rng.randint(0, 5), rng.random())
         for pattern in patterns[k]:
             fast = hom_count(pattern, host)
@@ -198,7 +208,7 @@ def test_images_match_brute_force_on_random_instances():
     rng = random.Random(409)
     patterns = random_instance_patterns()
     for _ in range(60):
-        k = rng.choice([2, 3])
+        k = rng.choice(sorted(patterns))
         host = random_hypergraph(rng, k, rng.randint(0, 5), rng.random())
         for pattern in patterns[k]:
             expected = brute_images(pattern, host)

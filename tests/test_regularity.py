@@ -6,6 +6,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperlim import (
     CylinderIntersection,
@@ -360,7 +361,7 @@ def test_deviation_respects_the_size_gate():
 def test_check_family_reports_first_argmax_as_witness():
     cyl = planted_half_cylinder()
     g = UniformHypergraph(2, 8, sorted(scan(cyl)))
-    report = check_regularity_family(g, 0.3, [cyl, cyl], mode="exhaustive")
+    report = check_regularity_family(g, 0.3, [cyl, cyl])
     assert report.tested == 2 and report.admitted == 2
     assert report.max_deviation == Fraction(1, 2)
     assert report.witness is cyl
@@ -393,20 +394,17 @@ def test_sampled_family_is_seeded_and_respects_the_grid():
 def test_check_sampled_rejects_level_one_and_mismatched_plants():
     with pytest.raises(ValueError, match="level 1"):
         check_regularity_sampled(one_uniform(6, [0, 1]), 0.1, 5, seed=0)
-    plant = planted_half_cylinder()
-    with pytest.raises(ValueError, match="planted"):
-        check_regularity_sampled(complete_hypergraph(2, 9), 0.1, 5, seed=0, planted=[plant])
-    with pytest.raises(ValueError, match="count"):
+    family = [planted_half_cylinder()] + sampled_cylinder_family(9, 2, 5, seed=0)
+    with pytest.raises(ValueError, match="disagree on arity or vertex count"):
+        check_regularity_family(complete_hypergraph(2, 9), 0.1, family)
+    with pytest.raises(ValueError, match="count must be positive"):
         check_regularity_sampled(complete_hypergraph(2, 8), 0.1, 0, seed=0)
-    planted_only = check_regularity_sampled(complete_hypergraph(2, 8), 0.1, 0, seed=0, planted=[plant])
-    assert planted_only.tested == 1
 
 
 def test_check_sampled_finds_a_prepended_planted_witness():
     cyl = planted_half_cylinder()
     g = UniformHypergraph(2, 8, sorted(scan(cyl)))
-    report = check_regularity_sampled(g, 0.3, 4, seed=0, planted=[cyl])
-    assert report.mode == "sampled"
+    report = check_regularity_family(g, 0.3, [cyl] + sampled_cylinder_family(8, 2, 4, seed=0))
     assert report.tested == 5
     assert report.witness is not None
     assert report.max_deviation >= Fraction(1, 2)
@@ -502,6 +500,13 @@ def test_hp_round_trip():
     text = serialize_hyperpartition(p)
     assert parse_hyperpartition(text) == p
     assert parse_hyperpartition(text.encode()) == p
+
+
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(1, 4), st.integers(0, 2**64 - 1))
+@settings(max_examples=60)
+def test_hp_round_trip_on_random_partitions(k, n, l, seed):
+    p = random_hyperpartition(k, n, l, seed)
+    assert parse_hyperpartition(serialize_hyperpartition(p)) == p
 
 
 def test_hp_serialization_shape():
