@@ -37,6 +37,7 @@ from .hypergraphon import (
 )
 from .regularity import (
     DEFAULT_DENSITY_GRID,
+    _check_testable,
     cell_approximation,
     cell_counts,
     check_regularity_family,
@@ -170,8 +171,12 @@ def regularity_table(
     the latents at resolution l, then reports per-level equitability, a
     sampled regularity check of every class at levels 2..k (one cylinder
     family per level, derived from (seed, "regularity-cylinders", r)), and
-    the cell-approximation error of H.
+    the cell-approximation error of H. A run whose cylinders would all be
+    empty by construction (n < k, or every grid density below 2**-64) is
+    refused before any work.
     """
+    if w.k >= 2:
+        _check_testable(n, w.k, density_grid)
     sample = sample_w_random(w, n, derive(seed, "regularity-sample"))
     partition = latent_hyperpartition(sample, l)
     rows: list[list[str]] = []

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 MAX_ARITY = 4
 
@@ -208,6 +208,62 @@ def link_masks(hypergraph: UniformHypergraph) -> dict[tuple[int, ...], int]:
             s = e[:i] + e[i + 1 :]
             links[s] = links.get(s, 0) | (1 << v)
     return links
+
+
+def prefix_rows(values: Iterable, n: int, r: int) -> dict[tuple[int, ...], list]:
+    """One value per r-subset of range(n), in lexicographic order, as rows.
+
+    Row T, for each sorted (r-1)-subset T, holds the values of T + (v,)
+    for v from max(T) + 1 to n - 1.
+    """
+    values = iter(values)
+    return {
+        prefix: list(islice(values, n - 1 - prefix[-1] if prefix else n))
+        for prefix in combinations(range(n), r - 1)
+    }
+
+
+def _walk_steps(k: int) -> list[list[tuple[int, ...]]]:
+    # steps[j]: the position subsets T of range(j) whose subset T + (j,)
+    # becomes known when position j is fixed, by size then lexicographically.
+    return [[t for size in range(j + 1) for t in combinations(range(j), size)] for j in range(k)]
+
+
+def walk_order(k: int) -> list[int]:
+    """The `SubsetIndexing` index of each coordinate, in the order `prefix_walk` fixes them."""
+    index = subset_indexing(k).index
+    return [index[t + (j,)] for j, step in enumerate(_walk_steps(k)) for t in step]
+
+
+def prefix_walk(rows: Sequence[Mapping[tuple[int, ...], list]], k: int):
+    """Walk the k-subsets of range(n) as a prefix tree, in lexicographic order.
+
+    ``rows[r - 1]`` lays out one value per r-subset as :func:`prefix_rows`
+    does, for r = 1..k. Yields ``(verts, key, cols)`` once per sorted
+    (k-1)-subset ``verts``: ``key`` holds the values of the nonempty
+    subsets of ``verts`` in :func:`walk_order`, and the items c of
+    ``zip(*cols)``, for v = max(verts) + 1, max(verts) + 2, ..., hold the
+    values of the subsets T + (v,), T a subset of ``verts``. So ``key + c``
+    is the value vector of ``verts + (v,)`` in walk order, and each key is
+    built once and shared by every extension of its prefix.
+    """
+    steps = _walk_steps(k)
+
+    def walk(verts: tuple[int, ...], key: tuple):
+        j = len(verts)
+        lo = verts[-1] + 1 if verts else 0
+        cols = []
+        for t in steps[j]:
+            members = tuple(verts[i] for i in t)
+            # Row T starts at vertex max(T) + 1; slice it from lo.
+            cols.append(rows[len(t)][members][lo - (members[-1] + 1 if members else 0):])
+        if j == k - 1:
+            yield verts, key, cols
+        else:
+            for v, c in enumerate(zip(*cols), lo):
+                yield from walk(verts + (v,), key + c)
+
+    return walk((), ())
 
 
 def complete_hypergraph(k: int, n: int) -> UniformHypergraph:

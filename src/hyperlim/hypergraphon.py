@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import comb, sqrt
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -34,9 +34,12 @@ from .core import (
     _header,
     _parse_hypergraph_lines,
     _parse_int,
+    prefix_rows,
+    prefix_walk,
     serialize_hypergraph,
     simplicial_support,
     subset_indexing,
+    walk_order,
 )
 from .rng import MASK64, _GAMMA, _MIX1, _MIX2, check_seed, derive, subset_draws
 
@@ -446,11 +449,11 @@ def mc_density(
 class LatentSample:
     """A W-random draw: the hypergraph plus every latent subset coordinate.
 
-    ``latents`` maps each vertex subset of size 1..k (sorted tuple) to a
-    64-bit fraction m standing for the uniform variate m / 2**64. An edge
-    is present iff the indicator evaluates to 1 on the box vector read off
-    the latents of its subsets, with boxes computed exactly as
-    ``(m * l) >> 64``.
+    ``latents`` maps each vertex subset of size 1..k (sorted tuple), listed
+    by size and then lexicographically, to a 64-bit fraction m standing for
+    the uniform variate m / 2**64. An edge is present iff the indicator
+    evaluates to 1 on the box vector read off the latents of its subsets,
+    with boxes computed exactly as ``(m * l) >> 64``.
     """
 
     hypergraph: UniformHypergraph
@@ -470,13 +473,14 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     given (w, n, seed), independent of evaluation order.
 
     Latents come from :func:`subset_draws`, level by level in
-    lexicographic order. Edges are tested by the same prefix walk: each
-    level's boxes are stored as rows over the last vertex, keyed by the
-    other members, and the box table is reindexed once so that a box
-    vector lists its coordinates in the order the walk fixes them (every
-    subset whose largest position is j, once position j is fixed). At the
-    last position the rows of the new coordinates are zipped, so each
-    candidate edge costs one tuple concatenation and one table lookup.
+    lexicographic order. Edges are tested by the same prefix walk,
+    :func:`~hyperlim.core.prefix_walk`: each level's boxes are stored as
+    rows over the last vertex, keyed by the other members, and the box
+    table is reindexed once so that a box vector lists its coordinates in
+    the order the walk fixes them (every subset whose largest position is
+    j, once position j is fixed). At the last position the rows of the new
+    coordinates are zipped, so each candidate edge costs one tuple
+    concatenation and one table lookup.
     """
     if w.kind != INDICATOR:
         raise ValueError("sampling requires an indicator-kind hypergraphon")
@@ -490,36 +494,15 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     for r in range(1, k + 1):
         draws = subset_draws(seed, "latent", n, r)
         latents.update(zip(combinations(range(n), r), draws))
-        boxes = ((m * l) >> 64 for m in draws)
-        rows.append({
-            prefix: list(islice(boxes, n - 1 - prefix[-1] if prefix else n))
-            for prefix in combinations(range(n), r - 1)
-        })
+        rows.append(prefix_rows(((m * l) >> 64 for m in draws), n, r))
 
-    # steps[j]: the position subsets T < j whose coordinate T + (j,)
-    # becomes known when position j is fixed. The table is reindexed to
-    # list a box's coordinates in that order.
-    steps = [[t for size in range(j + 1) for t in combinations(range(j), size)] for j in range(k)]
-    index = subset_indexing(k).index
-    order = [index[t + (j,)] for j, step in enumerate(steps) for t in step]
+    # The table is reindexed to list a box's coordinates in walk order.
+    order = walk_order(k)
     table = {tuple(box[i] for i in order) for box in w._table}
     edges: list[tuple[int, ...]] = []
-
-    def walk(verts: tuple[int, ...], key: tuple[int, ...]) -> None:
-        j = len(verts)
+    for verts, key, cols in prefix_walk(rows, k):
         lo = verts[-1] + 1 if verts else 0
-        cols = []
-        for t in steps[j]:
-            members = tuple(verts[i] for i in t)
-            # Row T starts at vertex max(T) + 1; slice it from lo.
-            cols.append(rows[len(t)][members][lo - (members[-1] + 1 if members else 0):])
-        if j == k - 1:
-            edges.extend(verts + (v,) for v, c in enumerate(zip(*cols), lo) if key + c in table)
-        else:
-            for v, c in enumerate(zip(*cols), lo):
-                walk(verts + (v,), key + c)
-
-    walk((), ())
+        edges.extend(verts + (v,) for v, c in enumerate(zip(*cols), lo) if key + c in table)
     return LatentSample(UniformHypergraph(k, n, edges), latents, seed)
 
 

@@ -9,10 +9,12 @@ only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations, repeat
 from math import comb, sqrt
+from operator import and_
 from typing import Mapping, Sequence
 
 from .core import (
@@ -23,16 +25,39 @@ from .core import (
     _header,
     _parse_int,
     link_masks,
+    prefix_rows,
+    prefix_walk,
     subset_indexing,
+    walk_order,
 )
 from .hypergraphon import PROJECTED, LatentSample, StepHypergraphon
-from .rng import check_seed, derive, fraction_box, stream, subset_draws
+from .rng import (
+    MASK64,
+    _GAMMA,
+    _MIX1,
+    _MIX2,
+    check_seed,
+    derive,
+    fold,
+    mix64,
+    stream,
+    subset_draws,
+)
 
 #: CellProfile: the class labels of every nonempty position-subset of a
 #: k-subset, canonicalized under the symmetric-group coordinate action.
 CellProfile = tuple[int, ...]
 
 DEFAULT_DENSITY_GRID = (0.25, 0.5, 0.75)
+
+
+def _check_shape(k: int, n_vertices: int, resolution: int) -> None:
+    if not 1 <= k <= MAX_ARITY:
+        raise ValueError(f"arity k={k} unsupported: must satisfy 1 <= k <= {MAX_ARITY}")
+    if n_vertices < 0:
+        raise ValueError("n_vertices must be nonnegative")
+    if resolution < 1:
+        raise ValueError("resolution l must be at least 1")
 
 
 class Hyperpartition:
@@ -47,12 +72,7 @@ class Hyperpartition:
         resolution: int,
         levels: Sequence[Mapping[tuple[int, ...], int]],
     ):
-        if not 1 <= k <= MAX_ARITY:
-            raise ValueError(f"arity k={k} unsupported: must satisfy 1 <= k <= {MAX_ARITY}")
-        if n_vertices < 0:
-            raise ValueError("n_vertices must be nonnegative")
-        if resolution < 1:
-            raise ValueError("resolution l must be at least 1")
+        _check_shape(k, n_vertices, resolution)
         if len(levels) != k:
             raise ValueError(f"expected {k} levels, got {len(levels)}")
         frozen = []
@@ -73,6 +93,22 @@ class Hyperpartition:
         self.n_vertices = n_vertices
         self.resolution = resolution
         self.levels = tuple(frozen)
+
+    @classmethod
+    def _trusted(
+        cls, k: int, n_vertices: int, resolution: int, levels: list[dict[tuple[int, ...], int]]
+    ) -> "Hyperpartition":
+        """A partition whose levels are valid by construction; nothing is re-checked.
+
+        For the builders below, which check the shape first and then label
+        every r-subset, in lexicographic order, with a class in range.
+        """
+        self = object.__new__(cls)
+        self.k = k
+        self.n_vertices = n_vertices
+        self.resolution = resolution
+        self.levels = tuple(levels)
+        return self
 
     def label(self, subset: tuple[int, ...]) -> int:
         return self.levels[len(subset) - 1][subset]
@@ -109,11 +145,12 @@ def random_hyperpartition(k: int, n: int, l: int, seed: int) -> Hyperpartition:
     the seed, independent of iteration order.
     """
     check_seed(seed)
+    _check_shape(k, n, l)
     levels = []
     for r in range(1, k + 1):
         draws = subset_draws(seed, "hyperpartition", n, r)
         levels.append(dict(zip(combinations(range(n), r), [(u * l) >> 64 for u in draws])))
-    return Hyperpartition(k, n, l, levels)
+    return Hyperpartition._trusted(k, n, l, levels)
 
 
 def latent_hyperpartition(sample: LatentSample, l: int) -> Hyperpartition:
@@ -121,18 +158,17 @@ def latent_hyperpartition(sample: LatentSample, l: int) -> Hyperpartition:
 
     Label of subset B = floor(l * u_B), computed exactly on the 64-bit
     fractions. At the resolution of the sampled indicator, every cell is
-    edge-pure by construction.
+    edge-pure by construction. The levels are read straight off the
+    latents, which list every subset by size, then lexicographically.
     """
-    hg = sample.hypergraph
-    levels = []
-    for r in range(1, hg.k + 1):
-        levels.append(
-            {
-                sub: fraction_box(sample.latents[sub], l)
-                for sub in combinations(range(hg.n_vertices), r)
-            }
-        )
-    return Hyperpartition(hg.k, hg.n_vertices, l, levels)
+    k, n = sample.hypergraph.k, sample.hypergraph.n_vertices
+    _check_shape(k, n, l)
+    sizes = [comb(n, r) for r in range(1, k + 1)]
+    if len(sample.latents) != sum(sizes):
+        raise ValueError(f"expected {sum(sizes)} latents, got {len(sample.latents)}")
+    latents = iter(sample.latents.items())
+    levels = [{sub: (u * l) >> 64 for sub, u in islice(latents, size)} for size in sizes]
+    return Hyperpartition._trusted(k, n, l, levels)
 
 
 # -- cells ------------------------------------------------------------------
@@ -160,14 +196,39 @@ def _check_host_partition(host: UniformHypergraph, partition: Hyperpartition) ->
 def cell_counts(
     host: UniformHypergraph, partition: Hyperpartition
 ) -> dict[CellProfile, tuple[int, int]]:
-    """Per cell: (number of k-subsets, number of those that are edges)."""
+    """Per cell: (number of k-subsets, number of those that are edges).
+
+    The k-subsets are walked as a prefix tree by
+    :func:`~hyperlim.core.prefix_walk`, as ``sample_w_random`` walks them,
+    so a subset's raw label vector is built from its prefix's. Subsets are
+    tallied by that vector, and each distinct vector is canonicalized
+    once, by the rule of :func:`cell_profile`. Cells appear in the order a
+    lexicographic scan of the k-subsets first meets them.
+    """
     _check_host_partition(host, partition)
+    k, n = partition.k, partition.n_vertices
+    idx = subset_indexing(k)
+    order = walk_order(k)
+    gather = sorted(range(len(order)), key=order.__getitem__)
+    rows = [
+        prefix_rows(map(level.__getitem__, combinations(range(n), r)), n, r)
+        for r, level in enumerate(partition.levels, start=1)
+    ]
+    edge_rows = prefix_rows(map(host.edge_set.__contains__, combinations(range(n), k)), n, k)
+    # Raw label vectors in walk order, each with the subset's edge flag last.
+    tally: Counter = Counter()
+    for verts, key, cols in prefix_walk(rows, k):
+        tally.update(map(key.__add__, zip(*cols, edge_rows[verts])))
+    by_raw: dict[tuple[int, ...], list[int]] = {}
+    for vec, count in tally.items():
+        entry = by_raw.setdefault(vec[:-1], [0, 0])
+        entry[0] += count
+        entry[1] += count * vec[-1]
     counts: dict[CellProfile, list[int]] = {}
-    for sub in combinations(range(partition.n_vertices), partition.k):
-        entry = counts.setdefault(cell_profile(partition, sub), [0, 0])
-        entry[0] += 1
-        if sub in host.edge_set:
-            entry[1] += 1
+    for raw, (size, edges) in by_raw.items():
+        entry = counts.setdefault(idx.canonicalize([raw[i] for i in gather]), [0, 0])
+        entry[0] += size
+        entry[1] += edges
     return {profile: (size, edges) for profile, (size, edges) in counts.items()}
 
 
@@ -235,11 +296,17 @@ class CylinderIntersection:
     assigned bijectively to the sides: some permutation puts, for every i,
     the subset minus its i-th assigned element into side i. `contains`
     decides one subset by brute force over all r! assignments (r <= 4)
-    and is the oracle for the counting kernel behind
-    `regularity_deviation`, which never lists the members.
+    and is the oracle for the counting kernel of the regularity checks,
+    which never lists the members.
+
+    Construction builds the kernel's table once (see `_good_masks`) and
+    the member count |L| from it. Both are derived from the sides and left
+    out of comparisons, so equality and hashing look only at the sides.
     """
 
     sides: tuple[UniformHypergraph, ...]
+    _good: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sides = tuple(self.sides)
@@ -253,6 +320,9 @@ class CylinderIntersection:
                 raise ValueError(f"side arity {b.k} != r-1 = {r - 1}")
             if b.n_vertices != n:
                 raise ValueError("sides must share one vertex set")
+        good = _good_masks(sides)
+        object.__setattr__(self, "_good", good)
+        object.__setattr__(self, "_size", sum(map(int.bit_count, good.values())))
 
     @property
     def arity(self) -> int:
@@ -276,32 +346,63 @@ class CylinderIntersection:
         return False
 
 
-def _good_masks(cyl: CylinderIntersection) -> dict[tuple[int, ...], int]:
-    """Per sorted (r-1)-subset T: bitmask of v > max(T) with T + {v} in cyl.
+def _good_masks(sides: Sequence[UniformHypergraph]) -> dict[tuple[int, ...], int]:
+    """Per sorted (r-1)-subset T: bitmask of v > max(T) with T + {v} in the cylinder.
 
     Side Y's link at an (r-2)-subset U is the mask of vertices w with
     U + {w} in Y. For S = T + {v}, facet T goes to some side X holding T,
     and the facets T - t + {v} go bijectively to the other sides, so the
-    mask is an OR over those r! assignments of ANDs of r-1 links. Subsets
-    T in no side have no members above them and are left out.
+    mask is an OR over those r! assignments of ANDs of r-1 links. Each
+    side takes its (r-1)! bijections in turn, one pass over its edges per
+    bijection. Subsets T in no side have no members above them and are
+    left out.
     """
-    r = cyl.arity
-    links = [link_masks(side) for side in cyl.sides]
+    r = len(sides)
+    links = [link_masks(side) for side in sides]
     good: dict[tuple[int, ...], int] = {}
-    for x, side in enumerate(cyl.sides):
+    for x, side in enumerate(sides):
         others = links[:x] + links[x + 1 :]
-        for t in side.edges:
-            faces = [t[:i] + t[i + 1 :] for i in range(r - 1)]
-            acc = 0
-            for perm in permutations(faces):
-                m = -1
-                for link, u in zip(others, perm):
-                    m &= link.get(u, 0)
-                acc |= m
-            acc &= -(2 << t[-1])
-            if acc:
-                good[t] = good.get(t, 0) | acc
+        for perm in permutations(range(r - 1)):
+            # The y-th other side takes facet S - t[perm[y]], read at T - t[perm[y]].
+            plan = list(zip(others, perm))
+            for t in side.edges:
+                m = -(2 << t[-1])
+                for link, i in plan:
+                    m &= link.get(t[:i] + t[i + 1 :], 0)
+                if m:
+                    good[t] = good.get(t, 0) | m
     return good
+
+
+def _prefix_masks(g: UniformHypergraph) -> dict[tuple[int, ...], int]:
+    """Per (r-1)-prefix T of an edge: bitmask of v with T + (v,) an edge of g."""
+    masks: dict[tuple[int, ...], int] = {}
+    for e in g.edges:
+        t = e[:-1]
+        masks[t] = masks.get(t, 0) | 1 << e[-1]
+    return masks
+
+
+def _deviation(
+    g: UniformHypergraph,
+    masks: dict[tuple[int, ...], int],
+    cyl: CylinderIntersection,
+    size_gate: float | Fraction,
+) -> Fraction | None:
+    """The counting kernel behind both checks; ``masks`` are g's prefix masks.
+
+    |G & L| is the sum over prefixes T of popcount(good[T] & masks[T]),
+    one pass over the smaller of the two tables.
+    """
+    if g.k != cyl.arity or g.n_vertices != cyl.n_vertices:
+        raise ValueError("hypergraph and cylinder disagree on arity or vertex count")
+    total = comb(g.n_vertices, g.k)
+    size = cyl._size
+    if size == 0 or Fraction(size, total) < size_gate:
+        return None
+    small, large = (cyl._good, masks) if len(cyl._good) <= len(masks) else (masks, cyl._good)
+    inside = sum(map(int.bit_count, map(and_, small.values(), map(large.get, small, repeat(0)))))
+    return abs(Fraction(len(g.edges), total) - Fraction(inside, size))
 
 
 def regularity_deviation(
@@ -310,18 +411,10 @@ def regularity_deviation(
     """|density of g - density of g inside the cylinder|, or None.
 
     None marks a skipped (too small) cylinder: assessment requires
-    |L| >= size_gate * C(n, r). |L| and |g inside L| are counted from
-    `_good_masks`; L itself is never listed.
+    |L| >= size_gate * C(n, r). |L| and |g inside L| are counted by the
+    same kernel as `check_regularity_family`; L itself is never listed.
     """
-    if g.k != cyl.arity or g.n_vertices != cyl.n_vertices:
-        raise ValueError("hypergraph and cylinder disagree on arity or vertex count")
-    total = comb(g.n_vertices, g.k)
-    good = _good_masks(cyl)
-    t = sum(mask.bit_count() for mask in good.values())
-    if t == 0 or Fraction(t, total) < size_gate:
-        return None
-    inside = sum(good.get(e[:-1], 0) >> e[-1] & 1 for e in g.edges)
-    return abs(Fraction(len(g.edges), total) - Fraction(inside, t))
+    return _deviation(g, _prefix_masks(g), cyl, size_gate)
 
 
 @dataclass(frozen=True)
@@ -347,14 +440,19 @@ def check_regularity_family(
     Epsilon must lie in (0, 1): at 1 or above no deviation can exceed it
     and no proper cylinder passes the size gate, so every verdict would be
     regular without a test.
+
+    The class g is grouped into per-(r-1)-prefix masks once; each cylinder
+    then costs one pass over at most C(n, r-1) prefixes of its own table,
+    built when the cylinder was, whatever the number of edges of g.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
+    masks = _prefix_masks(g)
     admitted = 0
     max_dev: Fraction | None = None
     argmax = None
     for cyl in family:
-        dev = regularity_deviation(g, cyl, epsilon)
+        dev = _deviation(g, masks, cyl, epsilon)
         if dev is None:
             continue
         admitted += 1
@@ -363,6 +461,28 @@ def check_regularity_family(
             argmax = cyl
     witness = argmax if (max_dev is not None and max_dev > epsilon) else None
     return RegularityReport(epsilon, len(family), admitted, max_dev, witness)
+
+
+def _check_density_grid(density_grid: Sequence[float]) -> None:
+    if not density_grid or any(not 0.0 <= q <= 1.0 for q in density_grid):
+        raise ValueError("density_grid must be nonempty with entries in [0, 1]")
+
+
+def _check_testable(n: int, r: int, density_grid: Sequence[float]) -> None:
+    """Refuse a sampled check whose cylinders are all empty by construction.
+
+    With fewer than r vertices there is no r-subset, and a side drawn at a
+    density below 2**-64 has a zero threshold, so it is empty; if every
+    grid density is that small, every cylinder is. Either way nothing is
+    admitted, and the verdict would be regular without a test.
+    """
+    _check_density_grid(density_grid)
+    if n < r:
+        raise ValueError(f"no {r}-subsets on {n} vertices, so every cylinder is empty")
+    if max(density_grid) < 2.0**-64:
+        raise ValueError(
+            "every density_grid entry is below 2**-64, so every cylinder side is empty"
+        )
 
 
 def sampled_cylinder_family(
@@ -374,27 +494,38 @@ def sampled_cylinder_family(
 ) -> list[CylinderIntersection]:
     """Seeded random cylinder intersections on n vertices at level r.
 
-    Every side draws its density uniformly from the grid and then its
-    (r-1)-subsets independently at that density; both draws come from
-    labeled substreams, so the family is a pure function of the seed.
+    Side i of cylinder m picks its density q as
+    ``density_grid[stream(seed, "cylinder-density", m, i).next_below(len(density_grid))]``
+    and holds the j-th (r-1)-subset, in lexicographic order, iff the j-th
+    ``next_u64`` of ``stream(seed, "cylinder-side", m, i)`` is below
+    ``int(q * 2**64)``. The family is a pure function of the seed. Both
+    labels are derived once and folded with m and i, and the side draws
+    use the counter identity of :mod:`hyperlim.rng`, inlined.
     """
     check_seed(seed)
     if count < 0:
         raise ValueError("cylinder count must be nonnegative")
-    if not density_grid or any(not 0.0 <= q <= 1.0 for q in density_grid):
-        raise ValueError("density_grid must be nonempty with entries in [0, 1]")
+    _check_density_grid(density_grid)
+    subsets = list(combinations(range(n), r - 1))
+    picks = len(density_grid)
+    density_state = derive(seed, "cylinder-density")
+    side_state = derive(seed, "cylinder-side")
     family = []
     for m in range(count):
+        density_m = fold(density_state, m)
+        side_m = fold(side_state, m)
         sides = []
         for i in range(r):
-            q = density_grid[stream(seed, "cylinder-density", m, i).next_below(len(density_grid))]
-            threshold = int(q * 2.0**64)
-            st = stream(seed, "cylinder-side", m, i)
-            edges = [
-                sub
-                for sub in combinations(range(n), r - 1)
-                if st.next_u64() < threshold
-            ]
+            pick = (mix64(fold(density_m, i) + _GAMMA) * picks) >> 64
+            threshold = int(density_grid[pick] * 2.0**64)
+            state = fold(side_m, i)
+            edges = []
+            for sub in subsets:
+                state = (state + _GAMMA) & MASK64
+                x = ((state ^ (state >> 30)) * _MIX1) & MASK64
+                x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+                if x ^ (x >> 31) < threshold:
+                    edges.append(sub)
             sides.append(UniformHypergraph(r - 1, n, edges))
         family.append(CylinderIntersection(tuple(sides)))
     return family
@@ -410,12 +541,14 @@ def check_regularity_sampled(
     """Sampled regularity check against ``count`` seeded random cylinders.
 
     Count 0 is refused: it would report a regular verdict from no test at
-    all.
+    all. So are the checks whose cylinders are all empty by construction:
+    fewer vertices than r, or every grid density below 2**-64.
     """
     if g.k < 2:
         raise ValueError("level 1 has no cylinder structure; use equitability")
     if count == 0:
         raise ValueError("cylinder count must be positive")
+    _check_testable(g.n_vertices, g.k, density_grid)
     family = sampled_cylinder_family(g.n_vertices, g.k, count, seed, density_grid)
     return check_regularity_family(g, epsilon, family)
 

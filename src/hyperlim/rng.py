@@ -16,9 +16,10 @@ without the ones before it.
 ``derive`` and ``stream`` are the definition of every draw. ``derive``
 folds its indices left to right, so streams whose index tuples share a
 prefix share the partial hash after it. The per-subset draws (labels
-``latent`` and ``hyperpartition``) and the Monte-Carlo samples (``mc``)
-are computed by folding onto that shared prefix, through :func:`fold` and
-:func:`subset_draws` or inlined, and the Monte-Carlo coordinates by the
+``latent`` and ``hyperpartition``), the cylinder sides (``cylinder-density``
+and ``cylinder-side``) and the Monte-Carlo samples (``mc``) are computed
+by folding onto that shared prefix, through :func:`fold` and
+:func:`subset_draws` or inlined, and the side and Monte-Carlo draws by the
 counter identity above; the results equal ``derive``/``stream`` bit for
 bit.
 """

@@ -284,6 +284,43 @@ def test_regularity_rejects_bad_eps_and_count(files, flags, message, capsys, tmp
         assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["regularity", "{one}"], "no 2-subsets on 1 vertices"),
+        (["experiment", "regularity", "{w3}", "--n", "2"], "no 3-subsets on 2 vertices"),
+        (["regularity", "{k5}", "--grid", "0"], "below 2**-64"),
+        (["regularity", "{k5}", "--grid", "1e-30"], "below 2**-64"),
+        (["regularity", "{k5}", "--grid", "0,1e-30"], "below 2**-64"),
+        (["experiment", "regularity", "{w3}", "--n", "6", "--grid", "0"], "below 2**-64"),
+        (["experiment", "regularity", "{w3}", "--n", "6", "--grid", "1e-30"], "below 2**-64"),
+    ],
+)
+def test_regularity_refuses_cylinders_empty_by_construction(files, argv, message, capsys):
+    # Fewer vertices than r leaves no r-subset, and a grid below 2**-64
+    # draws only empty sides: nothing can be admitted, so a regular verdict
+    # (witness=0) would be backed by no test.
+    one = files["tmp"] / "one.hg"
+    one.write_text("HG 2 1 0\n", encoding="utf-8")
+    k5 = files["tmp"] / "k5.hg"
+    k5.write_text(serialize_hypergraph(complete_hypergraph(2, 5)), encoding="utf-8")
+    argv = [a.format(one=one, k5=k5, w3=files["w3.hgon"]) for a in argv]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2, argv
+    assert out == ""
+    assert message in err
+
+
+def test_regularity_accepts_a_grid_with_one_density_at_2_to_the_minus_64(files, capsys):
+    # 1e-19 > 2**-64, so its sides have threshold 1: not empty by construction.
+    code, out, _ = run_main(
+        ["experiment", "regularity", files["w3.hgon"], "--n", "6", "--M", "3", "--grid", "0,1e-19"],
+        capsys,
+    )
+    assert code == 0
+    assert out.startswith("kind,level,class,value,detail\n")
+
+
 def test_removal_csv_and_success_exit(files, capsys, tmp_path):
     bipartite = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
     host_text = serialize_hypergraph(UniformHypergraph(2, 6, sorted(bipartite + [(0, 1)])))

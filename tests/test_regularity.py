@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperlim import (
+    DEFAULT_DENSITY_GRID,
     CylinderIntersection,
     FormatError,
     Hyperpartition,
@@ -33,8 +34,10 @@ from hyperlim import (
     sampled_cylinder_family,
     serialize_hyperpartition,
 )
+import hyperlim.regularity as regularity_module
+from hyperlim.cli import regularity_table
 from hyperlim.hypergraphon import LatentSample
-from hyperlim.rng import stream
+from hyperlim.rng import fraction_box, stream, subset_draws
 
 from conftest import build_fixture_w, single_triple
 from oracles import induce_cells
@@ -118,6 +121,50 @@ def test_latent_hyperpartition_boxes_the_latents():
     assert latent_hyperpartition(sample, 1).resolution == 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_builders_equal_a_validated_partition(k, l):
+    # Both builders skip the constructor's per-subset checks; the public
+    # constructor re-validates what they built.
+    for n in sorted({0, 1, k - 1, k, 6}):
+        for seed in (0, 2**64 - 1):
+            p = random_hyperpartition(k, n, l, seed)
+            assert p == Hyperpartition(k, n, l, p.levels)
+            assert [list(level) for level in p.levels] == [
+                list(combinations(range(n), r)) for r in range(1, k + 1)
+            ]
+
+            latents = {
+                sub: u
+                for r in range(1, k + 1)
+                for sub, u in zip(combinations(range(n), r), subset_draws(seed, "latent", n, r))
+            }
+            sample = LatentSample(UniformHypergraph(k, n, []), latents, seed)
+            boxed = [
+                {sub: fraction_box(latents[sub], l) for sub in combinations(range(n), r)}
+                for r in range(1, k + 1)
+            ]
+            assert latent_hyperpartition(sample, l) == Hyperpartition(k, n, l, boxed)
+    drawn = sample_w_random(build_fixture_w(), 7, seed=3)
+    q = latent_hyperpartition(drawn, l)
+    assert q == Hyperpartition(3, 7, l, q.levels)
+
+
+def test_builders_keep_the_shape_checks():
+    with pytest.raises(ValueError, match="arity"):
+        random_hyperpartition(5, 3, 2, seed=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_hyperpartition(2, -1, 2, seed=0)
+    with pytest.raises(ValueError, match="resolution"):
+        random_hyperpartition(2, 3, 0, seed=0)
+    sample = sample_w_random(build_fixture_w(), 4, seed=0)
+    with pytest.raises(ValueError, match="resolution"):
+        latent_hyperpartition(sample, 0)
+    short = LatentSample(sample.hypergraph, dict(list(sample.latents.items())[:-1]), 0)
+    with pytest.raises(ValueError, match="expected 14 latents, got 13"):
+        latent_hyperpartition(short, 2)
+
+
 # -- cells ----------------------------------------------------------------------
 
 
@@ -189,6 +236,22 @@ def test_weighted_cell_sum_recovers_edge_count():
         p = random_hyperpartition(k, n, rng.choice([1, 2, 3]), seed=rng.getrandbits(32))
         counts = cell_counts(h, p)
         assert sum(size * cell_density(h, p)[c] for c, (size, _) in counts.items()) == len(edges)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_cell_counts_equal_a_tally_by_cell_profile(k, l):
+    rng = random.Random(1000 * k + l)
+    for n in range(8):
+        p = random_hyperpartition(k, n, l, seed=rng.getrandbits(64))
+        h = UniformHypergraph(k, n, [e for e in combinations(range(n), k) if rng.random() < 0.4])
+        expected: dict = {}
+        for sub in combinations(range(n), k):
+            size, edges = expected.get(cell_profile(p, sub), (0, 0))
+            expected[cell_profile(p, sub)] = (size + 1, edges + h.has_edge(sub))
+        counts = cell_counts(h, p)
+        assert counts == expected
+        assert list(counts) == list(expected)  # first-met order of the lexicographic scan
 
 
 def test_cell_constant_weights_cannot_tell_h_from_its_densities():
@@ -315,6 +378,43 @@ def test_deviation_counts_match_the_contains_scan():
         assert regularity_deviation(g, cyl, Fraction(len(members) + 1, total)) is None
 
 
+def test_family_check_matches_the_contains_scan():
+    # Several classes over one family: tested, admitted, the maximum and
+    # the witness's identity, from a per-cylinder scan.
+    rng = random.Random(4049)
+    for _ in range(40):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(r, 9)
+        total = comb(n, r)
+        family = []
+        for _ in range(rng.randint(1, 6)):
+            sides = []
+            for _ in range(r):
+                q = rng.choice((0.0, 0.3, 0.7, 1.0))
+                pool = combinations(range(n), r - 1)
+                sides.append(UniformHypergraph(r - 1, n, [s for s in pool if rng.random() < q]))
+            family.append(CylinderIntersection(tuple(sides)))
+        members = [scan(cyl) for cyl in family]
+        epsilon = rng.choice((0.05, 0.2, 0.45))
+        for _ in range(3):
+            pool = combinations(range(n), r)
+            g = UniformHypergraph(r, n, [e for e in pool if rng.random() < 0.5])
+            devs = [
+                abs(Fraction(len(g.edges), total) - Fraction(len(g.edge_set & found), len(found)))
+                if found and Fraction(len(found), total) >= epsilon else None
+                for found in members
+            ]
+            admitted = [d for d in devs if d is not None]
+            report = check_regularity_family(g, epsilon, family)
+            assert report.tested == len(family)
+            assert report.admitted == len(admitted)
+            assert report.max_deviation == (max(admitted) if admitted else None)
+            if admitted and max(admitted) > epsilon:
+                assert report.witness is family[devs.index(max(admitted))]
+            else:
+                assert report.witness is None
+
+
 def test_cylinder_membership_validates_subsets():
     cyl = CylinderIntersection((one_uniform(4, [0]), one_uniform(4, [1])))
     with pytest.raises(ValueError):
@@ -391,6 +491,24 @@ def test_sampled_family_is_seeded_and_respects_the_grid():
         sampled_cylinder_family(6, 2, -1, seed=0)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("grid", [(0.0, 1.0), (0.0, 0.3, 0.5, 1.0)])
+def test_sampled_family_sides_are_the_documented_draws(r, grid):
+    for n in (r - 1, r, 9):
+        for seed in (0, 1, 2**40 + 17, 2**64 - 1):
+            family = sampled_cylinder_family(n, r, 4, seed, grid)
+            assert len(family) == 4
+            for m, cyl in enumerate(family):
+                for i, side in enumerate(cyl.sides):
+                    pick = stream(seed, "cylinder-density", m, i).next_below(len(grid))
+                    threshold = int(grid[pick] * 2.0**64)
+                    st = stream(seed, "cylinder-side", m, i)
+                    expected = [
+                        sub for sub in combinations(range(n), r - 1) if st.next_u64() < threshold
+                    ]
+                    assert side == UniformHypergraph(r - 1, n, expected)
+
+
 def test_check_sampled_rejects_level_one_and_mismatched_plants():
     with pytest.raises(ValueError, match="level 1"):
         check_regularity_sampled(one_uniform(6, [0, 1]), 0.1, 5, seed=0)
@@ -408,6 +526,43 @@ def test_check_sampled_finds_a_prepended_planted_witness():
     assert report.tested == 5
     assert report.witness is not None
     assert report.max_deviation >= Fraction(1, 2)
+
+
+def test_checks_refuse_cylinders_empty_by_construction():
+    w = build_fixture_w()
+    for n, grid, message in (
+        (2, DEFAULT_DENSITY_GRID, "no 3-subsets on 2 vertices"),
+        (6, (0.0,), "below 2\\*\\*-64"),
+        (6, (1e-30, 0.0), "below 2\\*\\*-64"),
+    ):
+        g = UniformHypergraph(3, n, [])
+        with pytest.raises(ValueError, match=message):
+            check_regularity_sampled(g, 0.1, 5, seed=0, density_grid=grid)
+        with pytest.raises(ValueError, match=message):
+            regularity_table(w, n, 2, 0.1, 5, seed=0, density_grid=grid)
+    # The family itself may still be hollow.
+    hollow = sampled_cylinder_family(6, 3, 2, seed=0, density_grid=(0.0,))
+    assert all(scan(c) == frozenset() for c in hollow)
+
+
+def test_regularity_table_builds_one_table_per_cylinder_and_one_mask_set_per_class(monkeypatch):
+    # Pins the work done: each cylinder's table is built once, whatever
+    # the number of classes tested against it, and each class is grouped
+    # into prefix masks once, whatever the number of cylinders.
+    calls = {"tables": 0, "masks": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, key in (("_good_masks", "tables"), ("_prefix_masks", "masks")):
+        monkeypatch.setattr(regularity_module, name, counting(key, getattr(regularity_module, name)))
+    w, l, cylinders = build_fixture_w(), 2, 7
+    rows = regularity_table(w, 10, l, 0.1, cylinders, seed=3)
+    assert sum(row[0] == "regularity" for row in rows) == (w.k - 1) * l
+    assert calls == {"tables": (w.k - 1) * cylinders, "masks": (w.k - 1) * l}
 
 
 def test_complete_host_never_yields_a_witness():
