@@ -58,8 +58,8 @@ def _real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str) -> bytes:
+    return Path(path).read_bytes()
 
 
 def _out_stream(path: str | None):

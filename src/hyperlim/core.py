@@ -292,7 +292,15 @@ def edge_density(hypergraph: UniformHypergraph) -> Fraction:
 
 def _content_lines(text: str | bytes) -> list[tuple[int, str]]:
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # The bytes before the fault decode; it sits on their last line,
+            # or on a new one if they end with a line break.
+            lineno = len((text[: exc.start].decode("utf-8") + "x").splitlines())
+            raise FormatError(
+                f"invalid UTF-8 byte 0x{text[exc.start]:02x} ({exc.reason})", lineno
+            ) from None
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

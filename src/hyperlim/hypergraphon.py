@@ -7,18 +7,23 @@ canonical orbit representatives are stored; missing orbits read 0.
 Indicator kind ("ind") takes values in {0,1}; projected kind ("proj")
 takes values in [0,1].
 
-The density integral t(K, W) and the projection of W are both sums of
-products of box values, and both are computed by one sparse exact
-eliminator over the box table: each value is a dyadic rational, so the
-sums run on ints over one power-of-two denominator, and the result is
-rounded to a float once.
+Every stored value is a dyadic rational, so W keeps its box table as
+ints over one power-of-two denominator, fixed at construction. Every
+integral of W reads that table and sums exactly, on ints:
+
+- the density integral t(K, W) and the projection of W, by one sparse
+  exact eliminator, each result rounded to a float once;
+- the Monte-Carlo estimate of t(K, W), as two running sums S1 = sum(v)
+  and S2 = sum(v**2) of the n sample values v over the denominator D:
+  the estimate is S1 / (n D) and the standard error is the square root
+  of (n S2 - S1**2) / (n**2 (n - 1) D**2), the ddof=1 variance of the
+  mean, each quotient rounded once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import comb, sqrt
@@ -47,41 +52,19 @@ INDICATOR = "ind"
 PROJECTED = "proj"
 
 
-class CompensatedSum:
-    """Neumaier-compensated accumulator for long float sums."""
-
-    __slots__ = ("_sum", "_comp")
-
-    def __init__(self):
-        self._sum = 0.0
-        self._comp = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._sum
-        t = s + x
-        if abs(s) >= abs(x):
-            self._comp += (s - t) + x
-        else:
-            self._comp += (x - t) + s
-        self._sum = t
-
-    @property
-    def total(self) -> float:
-        return self._sum + self._comp
-
-
 class StepHypergraphon:
     """Grid-valued symmetric step function; see module docstring.
 
     ``values`` maps canonical orbit representatives (tuples of 2**k - 1
     box indices) to values; exact zeros are dropped on construction. The
     constructor also expands every stored orbit into a table from each of
-    its boxes to the orbit's value, at most k! * len(values) entries. That
-    table is the only source of box values and is never written after
-    construction.
+    its boxes to the orbit's value, at most k! * len(values) entries, held
+    as an int over ``_scale``, the largest power-of-two denominator among
+    the values. That table is the only source of box values and is never
+    written after construction.
     """
 
-    __slots__ = ("k", "resolution", "kind", "values", "_indexing", "_table")
+    __slots__ = ("k", "resolution", "kind", "values", "_indexing", "_table", "_scale")
 
     def __init__(self, k: int, resolution: int, kind: str, values: Mapping[tuple[int, ...], float]):
         if not 1 <= k <= MAX_ARITY:
@@ -113,19 +96,25 @@ class StepHypergraphon:
             stored[key] = v
             for box in orbit:
                 table[box] = v
+        ratios = {v: v.as_integer_ratio() for v in stored.values()}
+        scale = max((d for _, d in ratios.values()), default=1)
+        for box, v in table.items():
+            n, d = ratios[v]
+            table[box] = n * (scale // d)
         self.k = k
         self.resolution = resolution
         self.kind = kind
         self.values = stored
         self._indexing = idx
         self._table = table
+        self._scale = scale
 
     def eval_box(self, box: Sequence[int]) -> float:
         """Value on a raw (not necessarily canonical) box vector."""
         key = tuple(box)
         value = self._table.get(key)
         if value is not None:
-            return value
+            return value / self._scale
         if len(key) != self._indexing.n_coords:
             raise ValueError(f"box {key}: expected {self._indexing.n_coords} coordinates")
         if any(not 0 <= b < self.resolution for b in key):
@@ -192,21 +181,12 @@ def _check_density_args(pattern: UniformHypergraph, w: StepHypergraphon) -> None
 # ---------------------------------------------------------------------------
 # Exact sums of products of sparse factors (bucket elimination).
 #
-# A factor is (scope, entries, ints). Position i of every key of
-# ``entries`` is the value of variable scope[i]; absent keys are 0. A
-# factor read straight from a hypergraphon's box table carries ``ints``,
-# the map from its float values to ints over one power-of-two
-# denominator; a derived factor holds ints and carries None.
+# A factor is (scope, entries). Position i of every key of ``entries`` is
+# the value of variable scope[i], and its value is an int; absent keys
+# are 0.
 # ---------------------------------------------------------------------------
 
-_UNIT = ((), {(): 1}, None)
-
-
-def _integer_values(w: StepHypergraphon) -> tuple[dict[float, int], int]:
-    """Each stored value as an int over one power-of-two denominator, and that denominator."""
-    ratios = {v: v.as_integer_ratio() for v in w.values.values()}
-    scale = max((d for _, d in ratios.values()), default=1)
-    return {v: n * (scale // d) for v, (n, d) in ratios.items()}, scale
+_UNIT = ((), {(): 1})
 
 
 def _pick(positions: Sequence[int]):
@@ -215,11 +195,6 @@ def _pick(positions: Sequence[int]):
         p = positions[0]
         return lambda key: (key[p],)
     return itemgetter(*positions) if positions else lambda key: ()
-
-
-def _items(factor):
-    _, entries, ints = factor
-    return entries.items() if ints is None else ((key, ints[v]) for key, v in entries.items())
 
 
 def _join(a, b, keep: tuple[int, ...]):
@@ -237,15 +212,15 @@ def _join(a, b, keep: tuple[int, ...]):
     joint = sa + sb
     pick_out = _pick([joint.index(v) for v in keep])
     index: dict[tuple[int, ...], list] = {}
-    for kb, vb in _items(b):
+    for kb, vb in b[1].items():
         index.setdefault(pick_b(kb), []).append((kb, vb))
     out: dict[tuple[int, ...], int] = {}
     get = out.get
-    for ka, va in _items(a):
+    for ka, va in a[1].items():
         for kb, vb in index.get(pick_a(ka), ()):
             key = pick_out(ka + kb)
             out[key] = get(key, 0) + va * vb
-    return keep, out, None
+    return keep, out
 
 
 def _min_degree_order(scopes: Sequence[tuple[int, ...]], kept: set[int]) -> list[int]:
@@ -270,7 +245,7 @@ def _min_degree_order(scopes: Sequence[tuple[int, ...]], kept: set[int]) -> list
     return order
 
 
-def _eliminate(table, ints, scopes: Sequence[tuple[int, ...]], keep: tuple[int, ...] = ()):
+def _eliminate(table, scopes: Sequence[tuple[int, ...]], keep: tuple[int, ...] = ()):
     """Sum over every variable outside ``keep`` of the product of one factor per scope.
 
     Every factor reads ``table`` itself, its scope naming the variables of
@@ -281,7 +256,7 @@ def _eliminate(table, ints, scopes: Sequence[tuple[int, ...]], keep: tuple[int, 
     over ``keep``, in that order.
     """
     kept = set(keep)
-    factors = {i: (scope, table, ints) for i, scope in enumerate(scopes)}
+    factors = {i: (scope, table) for i, scope in enumerate(scopes)}
     where: dict[int, set[int]] = {}  # variable -> ids of the live factors that mention it
     for i, scope in enumerate(scopes):
         for u in scope:
@@ -292,12 +267,12 @@ def _eliminate(table, ints, scopes: Sequence[tuple[int, ...]], keep: tuple[int, 
             continue  # summed out with an earlier group
         ids = set(factors if v is None else where[v])
         group = [factors.pop(j) for j in sorted(ids)]
-        for scope, _, _ in group:
+        for scope, _ in group:
             for u in scope:
                 where[u] -= ids
         product = _UNIT
         for j, factor in enumerate(group):
-            later = {u for scope, _, _ in group[j + 1 :] for u in scope}
+            later = {u for scope, _ in group[j + 1 :] for u in scope}
             joint = dict.fromkeys(product[0] + factor[0])
             out = [u for u in keep if u in joint]
             out += [u for u in joint if u not in kept and (where[u] or u in later)]
@@ -320,8 +295,8 @@ def exact_density(
     l**s is checked against ``budget`` before any work, which also bounds
     every intermediate table. Each edge is one sparse factor over W's box
     table, and the coordinates are summed out exactly by
-    :func:`_eliminate`, on ints over the power-of-two denominator of W's
-    values; the work follows the table, not the l**s boxes.
+    :func:`_eliminate` on W's integer table; the work follows the table,
+    not the l**s boxes.
     """
     _check_density_args(pattern, w)
     support = simplicial_support(pattern)
@@ -330,10 +305,9 @@ def exact_density(
         raise ValueError(f"budget must be at least 1, got {budget}")
     if boxes > budget:
         raise BudgetError(f"exact density needs {boxes} grid boxes, budget is {budget}")
-    ints, scale = _integer_values(w)
     scopes = _edge_coordinate_map(pattern, support)
-    total = _eliminate(w._table, ints, scopes).get((), 0)
-    return float(Fraction(total, scale ** len(scopes) * boxes))
+    total = _eliminate(w._table, scopes).get((), 0)
+    return total / (w._scale ** len(scopes) * boxes)
 
 
 @dataclass(frozen=True)
@@ -355,9 +329,14 @@ def mc_density(
     """Monte-Carlo estimate of the density integral.
 
     Sample i reads support coordinate j from draw j + 1 of
-    ``stream(seed, "mc", i)``, and the values are summed in index order,
-    so the estimate is a pure function of (seed, n_samples). Standard
-    error is the ddof=1 sample deviation over sqrt(n_samples).
+    ``stream(seed, "mc", i)``, so the estimate is a pure function of
+    (seed, n_samples). A sample's value is the exact product of its edge
+    values, an int over D = W's denominator ** |E|. The run keeps only
+    S1 and S2, the exact sums of the values and of their squares: the
+    estimate is S1 / (n D), and the standard error, the ddof=1 sample
+    deviation over sqrt(n), is the square root of
+    (n S2 - S1**2) / (n**2 (n - 1) D**2). Each quotient is rounded once,
+    and memory does not grow with n_samples.
 
     The stream is counter-based, so each coordinate is drawn on its own,
     only when it is needed. A coordinate may only take box values that
@@ -365,7 +344,7 @@ def mc_density(
     Those coordinates are drawn first, fewest allowed values first, and a
     sample is 0 at the first drawn value outside its allowed set. Samples
     that pass draw the rest edge by edge and multiply the edge values in
-    pattern order, starting from 1.0 and stopping at the first 0.
+    pattern order, stopping at the first 0.
     """
     _check_density_args(pattern, w)
     check_seed(seed)
@@ -407,14 +386,13 @@ def mc_density(
     get = table.get
     head = (derive(seed, "mc") + _GAMMA) & MASK64
     assign = [0] * s
-    values = []
-    append = values.append
+    s1 = s2 = 0
     for i in range(n_samples):
         x = head ^ i
         x = ((x ^ (x >> 30)) * _MIX1) & MASK64
         x = ((x ^ (x >> 27)) * _MIX2) & MASK64
         state = x ^ (x >> 31)
-        value = 1.0
+        value = 1
         for j, inc, mask, cmap in steps:
             if cmap is None:
                 x = (state + inc) & MASK64
@@ -422,27 +400,20 @@ def mc_density(
                 x = ((x ^ (x >> 27)) * _MIX2) & MASK64
                 b = ((x ^ (x >> 31)) * l) >> 64
                 if not mask >> b & 1:
-                    value = 0.0
                     break
                 assign[j] = b
             else:
-                f = get(tuple([assign[c] for c in cmap]), 0.0)
-                if f == 0.0:
-                    value = 0.0
+                f = get(tuple([assign[c] for c in cmap]))
+                if f is None:
                     break
                 value *= f
-        append(value)
+        else:  # no break: the sample is nonzero
+            s1 += value
+            s2 += value * value
 
-    total = CompensatedSum()
-    for v in values:
-        total.add(v)
-    mean = total.total / n_samples
-    ss = CompensatedSum()
-    for v in values:
-        d = v - mean
-        ss.add(d * d)
-    sd = sqrt(max(ss.total, 0.0) / (n_samples - 1))
-    return DensityEstimate(mean, sd / sqrt(n_samples), n_samples, seed)
+    n, d = n_samples, w._scale ** len(coord_maps)
+    se = sqrt((n * s2 - s1 * s1) / (n * n * (n - 1) * d * d))
+    return DensityEstimate(s1 / (n * d), se, n_samples, seed)
 
 
 @dataclass(frozen=True)
@@ -519,12 +490,11 @@ def project(w: StepHypergraphon) -> StepHypergraphon:
     idx = subset_indexing(w.k)
     l = w.resolution
     lower = tuple(range(idx.top_index))
-    ints, scale = _integer_values(w)
-    sums = _eliminate(w._table, ints, [lower + (idx.top_index,)], lower)
+    sums = _eliminate(w._table, [lower + (idx.top_index,)], lower)
     values: dict[tuple[int, ...], float] = {}
     for prefix, total in sums.items():
         if idx.canonicalize(prefix + (0,))[:-1] == prefix:
-            v = float(Fraction(total, scale * l))
+            v = total / (w._scale * l)
             for t in range(l):
                 values[prefix + (t,)] = v
     return StepHypergraphon(w.k, l, PROJECTED, values)

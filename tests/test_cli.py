@@ -1,13 +1,19 @@
 """End-to-end CLI behavior: output formats, exit codes, determinism."""
 
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperlim import (
+    INDICATOR,
     FormatError,
+    StepHypergraphon,
     UniformHypergraph,
     complete_hypergraph,
     parse_latents,
@@ -17,6 +23,7 @@ from hyperlim import (
     serialize_hypergraphon,
     serialize_hyperpartition,
     serialize_latents,
+    subset_indexing,
 )
 from hyperlim.cli import ExperimentConfig, main
 
@@ -182,6 +189,112 @@ def test_every_single_header_fault_is_reported_at_line_1(files, capsys, tmp_path
             code, out, err = run_main(argv(str(path)), capsys)
             assert (code, out) == (2, ""), mutated
             assert err.startswith("error: line 1: "), (mutated, err)
+
+
+@pytest.mark.parametrize("fmt", ["HG", "HGON", "HP", "LAT"])
+def test_a_non_utf8_byte_is_reported_at_its_line(files, capsys, tmp_path, fmt):
+    text, argv = header_case(fmt, files)
+    lines = text.encode("utf-8").split(b"\n")
+    assert len(lines) > 3
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    bad = b"\n".join(lines)
+    message = "line 3: invalid UTF-8 byte 0xff (invalid start byte)"
+    if argv is None:
+        with pytest.raises(FormatError) as info:
+            parse_latents(bad)
+        assert str(info.value) == message
+        return
+    path = tmp_path / "bad"
+    path.write_bytes(bad)
+    assert run_main(argv(str(path)), capsys) == (2, "", f"error: {message}\n")
+
+
+def _run_quietly(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def valid_files(draw):
+    """(format, k, n, text): a valid HG, HGON, HP or LAT file with a body."""
+    fmt = draw(st.sampled_from(["HG", "HGON", "HP", "LAT"]))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 5))
+    if fmt == "HG":
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(n), k))), unique=True,
+                              min_size=1, max_size=6))
+        return fmt, k, n, serialize_hypergraph(UniformHypergraph(k, n, sorted(edges)))
+    if fmt == "HP":
+        partition = random_hyperpartition(k, n, draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
+        return fmt, k, n, serialize_hyperpartition(partition)
+    l = draw(st.integers(1, 2))
+    idx = subset_indexing(k)
+    orbits = sorted({idx.canonicalize(b) for b in product(range(l), repeat=idx.n_coords)})
+    chosen = draw(st.lists(st.sampled_from(orbits), unique=True, min_size=1))
+    w = StepHypergraphon(k, l, INDICATOR, dict.fromkeys(chosen, 1.0))
+    if fmt == "HGON":
+        return fmt, k, n, serialize_hypergraphon(w)
+    return fmt, k, n, serialize_latents(sample_w_random(w, n, seed=draw(st.integers(0, 99))))
+
+
+REPLACEMENTS = ("0", "1", "7", "-1", "0.5", "1e400", "nan", "x", "LEVEL", "ffffffffffffffff")
+
+
+@st.composite
+def body_faults(draw):
+    """A valid file as bytes, with one body line mutated in one of five ways."""
+    fmt, k, n, text = draw(valid_files())
+    lines = text.encode("utf-8").split(b"\n")[:-1]
+    i = draw(st.integers(1, len(lines) - 1))
+    tokens = lines[i].split()
+    j = draw(st.integers(0, len(tokens) - 1))
+    how = draw(st.sampled_from(["drop", "duplicate", "replace", "line", "byte"]))
+    if how == "drop":
+        lines[i] = b" ".join(tokens[:j] + tokens[j + 1 :])
+    elif how == "duplicate":
+        lines[i] = b" ".join(tokens[: j + 1] + tokens[j:])
+    elif how == "replace":
+        new = draw(st.sampled_from(REPLACEMENTS)).encode()
+        lines[i] = b" ".join(tokens[:j] + [new] + tokens[j + 1 :])
+    elif how == "line":
+        lines.insert(i, lines[i])
+    else:
+        at = draw(st.integers(0, len(lines[i])))
+        byte = draw(st.sampled_from((b"\x80", b"\xc3", b"\xfe", b"\xff")))
+        lines[i] = lines[i][:at] + byte + lines[i][at:]
+    return fmt, k, n, b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(body_faults())
+def test_a_body_line_fault_exits_0_or_2_with_a_line_number(tmp_path_factory, case):
+    fmt, k, n, data = case
+    if fmt == "LAT":  # no subcommand reads LAT
+        try:
+            parse_latents(data)
+        except FormatError as exc:
+            assert str(exc).startswith("line "), exc
+        return
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "mutated"
+    path.write_bytes(data)
+    other = tmp / "other.hg"
+    if fmt == "HG":
+        argv = ["hom", str(path), str(path)]
+    elif fmt == "HGON":
+        other.write_text(serialize_hypergraph(complete_hypergraph(k, k)), encoding="utf-8")
+        argv = ["density", str(other), str(path)]
+    else:
+        other.write_text(serialize_hypergraph(complete_hypergraph(k, n)), encoding="utf-8")
+        argv = ["cells", str(other), str(path)]
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: line "), err
 
 
 def test_missing_file_exits_2(files, capsys):

@@ -15,7 +15,7 @@ from hyperlim import (
     simplicial_support,
     subset_indexing,
 )
-from hyperlim.core import link_masks
+from hyperlim.core import _content_lines, link_masks
 
 from conftest import triangle
 
@@ -239,6 +239,20 @@ def test_parse_errors_carry_line_numbers():
         assert str(exc).startswith("line 4:")
     else:
         pytest.fail("expected FormatError")
+
+
+@given(st.lists(st.sampled_from(["a", " ", "\u00e9", "\n", "\r", "\r\n", "\x0b", "\x0c",
+                                  "\x1c", "\x85", "\u2028"])), st.data())
+def test_a_non_utf8_byte_is_numbered_as_splitlines_numbers_lines(pieces, data):
+    # The line holding the bad byte is the line that a marker character
+    # put in its place falls on, as str.splitlines numbers lines.
+    text = "".join(pieces)
+    at = data.draw(st.integers(0, len(text)))
+    marked = (text[:at] + "\0" + text[at:]).splitlines()
+    lineno = next(i for i, line in enumerate(marked, 1) if "\0" in line)
+    bad = text[:at].encode("utf-8") + b"\xff" + text[at:].encode("utf-8")
+    with pytest.raises(FormatError, match=f"^line {lineno}: invalid UTF-8 byte 0xff"):
+        _content_lines(bad)
 
 
 @st.composite

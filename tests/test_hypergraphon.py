@@ -32,7 +32,7 @@ from hyperlim import (
     simplicial_support,
     subset_indexing,
 )
-from hyperlim.hypergraphon import CompensatedSum, _edge_coordinate_map
+from hyperlim.hypergraphon import _edge_coordinate_map
 from hyperlim.rng import MASK64, Stream, derive, fold, fraction_box, stream
 
 from conftest import build_fixture_w, build_half_w, shared_pair_triples, single_triple, triangle
@@ -90,6 +90,49 @@ def random_symmetric_w(k: int, l: int, kind: str, seed: int) -> StepHypergraphon
         elif rng.random() < 0.5:
             values[box] = 1.0
     return StepHypergraphon(k, l, kind, values)
+
+
+def extreme_w() -> StepHypergraphon:
+    """Projected k=2 W whose values have denominators 2**1, 2**55 and 2**1074."""
+    return StepHypergraphon(2, 2, PROJECTED, {
+        (0, 0, 0): 0.5, (0, 0, 1): 0.1, (0, 1, 0): 5e-324, (0, 1, 1): 1.0, (1, 1, 0): 0.75,
+    })
+
+
+def test_extreme_denominators_read_back_bit_for_bit_and_project_exactly():
+    # exact_density and mc_density take this W as examples of their
+    # properties below.
+    w = extreme_w()
+    assert w._scale == 2**1074
+    idx = subset_indexing(2)
+    for box in product(range(2), repeat=3):
+        assert w.eval_box(box).hex() == w.values.get(idx.canonicalize(box), 0.0).hex()
+    expected = {}
+    for box in _orbits(2, 2):
+        mean = sum(Fraction(w.eval_box(box[:-1] + (t,))) for t in range(2)) / 2
+        if mean:
+            expected[box] = float(mean)
+    assert project(w).values == expected
+    assert expected[(0, 1, 0)] == expected[(0, 1, 1)] == 0.5  # (5e-324 + 1) / 2
+
+
+def test_mc_density_memory_does_not_grow_with_the_sample_count():
+    # Every sample of a constant W is nonzero, so a per-sample store
+    # would grow by at least 8 bytes per sample. Each sample makes one
+    # draw, the fewest a nonzero one can; under tracemalloc the test
+    # still takes about 15 s.
+    w = constant_hypergraphon(1, 0.3)
+    pattern = UniformHypergraph(1, 1, [(0,)])
+    peaks = []
+    for n_samples in (10**4, 10**5):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            mc_density(pattern, w, n_samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 8 << 10, peaks
 
 
 @pytest.mark.parametrize("k,l", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
@@ -260,6 +303,7 @@ def density_cases(draw):
 
 @given(density_cases())
 @example((shared_pair_triples(), project(build_fixture_w())))
+@example((triangle(), extreme_w()))
 def test_exact_density_is_the_exact_sum_rounded_once(case):
     pattern, w = case
     assert exact_density(pattern, w) == float(flat_density(pattern, w))
@@ -302,9 +346,10 @@ def reference_mc_density(pattern, w, n_samples, seed):
     """The sequential definition of mc_density: (estimate, standard error).
 
     Sample i draws all s support coordinates in order from
-    Stream(fold(derive(seed, "mc"), i)) and multiplies the edge values in
-    pattern order from 1.0, stopping at the first 0; the two compensated
-    passes are those of mc_density.
+    Stream(fold(derive(seed, "mc"), i)); its value is the exact product of
+    its edges' ``eval_box`` values as Fractions. The estimate is the exact
+    mean, and the standard error the square root of the exact ddof=1
+    variance over n_samples, each rounded to a float once.
     """
     support = simplicial_support(pattern)
     coord_maps = _edge_coordinate_map(pattern, support)
@@ -313,22 +358,13 @@ def reference_mc_density(pattern, w, n_samples, seed):
     for i in range(n_samples):
         st_i = Stream(fold(base, i))
         assign = [fraction_box(st_i.next_fraction(), w.resolution) for _ in support]
-        value = 1.0
+        value = Fraction(1)
         for cmap in coord_maps:
-            f = w.eval_box([assign[c] for c in cmap])
-            if f == 0.0:
-                value = 0.0
-                break
-            value *= f
+            value *= Fraction(w.eval_box([assign[c] for c in cmap]))
         values.append(value)
-    total = CompensatedSum()
-    for v in values:
-        total.add(v)
-    mean = total.total / n_samples
-    ss = CompensatedSum()
-    for v in values:
-        ss.add((v - mean) * (v - mean))
-    return mean, sqrt(max(ss.total, 0.0) / (n_samples - 1)) / sqrt(n_samples)
+    mean = sum(values, Fraction(0)) / n_samples
+    variance = sum(((v - mean) ** 2 for v in values), Fraction(0)) / (n_samples - 1)
+    return float(mean), sqrt(float(variance / n_samples))
 
 
 def _dense_projected_w(k, l, seed):
@@ -361,6 +397,7 @@ def mc_cases(draw):
 @given(mc_cases(), st.integers(2, 60),
        st.one_of(st.sampled_from((0, MASK64)), st.integers(0, MASK64)))
 @example((complete_hypergraph(2, 4), _dense_projected_w(2, 2, seed=1)), 60, 0)
+@example((triangle(), extreme_w()), 60, 0)
 def test_mc_density_equals_the_sequential_reference_bit_for_bit(case, n_samples, seed):
     pattern, w = case
     est = mc_density(pattern, w, n_samples, seed)
@@ -494,16 +531,6 @@ def test_projection_is_the_exact_mean_over_the_top_coordinate_rounded_once(k, l,
     projected = project(w)
     assert projected.kind == PROJECTED
     assert projected.values == expected
-
-
-# -- compensated summation -----------------------------------------------------
-
-
-def test_compensated_sum_recovers_cancellation():
-    s = CompensatedSum()
-    for v in (1e16, 1.0, -1e16):
-        s.add(v)
-    assert s.total == 1.0
 
 
 # -- HGON format ---------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The benchmark's span tracer names hyperlim functions and their parameters.
+"""Tooling contracts: the package imports only the standard library, and
+the benchmark's span tracer names hyperlim functions and their parameters.
 
 `bench/tracer.py` wraps functions by name and skips any name it cannot
 find, and a work counter that reads a renamed parameter is dropped
@@ -10,11 +11,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -74,3 +77,24 @@ def test_counters_read_only_parameters_of_the_wrapped_function():
         for fn in functions[name]:
             params = inspect.signature(fn).parameters
             assert args <= params.keys(), f"{name} reads {sorted(args - params.keys())}"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # numpy and hypothesis may be installed where the tests run, so an
+    # accidental import of either would pass every other test.
+    sources = sorted((ROOT / "src" / "hyperlim").rglob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "hyperlim" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []
