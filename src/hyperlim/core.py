@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations, islice, permutations
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_ARITY = 4
 
@@ -311,10 +311,37 @@ def _content_lines(text: str | bytes) -> list[tuple[int, str]]:
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
-    try:
+    # ASCII digits only: no sign, no '_' separator, no other script's digits.
+    if token.isascii() and token.isdigit():
         return int(token)
-    except ValueError:
-        raise FormatError(f"{what}: {token!r} is not an integer", lineno) from None
+    raise FormatError(f"{what}: {token!r} is not an integer (ASCII digits only)", lineno)
+
+
+def _subset_lines(
+    lines: Iterator[tuple[int, str]], n: int, r: int, lineno: int
+) -> Iterator[tuple[int, str]]:
+    """Read one line per r-subset of range(n), in lexicographic order.
+
+    Each line holds the subset's members, spelled as ``str`` writes them,
+    and then one value token. Takes C(n, r) lines from ``lines`` and
+    yields each one's number and value token, for the caller to parse.
+    ``lineno`` names the line that announced them, for a missing one.
+    """
+    names = [str(v) for v in range(n)]
+    for sub in combinations(range(n), r):
+        want = [names[v] for v in sub]
+        item = next(lines, None)
+        if item is None:
+            raise FormatError(f"level {r}: missing line for subset {sub}", lineno)
+        elineno, line = item
+        tokens = line.split()
+        if tokens[:-1] != want:
+            raise FormatError(
+                f"got {line!r}, out of order: expected '{' '.join(want)}' and a value"
+                " (subsets in lexicographic order)",
+                elineno,
+            )
+        yield elineno, tokens[-1]
 
 
 def parse_edge_line(line: str, lineno: int, k: int, n: int) -> tuple[int, ...]:
@@ -364,8 +391,6 @@ def _parse_hypergraph_lines(lines: list[tuple[int, str]]) -> UniformHypergraph:
     lineno, k, (n_tok, m_tok) = _header(lines, "HG <k> <n> <m>")
     n = _parse_int(n_tok, "vertex count n", lineno)
     m = _parse_int(m_tok, "edge count m", lineno)
-    if n < 0 or m < 0:
-        raise FormatError("n and m must be nonnegative", lineno)
     body = lines[1:]
     if len(body) != m:
         raise FormatError(f"expected {m} edge lines, found {len(body)}", lineno)

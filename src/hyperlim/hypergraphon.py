@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, sqrt
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -39,6 +39,7 @@ from .core import (
     _header,
     _parse_hypergraph_lines,
     _parse_int,
+    _subset_lines,
     prefix_rows,
     prefix_walk,
     serialize_hypergraph,
@@ -420,19 +421,23 @@ def mc_density(
 class LatentSample:
     """A W-random draw: the hypergraph plus every latent subset coordinate.
 
-    ``latents`` maps each vertex subset of size 1..k (sorted tuple), listed
-    by size and then lexicographically, to a 64-bit fraction m standing for
-    the uniform variate m / 2**64. An edge is present iff the indicator
-    evaluates to 1 on the box vector read off the latents of its subsets,
-    with boxes computed exactly as ``(m * l) >> 64``.
+    ``latents`` lists one 64-bit fraction m per vertex subset of size 1..k,
+    standing for the uniform variate m / 2**64, in LAT order: by size,
+    then lexicographically (the order of ``itertools.combinations``). An
+    edge is present iff the indicator evaluates to 1 on the box vector
+    read off the latents of its subsets, with boxes computed exactly as
+    ``(m * l) >> 64``.
     """
 
     hypergraph: UniformHypergraph
-    latents: dict[tuple[int, ...], int]
+    latents: list[int]
     seed: int
 
-    def u_float(self, subset: tuple[int, ...]) -> float:
-        return self.latents[tuple(subset)] * 2.0**-64
+    def __post_init__(self):
+        hg = self.hypergraph
+        expected = sum(comb(hg.n_vertices, r) for r in range(1, hg.k + 1))
+        if len(self.latents) != expected:
+            raise ValueError(f"expected {expected} latents, got {len(self.latents)}")
 
 
 def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
@@ -459,12 +464,12 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
         raise ValueError("n must be nonnegative")
     check_seed(seed)
     k, l = w.k, w.resolution
-    latents: dict[tuple[int, ...], int] = {}
+    latents: list[int] = []
     # rows[r - 1][T]: boxes of the r-subsets T + (v,), for v from max(T) + 1 to n - 1.
     rows: list[dict[tuple[int, ...], list[int]]] = []
     for r in range(1, k + 1):
         draws = subset_draws(seed, "latent", n, r)
-        latents.update(zip(combinations(range(n), r), draws))
+        latents += draws
         rows.append(prefix_rows(((m * l) >> 64 for m in draws), n, r))
 
     # The table is reindexed to list a box's coordinates in walk order.
@@ -510,6 +515,11 @@ def project(w: StepHypergraphon) -> StepHypergraphon:
 # ---------------------------------------------------------------------------
 
 
+# An unsigned ASCII decimal, as format(v, ".17g") writes one: no sign,
+# no '_' separator, no other script's digits, no inf or nan.
+_DECIMAL = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
 def parse_hypergraphon(text: str | bytes) -> StepHypergraphon:
     lines = _content_lines(text)
     lineno, k, (l_tok, kind, s_tok) = _header(lines, "HGON <k> <l> <kind> <s>")
@@ -540,10 +550,9 @@ def parse_hypergraphon(text: str | bytes) -> StepHypergraphon:
             boxes.append((elineno, key))
             if key in values:
                 raise FormatError(f"duplicate orbit entry {key}", elineno)
-            try:
-                value = float(tokens[width])
-            except ValueError:
-                raise FormatError(f"value {tokens[width]!r} is not a number", elineno) from None
+            if _DECIMAL.fullmatch(tokens[width]) is None:
+                raise FormatError(f"value {tokens[width]!r} is not a number", elineno)
+            value = float(tokens[width])
             if kind == INDICATOR and value != 1.0:
                 raise FormatError("indicator entries must have value 1", elineno)
             if not 0.0 <= value <= 1.0:
@@ -585,7 +594,7 @@ _HEX64 = re.compile("[0-9a-f]{16}")
 
 def serialize_latents(sample: LatentSample) -> str:
     hg = sample.hypergraph
-    n, latents = hg.n_vertices, sample.latents
+    n, latents = hg.n_vertices, iter(sample.latents)
     names = [str(v) for v in range(n)]
     lines = [f"LAT {hg.k} {n} {sample.seed}"]
     for r in range(1, hg.k + 1):
@@ -593,8 +602,8 @@ def serialize_latents(sample: LatentSample) -> str:
         for prefix in combinations(range(n), r - 1):
             head = "".join([names[v] + " " for v in prefix])
             lines.extend(
-                f"{head}{names[v]} {latents[prefix + (v,)]:016x}"
-                for v in range(prefix[-1] + 1 if prefix else 0, n)
+                f"{head}{names[v]} {m:016x}"
+                for v, m in zip(range(prefix[-1] + 1 if prefix else 0, n), latents)
             )
     return "\n".join(lines) + "\n" + serialize_hypergraph(hg)
 
@@ -604,8 +613,6 @@ def parse_latents(text: str | bytes) -> LatentSample:
     lineno, k, (n_tok, seed_tok) = _header(lines, "LAT <k> <n> <seed>")
     n = _parse_int(n_tok, "vertex count n", lineno)
     seed = _parse_int(seed_tok, "seed", lineno)
-    if n < 0:
-        raise FormatError("n must be nonnegative", lineno)
     try:
         check_seed(seed)
     except ValueError as exc:
@@ -614,30 +621,15 @@ def parse_latents(text: str | bytes) -> LatentSample:
     body = lines[1:]
     if len(body) < expected:
         raise FormatError(f"expected {expected} latent lines before the HG block", lineno)
-    latents: dict[tuple[int, ...], int] = {}
-    order = chain.from_iterable(combinations(range(n), r) for r in range(1, k + 1))
-    for (elineno, line), want in zip(body[:expected], order):
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise FormatError("expected subset members and a hex fraction", elineno)
-        sub = tuple(_parse_int(t, "vertex id", elineno) for t in tokens[:-1])
-        if not 1 <= len(sub) <= k:
-            raise FormatError(f"subset size {len(sub)} outside 1..{k}", elineno)
-        if any(not 0 <= v < n for v in sub):
-            raise FormatError("subset member out of range", elineno)
-        if tuple(sorted(set(sub))) != sub:
-            raise FormatError(f"subset {sub} not strictly increasing", elineno)
-        if sub in latents:
-            raise FormatError(f"duplicate latent for subset {sub}", elineno)
-        if sub != want:
-            raise FormatError(
-                f"subset {sub} out of order: expected {want} (size, then lexicographic)", elineno
-            )
-        if _HEX64.fullmatch(tokens[-1]) is None:
-            raise FormatError(
-                f"{tokens[-1]!r} is not a fraction of 16 lowercase hex digits", elineno
-            )
-        latents[sub] = int(tokens[-1], 16)
+    latents: list[int] = []
+    rows = iter(body)
+    for r in range(1, k + 1):
+        for elineno, token in _subset_lines(rows, n, r, lineno):
+            if _HEX64.fullmatch(token) is None:
+                raise FormatError(
+                    f"{token!r} is not a fraction of 16 lowercase hex digits", elineno
+                )
+            latents.append(int(token, 16))
     hypergraph = _parse_hypergraph_lines(body[expected:])
     if hypergraph.k != k or hypergraph.n_vertices != n:
         raise FormatError("embedded HG block disagrees with the LAT header", lineno)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, repeat
 from math import comb, sqrt
 from operator import and_
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import (
     FormatError,
@@ -24,6 +24,7 @@ from .core import (
     _content_lines,
     _header,
     _parse_int,
+    _subset_lines,
     link_masks,
     prefix_rows,
     prefix_walk,
@@ -61,31 +62,28 @@ def _check_shape(k: int, n_vertices: int, resolution: int) -> None:
 
 
 class Hyperpartition:
-    """Total labeling of all r-subsets, r = 1..k, into l classes each."""
+    """Total labeling of all r-subsets, r = 1..k, into l classes each.
+
+    ``levels[r - 1][i]`` is the class of the i-th r-subset of the vertex
+    set in lexicographic order, the order of ``itertools.combinations``:
+    one list of C(n, r) labels per level, the layout of the HP file.
+    """
 
     __slots__ = ("k", "n_vertices", "resolution", "levels")
 
     def __init__(
-        self,
-        k: int,
-        n_vertices: int,
-        resolution: int,
-        levels: Sequence[Mapping[tuple[int, ...], int]],
+        self, k: int, n_vertices: int, resolution: int, levels: Sequence[Sequence[int]]
     ):
         _check_shape(k, n_vertices, resolution)
         if len(levels) != k:
             raise ValueError(f"expected {k} levels, got {len(levels)}")
         frozen = []
         for r, level in enumerate(levels, start=1):
-            level = dict(level)
+            level = list(level)
             expected = comb(n_vertices, r)
             if len(level) != expected:
                 raise ValueError(f"level {r}: expected {expected} labeled subsets, got {len(level)}")
-            for sub, label in level.items():
-                if len(sub) != r or tuple(sorted(set(sub))) != sub:
-                    raise ValueError(f"level {r}: {sub} is not a sorted {r}-subset")
-                if any(not 0 <= v < n_vertices for v in sub):
-                    raise ValueError(f"level {r}: {sub} out of vertex range")
+            for label in (min(level), max(level)) if level else ():
                 if not 0 <= label < resolution:
                     raise ValueError(f"level {r}: label {label} outside 0..{resolution - 1}")
             frozen.append(level)
@@ -94,24 +92,18 @@ class Hyperpartition:
         self.resolution = resolution
         self.levels = tuple(frozen)
 
-    @classmethod
-    def _trusted(
-        cls, k: int, n_vertices: int, resolution: int, levels: list[dict[tuple[int, ...], int]]
-    ) -> "Hyperpartition":
-        """A partition whose levels are valid by construction; nothing is re-checked.
-
-        For the builders below, which check the shape first and then label
-        every r-subset, in lexicographic order, with a class in range.
-        """
-        self = object.__new__(cls)
-        self.k = k
-        self.n_vertices = n_vertices
-        self.resolution = resolution
-        self.levels = tuple(levels)
-        return self
-
     def label(self, subset: tuple[int, ...]) -> int:
-        return self.levels[len(subset) - 1][subset]
+        """The class of a strictly increasing subset of range(n), of size 1..k."""
+        subset = tuple(subset)
+        n, r = self.n_vertices, len(subset)
+        if not (1 <= r <= self.k and subset == tuple(sorted(set(subset)))
+                and 0 <= subset[0] and subset[-1] < n):
+            raise ValueError(
+                f"{subset} is not a strictly increasing subset of range({n}) of size 1..{self.k}"
+            )
+        # The lexicographic rank of the subset among the r-subsets of range(n).
+        rank = comb(n, r) - 1 - sum(comb(n - 1 - s, r - i) for i, s in enumerate(subset))
+        return self.levels[r - 1][rank]
 
     def class_hypergraph(self, r: int, j: int) -> UniformHypergraph:
         """The class P^j_r as an r-uniform hypergraph."""
@@ -119,8 +111,9 @@ class Hyperpartition:
             raise ValueError(f"level {r} outside 1..{self.k}")
         if not 0 <= j < self.resolution:
             raise ValueError(f"class {j} outside 0..{self.resolution - 1}")
-        edges = [sub for sub, lab in self.levels[r - 1].items() if lab == j]
-        return UniformHypergraph(r, self.n_vertices, sorted(edges))
+        subsets = combinations(range(self.n_vertices), r)
+        edges = [sub for sub, lab in zip(subsets, self.levels[r - 1]) if lab == j]
+        return UniformHypergraph(r, self.n_vertices, edges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -146,11 +139,11 @@ def random_hyperpartition(k: int, n: int, l: int, seed: int) -> Hyperpartition:
     """
     check_seed(seed)
     _check_shape(k, n, l)
-    levels = []
-    for r in range(1, k + 1):
-        draws = subset_draws(seed, "hyperpartition", n, r)
-        levels.append(dict(zip(combinations(range(n), r), [(u * l) >> 64 for u in draws])))
-    return Hyperpartition._trusted(k, n, l, levels)
+    levels = [
+        [(u * l) >> 64 for u in subset_draws(seed, "hyperpartition", n, r)]
+        for r in range(1, k + 1)
+    ]
+    return Hyperpartition(k, n, l, levels)
 
 
 def latent_hyperpartition(sample: LatentSample, l: int) -> Hyperpartition:
@@ -158,17 +151,14 @@ def latent_hyperpartition(sample: LatentSample, l: int) -> Hyperpartition:
 
     Label of subset B = floor(l * u_B), computed exactly on the 64-bit
     fractions. At the resolution of the sampled indicator, every cell is
-    edge-pure by construction. The levels are read straight off the
-    latents, which list every subset by size, then lexicographically.
+    edge-pure by construction. The latents list every subset by size,
+    then lexicographically, so level r is the next C(n, r) of them, boxed.
     """
     k, n = sample.hypergraph.k, sample.hypergraph.n_vertices
     _check_shape(k, n, l)
-    sizes = [comb(n, r) for r in range(1, k + 1)]
-    if len(sample.latents) != sum(sizes):
-        raise ValueError(f"expected {sum(sizes)} latents, got {len(sample.latents)}")
-    latents = iter(sample.latents.items())
-    levels = [{sub: (u * l) >> 64 for sub, u in islice(latents, size)} for size in sizes]
-    return Hyperpartition._trusted(k, n, l, levels)
+    latents = iter(sample.latents)
+    levels = [[(u * l) >> 64 for u in islice(latents, comb(n, r))] for r in range(1, k + 1)]
+    return Hyperpartition(k, n, l, levels)
 
 
 # -- cells ------------------------------------------------------------------
@@ -210,10 +200,7 @@ def cell_counts(
     idx = subset_indexing(k)
     order = walk_order(k)
     gather = sorted(range(len(order)), key=order.__getitem__)
-    rows = [
-        prefix_rows(map(level.__getitem__, combinations(range(n), r)), n, r)
-        for r, level in enumerate(partition.levels, start=1)
-    ]
+    rows = [prefix_rows(level, n, r) for r, level in enumerate(partition.levels, start=1)]
     edge_rows = prefix_rows(map(host.edge_set.__contains__, combinations(range(n), k)), n, k)
     # Raw label vectors in walk order, each with the subset's edge flag last.
     tally: Counter = Counter()
@@ -278,9 +265,8 @@ def equitability(partition: Hyperpartition) -> dict[int, Fraction]:
         if total == 0:
             out[r] = Fraction(0)
             continue
-        sizes = [0] * partition.resolution
-        for label in partition.levels[r - 1].values():
-            sizes[label] += 1
+        counts = Counter(partition.levels[r - 1])
+        sizes = [counts[j] for j in range(partition.resolution)]
         out[r] = Fraction(max(sizes) - min(sizes), total)
     return out
 
@@ -603,6 +589,12 @@ def independence_test(
     discrepancies = []
     for t in range(trials):
         partition = random_hyperpartition(k, n, l, derive(seed, "independence-partition", t))
+        # One dict lookup per projection, where label() would check and rank each.
+        labels = {
+            sub: label
+            for r, level in enumerate(partition.levels, start=1)
+            for sub, label in zip(combinations(range(n), r), level)
+        }
         targets = [
             stream(seed, "independence-class", t, i).next_below(l)
             for i in range(len(subsets))
@@ -615,7 +607,7 @@ def independence_test(
             all_hit = True
             for i, positions in enumerate(subsets):
                 proj = tuple(sorted(tup[a] for a in positions))
-                if partition.label(proj) == targets[i]:
+                if labels[proj] == targets[i]:
                     singles[i] += 1
                 else:
                     all_hit = False
@@ -659,11 +651,10 @@ def extract_step_hypergraphon(
 
 def serialize_hyperpartition(partition: Hyperpartition) -> str:
     lines = [f"HP {partition.k} {partition.n_vertices} {partition.resolution}"]
-    for r in range(1, partition.k + 1):
+    for r, level in enumerate(partition.levels, start=1):
         lines.append(f"LEVEL {r}")
-        level = partition.levels[r - 1]
-        for sub in combinations(range(partition.n_vertices), r):
-            lines.append(" ".join(str(v) for v in sub) + f" {level[sub]}")
+        for sub, label in zip(combinations(range(partition.n_vertices), r), level):
+            lines.append(" ".join(str(v) for v in sub) + f" {label}")
     return "\n".join(lines) + "\n"
 
 
@@ -672,37 +663,24 @@ def parse_hyperpartition(text: str | bytes) -> Hyperpartition:
     lineno, k, (n_tok, l_tok) = _header(lines, "HP <k> <n> <l>")
     n = _parse_int(n_tok, "vertex count n", lineno)
     l = _parse_int(l_tok, "resolution l", lineno)
-    if n < 0 or l < 1:
-        raise FormatError("need n >= 0 and l >= 1", lineno)
-    pos = 1
+    if l < 1:
+        raise FormatError("resolution l must be at least 1", lineno)
+    rows = iter(lines[1:])
     levels = []
     for r in range(1, k + 1):
-        if pos >= len(lines):
+        blineno, bline = next(rows, (lineno, None))
+        if bline is None:
             raise FormatError(f"missing 'LEVEL {r}' block", lineno)
-        blineno, bline = lines[pos]
         if bline.split() != ["LEVEL", str(r)]:
             raise FormatError(f"expected 'LEVEL {r}', got {bline!r}", blineno)
-        pos += 1
-        level = {}
-        for sub in combinations(range(n), r):
-            if pos >= len(lines):
-                raise FormatError(f"level {r}: missing line for subset {sub}", blineno)
-            elineno, line = lines[pos]
-            pos += 1
-            tokens = line.split()
-            if len(tokens) != r + 1:
-                raise FormatError(f"expected {r} vertex ids and a label", elineno)
-            got = tuple(_parse_int(t, "vertex id", elineno) for t in tokens[:r])
-            if got != sub:
-                raise FormatError(
-                    f"subsets must appear in lexicographic order: expected {sub}, got {got}",
-                    elineno,
-                )
-            label = _parse_int(tokens[r], "class label", elineno)
-            if not 0 <= label < l:
+        level = []
+        for elineno, token in _subset_lines(rows, n, r, blineno):
+            label = _parse_int(token, "class label", elineno)
+            if label >= l:
                 raise FormatError(f"class label {label} outside 0..{l - 1}", elineno)
-            level[sub] = label
+            level.append(label)
         levels.append(level)
-    if pos != len(lines):
-        raise FormatError("trailing content after the last level block", lines[pos][0])
+    extra = next(rows, None)
+    if extra is not None:
+        raise FormatError("trailing content after the last level block", extra[0])
     return Hyperpartition(k, n, l, levels)

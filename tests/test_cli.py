@@ -16,6 +16,7 @@ from hyperlim import (
     StepHypergraphon,
     UniformHypergraph,
     complete_hypergraph,
+    parse_hyperpartition,
     parse_latents,
     random_hyperpartition,
     sample_w_random,
@@ -148,6 +149,29 @@ def test_parse_errors_exit_2(files, capsys, bad, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "kind,text,lineno",
+    [
+        ("HG", "HG 2 11 1\n0 1_0\n", 2),  # a digit separator: once the edge (0, 10)
+        ("HG", "HG 2 3 1\n+0 \u0661\n", 2),  # a sign and an Arabic-Indic digit: once (0, 1)
+        ("HG", "HG 2 3 1\n0 \u0661\n", 2),
+        ("HG", "HG 2 +3 1\n0 1\n", 1),
+        ("HGON", "HGON 2 1 proj 1\n0 0 0 0.2_5\n", 2),  # once 0.25
+        ("HGON", "HGON 2 1 proj 1\n0 0 0 \u0660.5\n", 2),  # once 0.5
+        ("HGON", "HGON 2 1 proj 1\n0 0 0 -0.5\n", 2),
+        ("HGON", "HGON 2 1 proj 1\n0 +0 0 0.5\n", 2),
+    ],
+)
+def test_numeric_tokens_are_ascii_digits_only(files, capsys, tmp_path, kind, text, lineno):
+    path = tmp_path / "bad"
+    path.write_text(text, encoding="utf-8")
+    argv = ["hom", str(path), files["triangle.hg"]] if kind == "HG" else [
+        "density", files["edge.hg"], str(path)]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {lineno}: "), err
+
+
 def header_case(fmt, files):
     """A valid file of each format with its header on line 1, and the argv
     that reads it; LAT has no reading subcommand, so its argv is None."""
@@ -209,6 +233,26 @@ def test_a_non_utf8_byte_is_reported_at_its_line(files, capsys, tmp_path, fmt):
     assert run_main(argv(str(path)), capsys) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["LAT", "HP"])
+@pytest.mark.parametrize("position,spelling", [(0, "00"), (0, "+0"), (1, "+1"), (1, "01")])
+def test_subset_members_must_be_spelled_as_written(fmt, position, spelling):
+    # Read as integers, these spellings would name the subset (0, 1) and
+    # parse, and the file would then not write back byte for byte.
+    if fmt == "LAT":
+        text = serialize_latents(sample_w_random(build_fixture_w(), 4, seed=1))
+        parse = parse_latents
+    else:
+        text = serialize_hyperpartition(random_hyperpartition(2, 3, 2, seed=0))
+        parse = parse_hyperpartition
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split()[:-1] == ["0", "1"])
+    tokens = lines[i].split()
+    tokens[position] = spelling
+    lines[i] = " ".join(tokens)
+    with pytest.raises(FormatError, match=f"^line {i + 1}: .*out of order"):
+        parse("\n".join(lines) + "\n")
+
+
 def _run_quietly(argv):
     """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -240,7 +284,10 @@ def valid_files(draw):
     return fmt, k, n, serialize_latents(sample_w_random(w, n, seed=draw(st.integers(0, 99))))
 
 
-REPLACEMENTS = ("0", "1", "7", "-1", "0.5", "1e400", "nan", "x", "LEVEL", "ffffffffffffffff")
+REPLACEMENTS = (
+    "0", "1", "7", "-1", "0.5", "1e400", "nan", "x", "LEVEL", "ffffffffffffffff",
+    "00", "+1", "1_0", "+0", "\u0661", "0.2_5", "\u0660.5",
+)
 
 
 @st.composite

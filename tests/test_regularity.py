@@ -58,16 +58,26 @@ def scan(cyl):
 
 
 def test_hyperpartition_requires_total_labelings():
-    ok = Hyperpartition(1, 3, 2, [{(0,): 0, (1,): 1, (2,): 0}])
+    ok = Hyperpartition(1, 3, 2, [[0, 1, 0]])
     assert ok.label((1,)) == 1
     with pytest.raises(ValueError, match="expected 3 labeled"):
-        Hyperpartition(1, 3, 2, [{(0,): 0, (1,): 1}])
-    with pytest.raises(ValueError, match="label"):
-        Hyperpartition(1, 3, 2, [{(0,): 0, (1,): 1, (2,): 2}])
+        Hyperpartition(1, 3, 2, [[0, 1]])
+    with pytest.raises(ValueError, match="label 2"):
+        Hyperpartition(1, 3, 2, [[0, 1, 2]])
+    with pytest.raises(ValueError, match="label -1"):
+        Hyperpartition(1, 3, 2, [[0, -1, 0]])
     with pytest.raises(ValueError, match="levels"):
-        Hyperpartition(2, 3, 2, [{(0,): 0, (1,): 0, (2,): 0}])
-    with pytest.raises(ValueError, match="sorted"):
-        Hyperpartition(2, 2, 1, [{(0,): 0, (1,): 0}, {(1, 0): 0}])
+        Hyperpartition(2, 3, 2, [[0, 0, 0]])
+
+
+def test_label_reads_the_lexicographic_rank_and_refuses_other_subsets():
+    for k, n in ((1, 5), (2, 6), (3, 7), (4, 8)):
+        p = random_hyperpartition(k, n, 5, seed=k)
+        for r, level in enumerate(p.levels, start=1):
+            assert [p.label(sub) for sub in combinations(range(n), r)] == level
+        for bad in [(), (1, 0), (0, 0), (-1, 0), (0, n), tuple(range(k + 1))]:
+            with pytest.raises(ValueError, match="strictly increasing subset"):
+                p.label(bad)
 
 
 def test_class_hypergraph_partitions_each_level():
@@ -86,11 +96,11 @@ def test_random_hyperpartition_is_seeded_and_uniform():
     assert a != random_hyperpartition(3, 7, 4, seed=6)
 
     trivial = random_hyperpartition(2, 6, 1, seed=0)
-    assert all(lab == 0 for level in trivial.levels for lab in level.values())
+    assert all(lab == 0 for level in trivial.levels for lab in level)
 
     # level-1 class sizes near n/2, within the 4 sigma binomial window
     p = random_hyperpartition(2, 20, 2, seed=0)
-    size0 = sum(1 for lab in p.levels[0].values() if lab == 0)
+    size0 = sum(1 for lab in p.levels[0] if lab == 0)
     assert abs(size0 - 10) <= 4 * (20 * 0.25) ** 0.5
 
 
@@ -101,19 +111,16 @@ def test_random_hyperpartition_labels_are_the_documented_draws(k, l):
         for seed in (0, 1, 2**40 + 17, 2**64 - 1):
             p = random_hyperpartition(k, n, l, seed)
             for r, level in enumerate(p.levels, start=1):
-                assert list(level) == list(combinations(range(n), r))
-                for sub, label in level.items():
+                assert len(level) == comb(n, r)
+                for sub, label in zip(combinations(range(n), r), level):
                     assert label == stream(seed, "hyperpartition", r, *sub).next_below(l)
 
 
 def test_latent_hyperpartition_boxes_the_latents():
     u03 = int(0.3 * 2**64)
     u07 = int(0.7 * 2**64)
-    sample = LatentSample(
-        UniformHypergraph(2, 2, []),
-        {(0,): u03, (1,): u07, (0, 1): u07},
-        seed=0,
-    )
+    # Latents of (0,), (1,) and (0, 1), in that order.
+    sample = LatentSample(UniformHypergraph(2, 2, []), [u03, u07, u07], seed=0)
     p = latent_hyperpartition(sample, 2)
     assert p.label((0,)) == 0
     assert p.label((1,)) == 1
@@ -124,26 +131,23 @@ def test_latent_hyperpartition_boxes_the_latents():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_builders_equal_a_validated_partition(k, l):
-    # Both builders skip the constructor's per-subset checks; the public
-    # constructor re-validates what they built.
+    # Each builder equals the partition the public constructor makes from
+    # lists built straight from the documented streams.
     for n in sorted({0, 1, k - 1, k, 6}):
         for seed in (0, 2**64 - 1):
             p = random_hyperpartition(k, n, l, seed)
-            assert p == Hyperpartition(k, n, l, p.levels)
-            assert [list(level) for level in p.levels] == [
-                list(combinations(range(n), r)) for r in range(1, k + 1)
+            labels = [
+                [stream(seed, "hyperpartition", r, *sub).next_below(l)
+                 for sub in combinations(range(n), r)]
+                for r in range(1, k + 1)
             ]
+            assert p == Hyperpartition(k, n, l, labels)
+            assert [len(level) for level in p.levels] == [comb(n, r) for r in range(1, k + 1)]
 
-            latents = {
-                sub: u
-                for r in range(1, k + 1)
-                for sub, u in zip(combinations(range(n), r), subset_draws(seed, "latent", n, r))
-            }
+            draws = [subset_draws(seed, "latent", n, r) for r in range(1, k + 1)]
+            latents = [u for level in draws for u in level]
             sample = LatentSample(UniformHypergraph(k, n, []), latents, seed)
-            boxed = [
-                {sub: fraction_box(latents[sub], l) for sub in combinations(range(n), r)}
-                for r in range(1, k + 1)
-            ]
+            boxed = [[fraction_box(u, l) for u in level] for level in draws]
             assert latent_hyperpartition(sample, l) == Hyperpartition(k, n, l, boxed)
     drawn = sample_w_random(build_fixture_w(), 7, seed=3)
     q = latent_hyperpartition(drawn, l)
@@ -160,9 +164,9 @@ def test_builders_keep_the_shape_checks():
     sample = sample_w_random(build_fixture_w(), 4, seed=0)
     with pytest.raises(ValueError, match="resolution"):
         latent_hyperpartition(sample, 0)
-    short = LatentSample(sample.hypergraph, dict(list(sample.latents.items())[:-1]), 0)
+    # A sample holds one latent per subset, so a short one never reaches the builder.
     with pytest.raises(ValueError, match="expected 14 latents, got 13"):
-        latent_hyperpartition(short, 2)
+        LatentSample(sample.hypergraph, sample.latents[:-1], 0)
 
 
 # -- cells ----------------------------------------------------------------------
@@ -203,8 +207,8 @@ def test_profiles_match_the_exists_permutation_equivalence(k, n):
 def test_cell_count_bound_on_explicit_instance():
     # k=2, l=2, n=6: at most 3 unordered single-class pairs times 2 pair
     # classes.
-    labels = {(v,): v % 2 for v in range(6)}
-    pairs = {e: (e[0] + e[1]) % 2 for e in combinations(range(6), 2)}
+    labels = [v % 2 for v in range(6)]
+    pairs = [(a + b) % 2 for a, b in combinations(range(6), 2)]
     p = Hyperpartition(2, 6, 2, [labels, pairs])
     cells = induce_cells(p)
     assert set(cells) == set(combinations(range(6), 2))
@@ -310,14 +314,14 @@ def test_cell_approximation_is_minimal_over_all_unions():
 
 
 def test_equitability_explicit_and_trivial():
-    p1 = Hyperpartition(1, 10, 2, [{(v,): (0 if v < 6 else 1) for v in range(10)}])
+    p1 = Hyperpartition(1, 10, 2, [[0 if v < 6 else 1 for v in range(10)]])
     assert equitability(p1) == {1: Fraction(2, 10)}
 
     trivial = random_hyperpartition(2, 8, 1, seed=0)
     assert equitability(trivial) == {1: Fraction(0), 2: Fraction(0)}
 
     # empty classes count: with l=3 and only labels {0,1} used, min is 0
-    p = Hyperpartition(1, 4, 3, [{(0,): 0, (1,): 0, (2,): 1, (3,): 1}])
+    p = Hyperpartition(1, 4, 3, [[0, 0, 1, 1]])
     assert equitability(p) == {1: Fraction(2, 4)}
 
 
@@ -665,7 +669,7 @@ def test_hp_round_trip_on_random_partitions(k, n, l, seed):
 
 
 def test_hp_serialization_shape():
-    p = Hyperpartition(1, 2, 2, [{(0,): 1, (1,): 0}])
+    p = Hyperpartition(1, 2, 2, [[1, 0]])
     assert serialize_hyperpartition(p) == "HP 1 2 2\nLEVEL 1\n0 1\n1 0\n"
 
 

@@ -4,7 +4,8 @@ the benchmark's span tracer names hyperlim functions and their parameters.
 `bench/tracer.py` wraps functions by name and skips any name it cannot
 find, and a work counter that reads a renamed parameter is dropped
 silently. These tests read the tracer's tables (the file is only loaded,
-never changed) and check every name against the package.
+never changed), check every name against the package, and evaluate the
+sampling counters on a real call.
 """
 
 import ast
@@ -12,9 +13,14 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
+
+from hyperlim import sample_w_random
+
+from conftest import build_fixture_w
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "bench" / "tracer.py"
@@ -77,6 +83,16 @@ def test_counters_read_only_parameters_of_the_wrapped_function():
         for fn in functions[name]:
             params = inspect.signature(fn).parameters
             assert args <= params.keys(), f"{name} reads {sorted(args - params.keys())}"
+
+
+def test_the_sampling_counters_read_real_values():
+    # A counter that no longer matches the return value would read a
+    # wrong figure, or lose its counts, without failing the benchmark.
+    bound = inspect.signature(sample_w_random).bind(build_fixture_w(), 9, seed=4)
+    bound.apply_defaults()
+    result = sample_w_random(*bound.args, **bound.kwargs)
+    counts = tracer.COUNTERS["hypergraphon.sample_w_random"](bound.arguments, result)
+    assert counts == {"latents": comb(9, 1) + comb(9, 2) + comb(9, 3), "edge_tests": comb(9, 3)}
 
 
 def test_the_package_imports_only_the_standard_library():
