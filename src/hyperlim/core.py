@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_ARITY = 4
@@ -326,10 +326,13 @@ def _subset_lines(
     and then one value token. Takes C(n, r) lines from ``lines`` and
     yields each one's number and value token, for the caller to parse.
     ``lineno`` names the line that announced them, for a missing one.
+    A header may claim any n: with L lines left in the list iterator, only
+    the first L + 1 subsets can be reached, and those lie in range(L + r),
+    as each one with a member v >= L + r follows every (0, ..., r - 2, j < v).
     """
-    names = [str(v) for v in range(n)]
-    for sub in combinations(range(n), r):
-        want = [names[v] for v in sub]
+    m = min(n, length_hint(lines) + r)
+    for sub in combinations(range(m), r):
+        want = list(map(str, sub))
         item = next(lines, None)
         if item is None:
             raise FormatError(f"level {r}: missing line for subset {sub}", lineno)

@@ -344,6 +344,14 @@ def test_a_body_line_fault_exits_0_or_2_with_a_line_number(tmp_path_factory, cas
         assert err.startswith("error: line "), err
 
 
+def test_cells_on_a_huge_hp_header_exits_2_at_once(files, tmp_path, capsys):
+    path = tmp_path / "huge.hp"
+    path.write_text("HP 1 1000000000000 2\nLEVEL 1\n", encoding="utf-8")
+    code, out, err = run_main(["cells", files["triangle.hg"], str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: level 1: missing line for subset (0,)"), err
+
+
 def test_missing_file_exits_2(files, capsys):
     code, _, err = run_main(["hom", files["edge.hg"], str(files["tmp"] / "nope.hg")], capsys)
     assert code == 2

@@ -650,6 +650,8 @@ def test_lat_parse_errors(fixture_w):
         parse_latents(text.replace("LAT 3 4 1", "LAT 3 5 1", 1))
     with pytest.raises(FormatError):
         parse_latents("LAT 3 4 1\n")
+    with pytest.raises(FormatError, match="latent lines"):
+        parse_latents("LAT 1 1000000000000 1\n0 0000000000000000\n")
     bad = text.replace("0 1 2 ", "0 1 5 ", 1)
     with pytest.raises(FormatError):
         parse_latents(bad)

@@ -682,6 +682,10 @@ def test_hp_serialization_shape():
         ("HP 1 2 2\nLEVEL 1\n1 0\n0 1\n", "lexicographic order"),
         ("HP 1 2 2\nLEVEL 1\n0 5\n1 0\n", "label 5"),
         ("HP 1 2 2\nLEVEL 1\n0 1\n", "missing line"),
+        # The header's n bounds nothing: the reader must stop at the first
+        # missing line, not build anything of size n first.
+        ("HP 1 1000000000000 2\nLEVEL 1\n", "missing line"),
+        ("HP 2 1000000000000 2\nLEVEL 1\n0 0\n", "missing line"),
         ("HP 1 2 2\nLEVEL 1\n0 1\n1 0\nextra 1\n", "trailing"),
         ("HP 2 2 1\nLEVEL 1\n0 0\n1 0\nLEVEL 1\n0 1 0\n", "expected 'LEVEL 2'"),
     ],
