@@ -16,7 +16,6 @@ import argparse
 import csv
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,11 +36,11 @@ from .hypergraphon import (
 )
 from .regularity import (
     DEFAULT_DENSITY_GRID,
-    _check_testable,
     cell_approximation,
     cell_counts,
     check_regularity_family,
     check_regularity_sampled,
+    check_sampled_arguments,
     equitability,
     latent_hyperpartition,
     parse_hyperpartition,
@@ -93,36 +92,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated bundle of experiment parameters."""
-
-    kind: str
-    w_path: str
-    pattern_paths: tuple[str, ...] = ()
-    ns: tuple[int, ...] = ()
-    reps: int = 1
-    seed: int = 0
-    epsilon: float = 0.1
-    resolution: int | None = None
-    samples: int = 1
-    budget: int = 10**6
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("convergence", "regularity"):
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        check_seed(self.seed)
-        if any(n < 1 for n in self.ns):
-            raise ValueError("every n must be positive")
-        if self.reps < 1 or self.samples < 1 or self.budget < 1:
-            raise ValueError("reps, sample counts, and budget must be positive")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie strictly between 0 and 1")
-        if self.resolution is not None and self.resolution < 1:
-            raise ValueError("resolution l must be at least 1")
-
-
 def convergence_table(
     w: StepHypergraphon,
     patterns: list[tuple[str, UniformHypergraph]],
@@ -135,8 +104,14 @@ def convergence_table(
 
     Sample sub-seeds come from (seed, "convergence-sample", K index, n,
     rep). Returns CSV body rows (data rows then a rep="mean" summary row
-    per block) and the mean |diff| per (K id, n).
+    per block) and the mean |diff| per (K id, n). A bad seed, rep count or
+    sample size is refused before any density is computed.
     """
+    check_seed(seed)
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    if any(n < 1 for n in ns):
+        raise ValueError("every n must be positive")
     rows: list[list[str]] = []
     means: dict[tuple[str, int], float] = {}
     for ki, (kid, pattern) in enumerate(patterns):
@@ -171,12 +146,14 @@ def regularity_table(
     the latents at resolution l, then reports per-level equitability, a
     sampled regularity check of every class at levels 2..k (one cylinder
     family per level, derived from (seed, "regularity-cylinders", r)), and
-    the cell-approximation error of H. A run whose cylinders would all be
-    empty by construction (n < k, or every grid density below 2**-64) is
-    refused before any work.
+    the cell-approximation error of H. Every argument is checked before
+    any work, by :func:`~hyperlim.regularity.check_sampled_arguments` at
+    level k (so a run whose cylinders would all be empty by construction
+    is refused too) and for l >= 1.
     """
-    if w.k >= 2:
-        _check_testable(n, w.k, density_grid)
+    check_sampled_arguments(n, w.k, epsilon, cylinders, seed, density_grid)
+    if l < 1:
+        raise ValueError("resolution l must be at least 1")
     sample = sample_w_random(w, n, derive(seed, "regularity-sample"))
     partition = latent_hyperpartition(sample, l)
     rows: list[list[str]] = []
@@ -284,9 +261,7 @@ def cmd_regularity(args) -> int:
 def cmd_removal(args) -> int:
     pattern = parse_hypergraph(_read(args.pattern))
     host = parse_hypergraph(_read(args.host))
-    result = removal_experiment(
-        pattern, host, mode=args.mode, cap=args.cap, exact_budget=args.budget
-    )
+    result = removal_experiment(pattern, host, cap=args.cap, exact_budget=args.budget)
     instance = args.id if args.id is not None else Path(args.host).stem
     row = [
         instance,
@@ -307,20 +282,11 @@ def cmd_removal(args) -> int:
 
 
 def cmd_experiment_convergence(args) -> int:
-    config = ExperimentConfig(
-        kind="convergence",
-        w_path=args.w,
-        pattern_paths=tuple(args.patterns),
-        ns=_parse_ints(args.ns, "--ns"),
-        reps=args.reps,
-        seed=args.seed,
-        budget=args.budget,
-        out=args.out,
-    )
-    w = parse_hypergraphon(_read(config.w_path))
+    ns = _parse_ints(args.ns, "--ns")
+    w = parse_hypergraphon(_read(args.w))
     patterns = []
     seen: dict[str, int] = {}
-    for path in config.pattern_paths:
+    for path in args.patterns:
         stem = Path(path).stem
         if stem in seen:
             seen[stem] += 1
@@ -328,29 +294,17 @@ def cmd_experiment_convergence(args) -> int:
         else:
             seen[stem] = 0
         patterns.append((stem, parse_hypergraph(_read(path))))
-    rows, _ = convergence_table(
-        w, patterns, config.ns, config.reps, config.seed, budget=config.budget
-    )
-    _write_csv(config.out, CONVERGENCE_HEADER, rows)
+    rows, _ = convergence_table(w, patterns, ns, args.reps, args.seed, budget=args.budget)
+    _write_csv(args.out, CONVERGENCE_HEADER, rows)
     return 0
 
 
 def cmd_experiment_regularity(args) -> int:
-    config = ExperimentConfig(
-        kind="regularity",
-        w_path=args.w,
-        ns=(args.n,),
-        seed=args.seed,
-        epsilon=args.eps,
-        resolution=args.l,
-        samples=args.M,
-        out=args.out,
-    )
-    w = parse_hypergraphon(_read(config.w_path))
-    l = config.resolution if config.resolution is not None else w.resolution
+    w = parse_hypergraphon(_read(args.w))
+    l = args.l if args.l is not None else w.resolution
     grid = _parse_grid(args.grid)
-    rows = regularity_table(w, args.n, l, config.epsilon, config.samples, config.seed, grid)
-    _write_csv(config.out, REGULARITY_HEADER, rows)
+    rows = regularity_table(w, args.n, l, args.eps, args.M, args.seed, grid)
+    _write_csv(args.out, REGULARITY_HEADER, rows)
     return 0
 
 
@@ -402,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("removal", help="hit every pattern image and verify")
     p.add_argument("pattern", help="HG file for K")
     p.add_argument("host", help="HG file for H")
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--cap", type=int, default=10**6, help="max distinct images")
-    p.add_argument("--budget", type=int, default=24, help="exact-mode candidate edge budget")
+    p.add_argument("--budget", type=int, default=24,
+                   help="most candidate edges solved exactly; 0 takes the greedy cover")
     p.add_argument("--id", help="instance id for the CSV (default: host file stem)")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_removal)

@@ -25,7 +25,6 @@ from .core import (
     _header,
     _parse_int,
     _subset_lines,
-    link_masks,
     prefix_rows,
     prefix_walk,
     subset_indexing,
@@ -335,26 +334,27 @@ class CylinderIntersection:
 def _good_masks(sides: Sequence[UniformHypergraph]) -> dict[tuple[int, ...], int]:
     """Per sorted (r-1)-subset T: bitmask of v > max(T) with T + {v} in the cylinder.
 
-    Side Y's link at an (r-2)-subset U is the mask of vertices w with
-    U + {w} in Y. For S = T + {v}, facet T goes to some side X holding T,
-    and the facets T - t + {v} go bijectively to the other sides, so the
-    mask is an OR over those r! assignments of ANDs of r-1 links. Each
-    side takes its (r-1)! bijections in turn, one pass over its edges per
-    bijection. Subsets T in no side have no members above them and are
-    left out.
+    Side Y's prefix mask at an (r-2)-subset U is the mask of vertices
+    w > max(U) with U + {w} in Y. For S = T + {v}, facet T goes to some
+    side X holding T, and the facets T - t + {v} go bijectively to the
+    other sides, so the mask is an OR over those r! assignments of ANDs of
+    r-1 prefix masks; since v > max(T), only their bits above the prefix
+    are read. Each side takes its (r-1)! bijections in turn, one pass over
+    its edges per bijection. Subsets T in no side have no members above
+    them and are left out.
     """
     r = len(sides)
-    links = [link_masks(side) for side in sides]
+    prefixes = [_prefix_masks(side) for side in sides]
     good: dict[tuple[int, ...], int] = {}
     for x, side in enumerate(sides):
-        others = links[:x] + links[x + 1 :]
+        others = prefixes[:x] + prefixes[x + 1 :]
         for perm in permutations(range(r - 1)):
             # The y-th other side takes facet S - t[perm[y]], read at T - t[perm[y]].
             plan = list(zip(others, perm))
             for t in side.edges:
                 m = -(2 << t[-1])
-                for link, i in plan:
-                    m &= link.get(t[:i] + t[i + 1 :], 0)
+                for masks, i in plan:
+                    m &= masks.get(t[:i] + t[i + 1 :], 0)
                 if m:
                     good[t] = good.get(t, 0) | m
     return good
@@ -454,14 +454,29 @@ def _check_density_grid(density_grid: Sequence[float]) -> None:
         raise ValueError("density_grid must be nonempty with entries in [0, 1]")
 
 
-def _check_testable(n: int, r: int, density_grid: Sequence[float]) -> None:
-    """Refuse a sampled check whose cylinders are all empty by construction.
+def check_sampled_arguments(
+    n: int,
+    r: int,
+    epsilon: float,
+    count: int,
+    seed: int,
+    density_grid: Sequence[float],
+) -> None:
+    """Refuse a sampled check at level r on n vertices that would test nothing.
 
-    With fewer than r vertices there is no r-subset, and a side drawn at a
-    density below 2**-64 has a zero threshold, so it is empty; if every
-    grid density is that small, every cylinder is. Either way nothing is
-    admitted, and the verdict would be regular without a test.
+    Called before any cylinder is built. Epsilon must lie in (0, 1) (see
+    :func:`check_regularity_family`), at least one cylinder must be drawn,
+    and the seed must fit in 64 bits. A check whose cylinders are all
+    empty by construction is refused too: with fewer than r vertices there
+    is no r-subset, and a side drawn at a density below 2**-64 has a zero
+    threshold, so it is empty; if every grid density is that small, every
+    cylinder is. Each would report a regular verdict backed by no test.
     """
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
+    if count < 1:
+        raise ValueError("cylinder count must be positive")
+    check_seed(seed)
     _check_density_grid(density_grid)
     if n < r:
         raise ValueError(f"no {r}-subsets on {n} vertices, so every cylinder is empty")
@@ -526,15 +541,12 @@ def check_regularity_sampled(
 ) -> RegularityReport:
     """Sampled regularity check against ``count`` seeded random cylinders.
 
-    Count 0 is refused: it would report a regular verdict from no test at
-    all. So are the checks whose cylinders are all empty by construction:
-    fewer vertices than r, or every grid density below 2**-64.
+    Every argument is checked by :func:`check_sampled_arguments` before
+    the family is built.
     """
     if g.k < 2:
         raise ValueError("level 1 has no cylinder structure; use equitability")
-    if count == 0:
-        raise ValueError("cylinder count must be positive")
-    _check_testable(g.n_vertices, g.k, density_grid)
+    check_sampled_arguments(g.n_vertices, g.k, epsilon, count, seed, density_grid)
     family = sampled_cylinder_family(g.n_vertices, g.k, count, seed, density_grid)
     return check_regularity_family(g, epsilon, family)
 

@@ -193,27 +193,25 @@ class RemovalResult:
 def removal_experiment(
     pattern: UniformHypergraph,
     host: UniformHypergraph,
-    mode: str = "exact",
     cap: int = 10**6,
     exact_budget: int = 24,
 ) -> RemovalResult:
     """Enumerate images, hit them, and re-count on the stripped host.
 
-    The residual homomorphism density is recomputed from scratch on
-    H minus the removed edges; `verified` demands both an untruncated
-    enumeration and residual exactly zero.
+    The hitting set is exact within `exact_budget` candidate edges and the
+    greedy cover past it, so `exact_budget=0` takes the greedy cover of
+    any host with an image. A truncated enumeration takes the greedy cover
+    of what was enumerated. The residual homomorphism density is
+    recomputed from scratch on H minus the removed edges; `verified`
+    demands both an untruncated enumeration and residual exactly zero.
     """
-    if mode not in ("exact", "greedy"):
-        raise ValueError(f"unknown mode {mode!r}: expected 'exact' or 'greedy'")
     _check_budget(exact_budget)
     images = enumerate_hom_images(pattern, host, cap=cap)
-    if mode == "exact" and not images.truncated:
-        removed, optimal = exact_hitting_set(images, budget=exact_budget)
-        method = "exact" if optimal else "greedy"
+    if images.truncated:
+        removed, optimal = _greedy_edges(images.images), False
     else:
-        removed = _greedy_edges(images.images)
-        optimal = not images.images and not images.truncated
-        method = "greedy"
+        removed, optimal = exact_hitting_set(images, budget=exact_budget)
+    method = "exact" if optimal else "greedy"
 
     stripped = host.without_edges(removed)
     residual_count = hom_count(pattern, stripped)

@@ -44,6 +44,18 @@ def build_half_w() -> StepHypergraphon:
     return StepHypergraphon(2, 2, INDICATOR, values)
 
 
+def forbid_work(monkeypatch, *targets) -> None:
+    """Make each (module, function name) in targets fail the test if called.
+
+    Pins that an argument is refused before the work it would start.
+    """
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, forbidden)
+
+
 def triangle() -> UniformHypergraph:
     return UniformHypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
 

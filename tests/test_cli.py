@@ -26,9 +26,10 @@ from hyperlim import (
     serialize_latents,
     subset_indexing,
 )
-from hyperlim.cli import ExperimentConfig, main
+import hyperlim.cli as cli_module
+from hyperlim.cli import convergence_table, main
 
-from conftest import build_fixture_w, build_half_w, cli_env
+from conftest import build_fixture_w, build_half_w, cli_env, forbid_work
 
 EDGE_HG = "HG 2 2 1\n0 1\n"
 TRIANGLE_HG = "HG 2 3 3\n0 1\n0 2\n1 2\n"
@@ -514,6 +515,14 @@ def test_removal_budget_must_be_nonnegative(files, capsys, tmp_path):
     assert out.splitlines()[1].split(",")[3] == "greedy"
 
 
+def test_removal_has_no_mode_flag(files, capsys):
+    # --budget 0 is the greedy run; argparse refuses the old --mode flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["removal", files["triangle.hg"], files["triangle.hg"], "--mode", "greedy"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
 def test_patterns_deeper_than_the_recursion_limit(files, capsys, tmp_path):
     # Both backtracking walks descend one level per covered pattern vertex;
     # a 1 201-vertex path is deeper than Python's default recursion limit.
@@ -607,22 +616,45 @@ def test_rerun_is_byte_identical(files, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_experiment_config_validation():
-    ok = ExperimentConfig(kind="convergence", w_path="w", ns=(4,))
-    assert ok.reps == 1
-    with pytest.raises(ValueError, match="kind"):
-        ExperimentConfig(kind="bogus", w_path="w")
-    with pytest.raises(ValueError, match="positive"):
-        ExperimentConfig(kind="convergence", w_path="w", ns=(0,))
-    with pytest.raises(ValueError, match="positive"):
-        ExperimentConfig(kind="convergence", w_path="w", reps=0)
-    for bad in (0.0, 1.0, float("inf")):
-        with pytest.raises(ValueError, match="epsilon"):
-            ExperimentConfig(kind="regularity", w_path="w", epsilon=bad)
-    with pytest.raises(ValueError, match="resolution"):
-        ExperimentConfig(kind="regularity", w_path="w", resolution=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(kind="convergence", w_path="w", seed=-1)
+# Every expensive step of the two experiment tables.
+TABLE_WORK = [(cli_module, name)
+              for name in ("exact_density", "sample_w_random", "sampled_cylinder_family")]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["experiment", "convergence", "w3.hgon", "triangle.hg", "--ns", "0"], "positive"),
+        (["experiment", "convergence", "w3.hgon", "triangle.hg", "--reps", "0"], "positive"),
+        (["experiment", "convergence", "w3.hgon", "triangle.hg", "--seed", "-1"], "seed"),
+        (["experiment", "regularity", "w3.hgon", "--n", "10", "--l", "0"], "resolution"),
+        (["experiment", "regularity", "w3.hgon", "--n", "10", "--eps", "1"], "epsilon"),
+        (["experiment", "regularity", "w3.hgon", "--n", "10", "--seed", "-1"], "seed"),
+    ],
+)
+def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch, argv, message):
+    forbid_work(monkeypatch, *TABLE_WORK)
+    code, out, err = run_main([files.get(a, a) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"reps": 0}, "reps must be positive"),
+        ({"ns": (4, 0)}, "every n must be positive"),
+        ({"seed": 2**64}, "seed must fit in 64 bits"),
+        ({"seed": -1}, "seed must fit in 64 bits"),
+    ],
+)
+def test_convergence_table_refuses_bad_arguments_before_any_work(monkeypatch, kwargs, message):
+    forbid_work(monkeypatch, *TABLE_WORK)
+    args = {"ns": (4,), "reps": 2, "seed": 0} | kwargs
+    patterns = [("triangle", complete_hypergraph(3, 3))]
+    with pytest.raises(ValueError, match=message):
+        convergence_table(build_fixture_w(), patterns, **args)
 
 
 # -- hash-seed independence -------------------------------------------------------

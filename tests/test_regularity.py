@@ -34,12 +34,13 @@ from hyperlim import (
     sampled_cylinder_family,
     serialize_hyperpartition,
 )
+import hyperlim.cli as cli_module
 import hyperlim.regularity as regularity_module
 from hyperlim.cli import regularity_table
 from hyperlim.hypergraphon import LatentSample
 from hyperlim.rng import fraction_box, stream, subset_draws
 
-from conftest import build_fixture_w, single_triple
+from conftest import build_fixture_w, forbid_work, single_triple
 from oracles import induce_cells
 
 
@@ -549,20 +550,77 @@ def test_checks_refuse_cylinders_empty_by_construction():
     assert all(scan(c) == frozenset() for c in hollow)
 
 
+# The cylinder builds of both sampled checks and the W-sample of the table.
+SAMPLED_WORK = [(regularity_module, "sampled_cylinder_family"),
+                (cli_module, "sampled_cylinder_family"),
+                (cli_module, "sample_w_random")]
+
+
+@pytest.mark.parametrize("eps", [1.5, 1.0, 0.0, -0.1, float("inf"), float("nan")])
+def test_sampled_check_refuses_epsilon_before_building_cylinders(monkeypatch, eps):
+    forbid_work(monkeypatch, *SAMPLED_WORK)
+    with pytest.raises(ValueError, match="epsilon"):
+        check_regularity_sampled(complete_hypergraph(2, 8), eps, 2000, seed=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"count": -1}, "count must be positive"),
+        ({"seed": 2**64}, "seed must fit in 64 bits"),
+    ],
+)
+def test_sampled_check_refuses_before_building_cylinders(monkeypatch, kwargs, message):
+    forbid_work(monkeypatch, *SAMPLED_WORK)
+    args = {"epsilon": 0.1, "count": 5, "seed": 0} | kwargs
+    with pytest.raises(ValueError, match=message):
+        check_regularity_sampled(complete_hypergraph(2, 8), **args)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"seed": -1}, "seed must fit in 64 bits"),
+        ({"seed": 2**64}, "seed must fit in 64 bits"),
+        ({"cylinders": 0}, "count must be positive"),
+        ({"epsilon": 1.0}, "epsilon"),
+        ({"epsilon": 0.0}, "epsilon"),
+        ({"l": 0}, "resolution"),
+        ({"n": 0}, "no 3-subsets on 0 vertices"),
+    ],
+)
+def test_regularity_table_refuses_bad_arguments_before_any_work(monkeypatch, kwargs, message):
+    forbid_work(monkeypatch, *SAMPLED_WORK)
+    args = {"n": 10, "l": 2, "epsilon": 0.1, "cylinders": 5, "seed": 0} | kwargs
+    with pytest.raises(ValueError, match=message):
+        regularity_table(build_fixture_w(), **args)
+
+
 def test_regularity_table_builds_one_table_per_cylinder_and_one_mask_set_per_class(monkeypatch):
     # Pins the work done: each cylinder's table is built once, whatever
     # the number of classes tested against it, and each class is grouped
-    # into prefix masks once, whatever the number of cylinders.
+    # into prefix masks once, whatever the number of cylinders. A table
+    # build groups its own sides into prefix masks too; those calls are
+    # not counted, so only the grouping of classes is.
     calls = {"tables": 0, "masks": 0}
+    building = []
+    good_masks = regularity_module._good_masks
+    prefix_masks = regularity_module._prefix_masks
 
-    def counting(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
+    def counting_tables(sides):
+        calls["tables"] += 1
+        building.append(sides)
+        try:
+            return good_masks(sides)
+        finally:
+            building.pop()
 
-    for name, key in (("_good_masks", "tables"), ("_prefix_masks", "masks")):
-        monkeypatch.setattr(regularity_module, name, counting(key, getattr(regularity_module, name)))
+    def counting_masks(g):
+        calls["masks"] += not building
+        return prefix_masks(g)
+
+    monkeypatch.setattr(regularity_module, "_good_masks", counting_tables)
+    monkeypatch.setattr(regularity_module, "_prefix_masks", counting_masks)
     w, l, cylinders = build_fixture_w(), 2, 7
     rows = regularity_table(w, 10, l, 0.1, cylinders, seed=3)
     assert sum(row[0] == "regularity" for row in rows) == (w.k - 1) * l

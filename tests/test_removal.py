@@ -297,7 +297,7 @@ def test_planted_edge_in_a_bipartite_host_is_found_exactly():
 
 def test_greedy_mode_still_verifies():
     host = complete_hypergraph(2, 4)
-    r = removal_experiment(triangle(), host, mode="greedy")
+    r = removal_experiment(triangle(), host, exact_budget=0)
     assert r.method == "greedy"
     assert r.residual == 0 and r.verified
     # stripping the removed edges kills every copy, by recount
@@ -332,11 +332,8 @@ def test_empty_host_is_trivially_verified():
 
 
 def test_experiment_validates_inputs():
-    with pytest.raises(ValueError, match="mode"):
-        removal_experiment(triangle(), complete_hypergraph(2, 4), mode="fast")
-    for mode in ("exact", "greedy"):
-        with pytest.raises(ValueError, match="budget"):
-            removal_experiment(triangle(), complete_hypergraph(2, 4), mode=mode, exact_budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        removal_experiment(triangle(), complete_hypergraph(2, 4), exact_budget=-1)
     r = removal_experiment(triangle(), complete_hypergraph(2, 4), exact_budget=0)
     assert r.method == "greedy" and r.verified
     with pytest.raises(ValueError, match="at least one edge"):
@@ -406,4 +403,4 @@ def test_hitting_sets_on_random_hosts_are_pinned(i):
     r = removal_experiment(triangle(), host, exact_budget=64)
     assert r.method == "exact"
     assert r.removed == decode(exact)
-    assert removal_experiment(triangle(), host, mode="greedy").removed == decode(greedy)
+    assert removal_experiment(triangle(), host, exact_budget=0).removed == decode(greedy)

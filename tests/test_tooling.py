@@ -114,3 +114,18 @@ def test_the_package_imports_only_the_standard_library():
                 if top != "hyperlim" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_the_cli_imports_no_private_package_name():
+    # Argument rules live in the library function that takes the argument;
+    # a private import into the CLI is how a rule would leak back into it.
+    tree = ast.parse((ROOT / "src" / "hyperlim" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == "hyperlim")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
