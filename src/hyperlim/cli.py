@@ -79,8 +79,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"{what}: expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{what}: empty list")
     return values
 
 
@@ -105,11 +103,14 @@ def convergence_table(
     Sample sub-seeds come from (seed, "convergence-sample", K index, n,
     rep). Returns CSV body rows (data rows then a rep="mean" summary row
     per block) and the mean |diff| per (K id, n). A bad seed, rep count or
-    sample size is refused before any density is computed.
+    sample size, or an empty list of patterns or sizes, is refused before
+    any density is computed.
     """
     check_seed(seed)
     if reps < 1:
         raise ValueError("reps must be positive")
+    if not patterns or not ns:
+        raise ValueError("need at least one pattern and one sample size n")
     if any(n < 1 for n in ns):
         raise ValueError("every n must be positive")
     rows: list[list[str]] = []
@@ -356,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("removal", help="hit every pattern image and verify")
     p.add_argument("pattern", help="HG file for K")
     p.add_argument("host", help="HG file for H")
-    p.add_argument("--cap", type=int, default=10**6, help="max distinct images")
+    p.add_argument("--cap", type=int, default=10**6,
+                   help="max distinct images; more exit 3 before any hitting set")
     p.add_argument("--budget", type=int, default=24,
                    help="most candidate edges solved exactly; 0 takes the greedy cover")
     p.add_argument("--id", help="instance id for the CSV (default: host file stem)")

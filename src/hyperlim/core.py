@@ -28,7 +28,24 @@ class FormatError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An enumeration would exceed its configured budget; no work was done."""
+    """An enumeration would exceed its configured budget; no partial result is returned."""
+
+
+def check_arity(k: int) -> None:
+    if not 1 <= k <= MAX_ARITY:
+        raise ValueError(f"arity k={k} unsupported: must satisfy 1 <= k <= {MAX_ARITY}")
+
+
+def pick(positions: Sequence[int]):
+    """Callable returning the tuple of a sequence's items at ``positions``.
+
+    ``itemgetter`` returns a bare value for one index and takes no empty
+    list, so those two cases build the tuple themselves.
+    """
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda seq: (seq[p],)
+    return itemgetter(*positions) if positions else lambda seq: ()
 
 
 class UniformHypergraph:
@@ -42,8 +59,7 @@ class UniformHypergraph:
     __slots__ = ("k", "n_vertices", "edges", "_edge_set")
 
     def __init__(self, k: int, n_vertices: int, edges: Sequence[tuple[int, ...]] = ()):
-        if not 1 <= k <= MAX_ARITY:
-            raise ValueError(f"arity k={k} unsupported: must satisfy 1 <= k <= {MAX_ARITY}")
+        check_arity(k)
         if n_vertices < 0:
             raise ValueError("n_vertices must be nonnegative")
         edges = tuple(tuple(e) for e in edges)
@@ -125,8 +141,7 @@ class SubsetIndexing:
     __slots__ = ("k", "subsets", "index", "perms", "_actions")
 
     def __init__(self, k: int):
-        if not 1 <= k <= MAX_ARITY:
-            raise ValueError(f"arity k={k} unsupported: must satisfy 1 <= k <= {MAX_ARITY}")
+        check_arity(k)
         self.k = k
         subsets = []
         for size in range(1, k + 1):
@@ -151,10 +166,7 @@ class SubsetIndexing:
         source = [0] * len(self.subsets)
         for j, s in enumerate(self.subsets):
             source[self.index[tuple(sorted(perm[a] for a in s))]] = j
-        if len(source) == 1:
-            # A one-index itemgetter returns the bare value, not a 1-tuple.
-            return lambda vec: (vec[0],)
-        return itemgetter(*source)
+        return pick(source)
 
     def _vector(self, vec: Sequence) -> tuple:
         key = tuple(vec)

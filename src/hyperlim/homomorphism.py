@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import UniformHypergraph, link_masks
+from .core import BudgetError, UniformHypergraph, link_masks
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class HomImageSet:
     """Distinct edge-image sets {f(E(K))} over all homomorphisms K -> H."""
 
     images: frozenset[frozenset[tuple[int, ...]]]
-    truncated: bool
 
 
 def _check_arity(pattern: UniformHypergraph, host: UniformHypergraph) -> None:
@@ -159,8 +158,9 @@ def enumerate_hom_images(
     vertices never change an image set, and (host being nonempty) never
     change whether a homomorphism exists. The walk is hom_count's, with
     each candidate of the last position taken lowest bit first. The result
-    is empty iff no homomorphism exists. Collecting more than ``cap``
-    distinct images stops the walk and sets the truncated flag.
+    is empty iff no homomorphism exists. ``cap`` is a budget: finding
+    distinct image number cap + 1 stops the walk with BudgetError, since a
+    partial list shows nothing about the images left out.
     """
     _check_arity(pattern, host)
     if not pattern.edges:
@@ -168,7 +168,7 @@ def enumerate_hom_images(
     if cap < 1:
         raise ValueError("cap must be positive")
     if host.n_vertices == 0:
-        return HomImageSet(frozenset(), False)
+        return HomImageSet(frozenset())
 
     order = _covered_order(pattern)
     v = order[-1]
@@ -182,6 +182,6 @@ def enumerate_hom_images(
             image = frozenset(tuple(sorted(assignment[u] for u in e)) for e in pattern.edges)
             if image not in images:
                 if len(images) >= cap:
-                    return HomImageSet(frozenset(images), True)
+                    raise BudgetError(f"more than {cap} distinct images, cap is {cap}")
                 images.add(image)
-    return HomImageSet(frozenset(images), False)
+    return HomImageSet(frozenset(images))

@@ -27,19 +27,19 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb, sqrt
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .core import (
     BudgetError,
     FormatError,
-    MAX_ARITY,
     UniformHypergraph,
     _content_lines,
     _header,
     _parse_hypergraph_lines,
     _parse_int,
     _subset_lines,
+    check_arity,
+    pick,
     prefix_rows,
     prefix_walk,
     serialize_hypergraph,
@@ -68,8 +68,7 @@ class StepHypergraphon:
     __slots__ = ("k", "resolution", "kind", "values", "_indexing", "_table", "_scale")
 
     def __init__(self, k: int, resolution: int, kind: str, values: Mapping[tuple[int, ...], float]):
-        if not 1 <= k <= MAX_ARITY:
-            raise ValueError(f"arity k={k} unsupported: must satisfy 1 <= k <= {MAX_ARITY}")
+        check_arity(k)
         if resolution < 1:
             raise ValueError("resolution must be at least 1")
         if kind not in (INDICATOR, PROJECTED):
@@ -190,14 +189,6 @@ def _check_density_args(pattern: UniformHypergraph, w: StepHypergraphon) -> None
 _UNIT = ((), {(): 1})
 
 
-def _pick(positions: Sequence[int]):
-    """Callable returning the tuple of a key's entries at ``positions``."""
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda key: (key[p],)
-    return itemgetter(*positions) if positions else lambda key: ()
-
-
 def _join(a, b, keep: tuple[int, ...]):
     """Product of factors a and b, summed onto the variables ``keep``.
 
@@ -208,10 +199,10 @@ def _join(a, b, keep: tuple[int, ...]):
         a, b = b, a
     sa, sb = a[0], b[0]
     shared = [v for v in sa if v in sb]
-    pick_a = _pick([sa.index(v) for v in shared])
-    pick_b = _pick([sb.index(v) for v in shared])
+    pick_a = pick([sa.index(v) for v in shared])
+    pick_b = pick([sb.index(v) for v in shared])
     joint = sa + sb
-    pick_out = _pick([joint.index(v) for v in keep])
+    pick_out = pick([joint.index(v) for v in keep])
     index: dict[tuple[int, ...], list] = {}
     for kb, vb in b[1].items():
         index.setdefault(pick_b(kb), []).append((kb, vb))

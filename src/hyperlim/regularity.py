@@ -25,6 +25,7 @@ from .core import (
     _header,
     _parse_int,
     _subset_lines,
+    check_arity,
     prefix_rows,
     prefix_walk,
     subset_indexing,
@@ -52,8 +53,7 @@ DEFAULT_DENSITY_GRID = (0.25, 0.5, 0.75)
 
 
 def _check_shape(k: int, n_vertices: int, resolution: int) -> None:
-    if not 1 <= k <= MAX_ARITY:
-        raise ValueError(f"arity k={k} unsupported: must satisfy 1 <= k <= {MAX_ARITY}")
+    check_arity(k)
     if n_vertices < 0:
         raise ValueError("n_vertices must be nonnegative")
     if resolution < 1:

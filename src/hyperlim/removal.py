@@ -4,6 +4,9 @@ The image sets of a pattern K in a host H form a small set cover /
 hitting set instance: remove a set of host edges meeting every image and
 no homomorphic copy of K survives. Greedy gives the usual ln-factor
 guarantee; branch and bound certifies minimality on small instances.
+Only a complete image list can show that every copy is hit, so an
+enumeration past its cap is refused with BudgetError, before any
+hitting set or recount.
 """
 
 from __future__ import annotations
@@ -80,23 +83,6 @@ def _greedy(family: _Family) -> int:
     return chosen
 
 
-def _greedy_edges(images) -> tuple[Edge, ...]:
-    family = _encode(images)
-    return _decode(family, _greedy(family))
-
-
-def greedy_hitting_set(images: HomImageSet) -> tuple[Edge, ...]:
-    """Max-coverage greedy hitting set over the enumerated image sets.
-
-    Ties break toward the lexicographically smallest edge, so the result
-    is deterministic. Refuses truncated enumerations: a hitting set for a
-    partial list certifies nothing.
-    """
-    if images.truncated:
-        raise ValueError("image enumeration was truncated; hitting it proves nothing")
-    return _greedy_edges(images.images)
-
-
 def _branch_and_bound(family: _Family) -> tuple[int, int]:
     """Minimum hitting set as an edge mask, and the number of search nodes.
 
@@ -148,23 +134,23 @@ def _check_budget(budget: int) -> None:
 def exact_hitting_set(
     images: HomImageSet, budget: int = 24
 ) -> tuple[tuple[Edge, ...], bool]:
-    """Minimum hitting set when the edge universe is small.
+    """Hitting set of the images, and whether it is certified minimum.
 
-    Branch and bound over image bitsets, seeded with the greedy cover,
-    pruned by a disjoint-image packing bound and by sibling exclusion, and
-    run on its own stack, so a deep search needs no recursion. Ties break
-    as in a plain depth-first search in the same branch order: the answer
-    is the greedy cover if that is minimum, else the first minimum-size
-    leaf in that order. A valid lower bound never prunes the path to that
-    leaf before it is found, and the leaf holds no excluded sibling edge,
-    since the subtree of that earlier sibling would hold a minimum leaf
-    that comes first. Instances whose candidate edge set exceeds `budget`
-    fall back to greedy and report optimal=False; a negative budget is
-    refused.
+    Instances whose candidate edge set exceeds `budget` take the
+    max-coverage greedy cover and report optimal=False, so `budget=0`
+    takes it for any nonempty family. Greedy ties break toward the
+    lexicographically smallest edge, so the result is deterministic.
+    Within the budget, branch and bound over image bitsets, seeded with
+    the greedy cover, pruned by a disjoint-image packing bound and by
+    sibling exclusion, and run on its own stack, so a deep search needs no
+    recursion. Ties break as in a plain depth-first search in the same
+    branch order: the answer is the greedy cover if that is minimum, else
+    the first minimum-size leaf in that order. A valid lower bound never
+    prunes the path to that leaf before it is found, and the leaf holds no
+    excluded sibling edge, since the subtree of that earlier sibling would
+    hold a minimum leaf that comes first. A negative budget is refused.
     """
     _check_budget(budget)
-    if images.truncated:
-        raise ValueError("image enumeration was truncated; hitting it proves nothing")
     family = _encode(images.images)
     if len(family.candidates) > budget:
         return _decode(family, _greedy(family)), False
@@ -183,11 +169,6 @@ class RemovalResult:
     optimal: bool
     verified: bool
     n_images: int
-    truncated: bool
-
-    @property
-    def residual_zero(self) -> bool:
-        return self.residual == 0
 
 
 def removal_experiment(
@@ -198,19 +179,15 @@ def removal_experiment(
 ) -> RemovalResult:
     """Enumerate images, hit them, and re-count on the stripped host.
 
-    The hitting set is exact within `exact_budget` candidate edges and the
-    greedy cover past it, so `exact_budget=0` takes the greedy cover of
-    any host with an image. A truncated enumeration takes the greedy cover
-    of what was enumerated. The residual homomorphism density is
+    More than `cap` distinct images raise BudgetError before any hitting
+    set is built. The hitting set is :func:`exact_hitting_set`'s with
+    budget `exact_budget`. The residual homomorphism density is
     recomputed from scratch on H minus the removed edges; `verified`
-    demands both an untruncated enumeration and residual exactly zero.
+    means it is exactly zero.
     """
     _check_budget(exact_budget)
     images = enumerate_hom_images(pattern, host, cap=cap)
-    if images.truncated:
-        removed, optimal = _greedy_edges(images.images), False
-    else:
-        removed, optimal = exact_hitting_set(images, budget=exact_budget)
+    removed, optimal = exact_hitting_set(images, budget=exact_budget)
     method = "exact" if optimal else "greedy"
 
     stripped = host.without_edges(removed)
@@ -227,7 +204,6 @@ def removal_experiment(
         residual=residual,
         method=method,
         optimal=optimal,
-        verified=(not images.truncated) and residual == 0,
+        verified=residual == 0,
         n_images=len(images.images),
-        truncated=images.truncated,
     )

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import hyperlim
+import hyperlim.removal
 from hyperlim import INDICATOR, StepHypergraphon, UniformHypergraph
 
 
@@ -54,6 +55,10 @@ def forbid_work(monkeypatch, *targets) -> None:
 
     for module, name in targets:
         monkeypatch.setattr(module, name, forbidden)
+
+
+# Every step of a removal run after its image enumeration.
+REMOVAL_WORK = [(hyperlim.removal, name) for name in ("_greedy", "_branch_and_bound", "hom_count")]
 
 
 def triangle() -> UniformHypergraph:

@@ -29,7 +29,7 @@ from hyperlim import (
 import hyperlim.cli as cli_module
 from hyperlim.cli import convergence_table, main
 
-from conftest import build_fixture_w, build_half_w, cli_env, forbid_work
+from conftest import REMOVAL_WORK, build_fixture_w, build_half_w, cli_env, forbid_work
 
 EDGE_HG = "HG 2 2 1\n0 1\n"
 TRIANGLE_HG = "HG 2 3 3\n0 1\n0 2\n1 2\n"
@@ -537,16 +537,18 @@ def test_patterns_deeper_than_the_recursion_limit(files, capsys, tmp_path):
     assert out.splitlines()[1] == "edge,1,1,exact,1,1,0,1"
 
 
-def test_removal_truncation_exits_4(files, capsys, tmp_path):
+def test_removal_past_its_cap_exits_3_before_any_hitting_set(files, capsys, tmp_path, monkeypatch):
+    # Triangles have 20 distinct images in K6: a cap of 20 runs whole, and a
+    # hitting set of fewer would show nothing about the rest.
     host = tmp_path / "k6.hg"
     host.write_text(serialize_hypergraph(complete_hypergraph(2, 6)), encoding="utf-8")
-    code, out, _ = run_main(
-        ["removal", files["triangle.hg"], str(host), "--cap", "1", "--id", "x"], capsys
-    )
-    assert code == 4
-    row = out.splitlines()[1].split(",")
-    assert row[0] == "x"
-    assert row[-1] == "0"
+    argv = ["removal", files["triangle.hg"], str(host), "--id", "x", "--cap"]
+    code, out, _ = run_main(argv + ["20"], capsys)
+    assert (code, out.splitlines()[1]) == (0, "x,15,20,exact,6,2/5,0,1")
+    forbid_work(monkeypatch, *REMOVAL_WORK)
+    code, out, err = run_main(argv + ["1"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: more than 1 distinct images, cap is 1\n"
 
 
 # -- experiments ----------------------------------------------------------------
@@ -630,6 +632,7 @@ TABLE_WORK = [(cli_module, name)
         (["experiment", "regularity", "w3.hgon", "--n", "10", "--l", "0"], "resolution"),
         (["experiment", "regularity", "w3.hgon", "--n", "10", "--eps", "1"], "epsilon"),
         (["experiment", "regularity", "w3.hgon", "--n", "10", "--seed", "-1"], "seed"),
+        (["experiment", "convergence", "w3.hgon", "triangle.hg", "--ns", ","], "sample size"),
     ],
 )
 def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch, argv, message):
@@ -647,14 +650,15 @@ def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch,
         ({"ns": (4, 0)}, "every n must be positive"),
         ({"seed": 2**64}, "seed must fit in 64 bits"),
         ({"seed": -1}, "seed must fit in 64 bits"),
+        ({"ns": ()}, "one sample size"),
+        ({"patterns": []}, "one pattern"),
     ],
 )
 def test_convergence_table_refuses_bad_arguments_before_any_work(monkeypatch, kwargs, message):
     forbid_work(monkeypatch, *TABLE_WORK)
-    args = {"ns": (4,), "reps": 2, "seed": 0} | kwargs
-    patterns = [("triangle", complete_hypergraph(3, 3))]
+    args = {"patterns": [("triangle", complete_hypergraph(3, 3))], "ns": (4,), "reps": 2, "seed": 0}
     with pytest.raises(ValueError, match=message):
-        convergence_table(build_fixture_w(), patterns, **args)
+        convergence_table(build_fixture_w(), **(args | kwargs))
 
 
 # -- hash-seed independence -------------------------------------------------------

@@ -7,10 +7,10 @@ from itertools import combinations, product
 import pytest
 
 from hyperlim import (
+    BudgetError,
     UniformHypergraph,
     complete_hypergraph,
     enumerate_hom_images,
-    greedy_hitting_set,
     hom_count,
     hom_density,
 )
@@ -174,7 +174,6 @@ def test_images_of_two_disjoint_edges_in_a_path():
     pattern = UniformHypergraph(2, 4, [(0, 1), (2, 3)])
     path = UniformHypergraph(2, 3, [(0, 1), (1, 2)])
     images = enumerate_hom_images(pattern, path)
-    assert not images.truncated
     # Both pattern edges map onto host edges independently.
     assert images.images == {
         frozenset({(0, 1)}),
@@ -186,7 +185,7 @@ def test_images_of_two_disjoint_edges_in_a_path():
 def test_images_empty_iff_no_homomorphism():
     path = UniformHypergraph(2, 3, [(0, 1), (1, 2)])
     images = enumerate_hom_images(triangle(), path)
-    assert images.images == frozenset() and not images.truncated
+    assert images.images == frozenset()
 
 
 def test_images_of_single_edge_are_the_host_edges():
@@ -195,13 +194,17 @@ def test_images_of_single_edge_are_the_host_edges():
     assert images.images == {frozenset({e}) for e in triangle().edges}
 
 
-def test_image_cap_sets_truncated_flag():
-    k2 = UniformHypergraph(2, 2, [(0, 1)])
-    images = enumerate_hom_images(k2, triangle(), cap=2)
-    assert images.truncated
-    assert len(images.images) == 2
-    with pytest.raises(ValueError, match="truncated"):
-        greedy_hitting_set(images)
+def test_cap_images_come_back_whole_and_one_more_is_refused():
+    # An edge has 3 distinct images in a triangle, and a triangle 10 in K5.
+    for pattern, host, total in [
+        (UniformHypergraph(2, 2, [(0, 1)]), triangle(), 3),
+        (triangle(), complete_hypergraph(2, 5), 10),
+    ]:
+        images = enumerate_hom_images(pattern, host, cap=total)
+        assert images.images == enumerate_hom_images(pattern, host).images
+        assert len(images.images) == total
+        with pytest.raises(BudgetError, match=f"more than {total - 1} distinct images"):
+            enumerate_hom_images(pattern, host, cap=total - 1)
 
 
 def test_images_match_brute_force_on_random_instances():
@@ -212,34 +215,13 @@ def test_images_match_brute_force_on_random_instances():
         host = random_hypergraph(rng, k, rng.randint(0, 5), rng.random())
         for pattern in patterns[k]:
             expected = brute_images(pattern, host)
-            found = enumerate_hom_images(pattern, host)
-            assert not found.truncated
-            assert found.images == expected
+            assert enumerate_hom_images(pattern, host).images == expected
             for cap in (1, 2, 3):
-                capped = enumerate_hom_images(pattern, host, cap=cap)
-                assert capped.truncated == (len(expected) > cap)
-                assert len(capped.images) == min(cap, len(expected))
-                assert capped.images <= expected
-
-
-def test_image_cap_keeps_the_first_images_in_walk_order():
-    # The walk takes each vertex's candidates in increasing order, so a cap
-    # keeps the images of the lexicographically first homomorphisms.
-    host = complete_hypergraph(2, 5)
-    capped = enumerate_hom_images(triangle(), host, cap=2)
-    assert capped.truncated
-    assert capped.images == {
-        frozenset({(0, 1), (0, 2), (1, 2)}),
-        frozenset({(0, 1), (0, 3), (1, 3)}),
-    }
-    path = UniformHypergraph(2, 3, [(0, 1), (1, 2)])
-    capped = enumerate_hom_images(path, host, cap=3)
-    assert capped.truncated
-    assert capped.images == {
-        frozenset({(0, 1)}),
-        frozenset({(0, 1), (0, 2)}),
-        frozenset({(0, 1), (0, 3)}),
-    }
+                if len(expected) > cap:
+                    with pytest.raises(BudgetError):
+                        enumerate_hom_images(pattern, host, cap=cap)
+                else:
+                    assert enumerate_hom_images(pattern, host, cap=cap).images == expected
 
 
 def test_images_require_an_edge_and_positive_cap():

@@ -10,21 +10,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperlim import (
+    BudgetError,
     UniformHypergraph,
     complete_hypergraph,
     exact_hitting_set,
-    greedy_hitting_set,
     hom_count,
     removal_experiment,
 )
 from hyperlim.homomorphism import HomImageSet, enumerate_hom_images
 from hyperlim.removal import _branch_and_bound, _decode, _encode
 
-from conftest import single_triple, triangle
+from conftest import REMOVAL_WORK, forbid_work, single_triple, triangle
 
 
 def image_set(*images):
-    return HomImageSet(frozenset(frozenset(i) for i in images), False)
+    return HomImageSet(frozenset(frozenset(i) for i in images))
 
 
 def brute_minimum(images):
@@ -120,41 +120,33 @@ def random_family(rng):
 
 def test_single_image_needs_one_edge():
     hs = image_set([(0, 1), (1, 2)])
-    assert greedy_hitting_set(hs) == ((0, 1),)
+    assert exact_hitting_set(hs, budget=0)[0] == ((0, 1),)
     removed, optimal = exact_hitting_set(hs)
     assert removed == ((0, 1),) and optimal
 
 
 def test_disjoint_images_need_one_edge_each():
     hs = image_set([(0, 1)], [(2, 3)], [(4, 5)])
-    assert greedy_hitting_set(hs) == ((0, 1), (2, 3), (4, 5))
+    assert exact_hitting_set(hs, budget=0)[0] == ((0, 1), (2, 3), (4, 5))
     removed, optimal = exact_hitting_set(hs)
     assert len(removed) == 3 and optimal
 
 
 def test_common_edge_collapses_the_family():
     hs = image_set([(0, 1), (0, 2)], [(0, 1), (3, 4)], [(0, 1)])
-    assert greedy_hitting_set(hs) == ((0, 1),)
+    assert exact_hitting_set(hs, budget=0)[0] == ((0, 1),)
     assert exact_hitting_set(hs) == (((0, 1),), True)
 
 
 def test_empty_family_is_already_hit():
-    hs = HomImageSet(frozenset(), False)
-    assert greedy_hitting_set(hs) == ()
+    hs = HomImageSet(frozenset())
+    assert exact_hitting_set(hs, budget=0)[0] == ()
     assert exact_hitting_set(hs) == ((), True)
-
-
-def test_truncated_enumerations_are_refused():
-    hs = HomImageSet(frozenset({frozenset({(0, 1)})}), True)
-    with pytest.raises(ValueError, match="truncated"):
-        greedy_hitting_set(hs)
-    with pytest.raises(ValueError, match="truncated"):
-        exact_hitting_set(hs)
 
 
 def test_greedy_tie_breaks_toward_the_smallest_edge():
     hs = image_set([(0, 1), (2, 3)], [(4, 5), (6, 7)])
-    assert greedy_hitting_set(hs) == ((0, 1), (4, 5))
+    assert exact_hitting_set(hs, budget=0)[0] == ((0, 1), (4, 5))
 
 
 def test_exact_beats_greedy_on_a_pinned_instance():
@@ -166,7 +158,7 @@ def test_exact_beats_greedy_on_a_pinned_instance():
         [(0, 3), (0, 5)],
         [(0, 4)],
     )
-    assert greedy_hitting_set(hs) == ((0, 1), (0, 2), (0, 3), (0, 4))
+    assert exact_hitting_set(hs, budget=0)[0] == ((0, 1), (0, 2), (0, 3), (0, 4))
     removed, optimal = exact_hitting_set(hs)
     assert removed == ((0, 2), (0, 3), (0, 4)) and optimal
 
@@ -179,12 +171,12 @@ def test_exact_agrees_with_exhaustion_and_greedy_never_wins():
             frozenset(rng.sample(edges, rng.randint(1, 3)))
             for _ in range(rng.randint(3, 7))
         ]
-        hs = HomImageSet(frozenset(images), False)
+        hs = HomImageSet(frozenset(images))
         removed, optimal = exact_hitting_set(hs)
         assert optimal
         assert all(set(removed) & img for img in images)
         assert len(removed) == brute_minimum(images)
-        assert len(greedy_hitting_set(hs)) >= len(removed)
+        assert len(exact_hitting_set(hs, budget=0)[0]) >= len(removed)
 
 
 def test_negative_budget_is_refused():
@@ -199,7 +191,7 @@ def test_budget_overflow_falls_back_to_greedy():
     assert len({e for img in hs.images for e in img}) == 26
     removed, optimal = exact_hitting_set(hs)
     assert not optimal
-    assert removed == greedy_hitting_set(hs)
+    assert removed == exact_hitting_set(hs, budget=0)[0]
     removed, optimal = exact_hitting_set(hs, budget=26)
     assert optimal and len(removed) == 13
 
@@ -210,7 +202,7 @@ def test_search_returns_the_reference_edges_on_seeded_families():
     for _ in range(2000):
         images = random_family(rng)
         expected = reference_hitting_set(images)
-        assert exact_hitting_set(HomImageSet(images, False), budget=100) == (expected, True)
+        assert exact_hitting_set(HomImageSet(images), budget=100) == (expected, True)
         wide += len(images) > 64 and len({e for img in images for e in img}) > 64
     # Image and edge bitsets both span more than one machine word here.
     assert wide >= 50
@@ -254,7 +246,7 @@ def test_a_search_deeper_than_the_recursion_limit_finishes():
     ]
     disjoint = [[(v, v + 1), (v, v + 2), (v + 1, v + 2)] for v in range(10, 3310, 3)]
     hs = image_set(*gadget, *disjoint)
-    assert len(greedy_hitting_set(hs)) == 1104
+    assert len(exact_hitting_set(hs, budget=0)[0]) == 1104
     removed, optimal = exact_hitting_set(hs, budget=10**4)
     assert optimal and len(removed) == 1103
     assert removed[:3] == ((0, 2), (0, 3), (0, 4))
@@ -268,8 +260,8 @@ def test_hom_free_host_removes_nothing():
     r = removal_experiment(triangle(), UniformHypergraph(2, 4, [(0, 1), (2, 3)]))
     assert r.removed == ()
     assert r.n_images == 0
-    assert r.residual == 0 and r.residual_zero
-    assert r.verified and r.optimal and not r.truncated
+    assert r.residual == 0
+    assert r.verified and r.optimal
     assert r.removed_fraction == 0
 
 
@@ -315,13 +307,10 @@ def test_exact_budget_overflow_reports_greedy_method():
     assert r.residual == 0 and r.verified
 
 
-def test_truncated_experiment_is_never_verified():
-    r = removal_experiment(triangle(), complete_hypergraph(2, 6), cap=1)
-    assert r.truncated
-    assert r.n_images == 1
-    assert not r.verified
-    assert r.method == "greedy"
-    assert r.residual > 0
+def test_experiment_past_its_cap_raises_before_any_hitting_set(monkeypatch):
+    forbid_work(monkeypatch, *REMOVAL_WORK)
+    with pytest.raises(BudgetError, match="more than 1 distinct images"):
+        removal_experiment(triangle(), complete_hypergraph(2, 6), cap=1)
 
 
 def test_empty_host_is_trivially_verified():

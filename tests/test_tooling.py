@@ -1,11 +1,12 @@
-"""Tooling contracts: the package imports only the standard library, and
-the benchmark's span tracer names hyperlim functions and their parameters.
+"""Tooling contracts: the package imports only the standard library, its
+public list names exactly what it imports, and the benchmark's span tracer
+names hyperlim functions and their parameters.
 
 `bench/tracer.py` wraps functions by name and skips any name it cannot
 find, and a work counter that reads a renamed parameter is dropped
 silently. These tests read the tracer's tables (the file is only loaded,
 never changed), check every name against the package, and evaluate the
-sampling counters on a real call.
+sampling, image and hitting-set counters on real calls.
 """
 
 import ast
@@ -18,9 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from hyperlim import sample_w_random
+import hyperlim
+from hyperlim import complete_hypergraph, enumerate_hom_images, exact_hitting_set, sample_w_random
 
-from conftest import build_fixture_w
+from conftest import build_fixture_w, triangle
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "bench" / "tracer.py"
@@ -85,14 +87,37 @@ def test_counters_read_only_parameters_of_the_wrapped_function():
             assert args <= params.keys(), f"{name} reads {sorted(args - params.keys())}"
 
 
-def test_the_sampling_counters_read_real_values():
-    # A counter that no longer matches the return value would read a
-    # wrong figure, or lose its counts, without failing the benchmark.
-    bound = inspect.signature(sample_w_random).bind(build_fixture_w(), 9, seed=4)
+def traced_counts(name, fn, *args, **kwargs) -> dict:
+    """What the tracer's counter for span ``name`` reads from a real call."""
+    bound = inspect.signature(fn).bind(*args, **kwargs)
     bound.apply_defaults()
-    result = sample_w_random(*bound.args, **bound.kwargs)
-    counts = tracer.COUNTERS["hypergraphon.sample_w_random"](bound.arguments, result)
+    return tracer.COUNTERS[name](bound.arguments, fn(*bound.args, **bound.kwargs))
+
+
+# A counter that no longer matches the return value would read a wrong
+# figure, or lose its counts, without failing the benchmark.
+
+
+def test_the_sampling_counters_read_real_values():
+    counts = traced_counts("hypergraphon.sample_w_random", sample_w_random, build_fixture_w(), 9, seed=4)
     assert counts == {"latents": comb(9, 1) + comb(9, 2) + comb(9, 3), "edge_tests": comb(9, 3)}
+
+
+def test_the_removal_counters_read_real_values():
+    # Triangles have C(5, 3) = 10 distinct images in K5.
+    args = (triangle(), complete_hypergraph(2, 5))
+    assert traced_counts("homomorphism.enumerate_hom_images", enumerate_hom_images, *args) == {"images": 10}
+    images = enumerate_hom_images(*args)
+    assert traced_counts("removal.exact_hitting_set", exact_hitting_set, images) == {"optimal": 1}
+    assert traced_counts("removal.exact_hitting_set", exact_hitting_set, images, budget=0) == {"optimal": 0}
+
+
+def test_the_public_names_are_exactly_the_imported_ones():
+    tree = ast.parse((ROOT / "src" / "hyperlim" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names
+    ]
+    assert sorted(hyperlim.__all__) == sorted(imported)
 
 
 def test_the_package_imports_only_the_standard_library():
