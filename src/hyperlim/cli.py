@@ -35,7 +35,6 @@ from .hypergraphon import (
     serialize_latents,
 )
 from .regularity import (
-    DEFAULT_DENSITY_GRID,
     cell_approximation,
     cell_counts,
     check_regularity_family,
@@ -79,14 +78,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"{what}: expected comma-separated integers, got {text!r}") from None
-    return values
-
-
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"--grid: expected comma-separated reals, got {text!r}") from None
     return values
 
 
@@ -139,7 +130,6 @@ def regularity_table(
     epsilon: float,
     cylinders: int,
     seed: int,
-    density_grid: tuple[float, ...] = DEFAULT_DENSITY_GRID,
 ) -> list[list[str]]:
     """One W-sample's partition diagnostics: equitability, regularity, cells.
 
@@ -152,7 +142,7 @@ def regularity_table(
     level k (so a run whose cylinders would all be empty by construction
     is refused too) and for l >= 1.
     """
-    check_sampled_arguments(n, w.k, epsilon, cylinders, seed, density_grid)
+    check_sampled_arguments(n, w.k, epsilon, cylinders, seed)
     if l < 1:
         raise ValueError("resolution l must be at least 1")
     sample = sample_w_random(w, n, derive(seed, "regularity-sample"))
@@ -164,9 +154,7 @@ def regularity_table(
         rows.append(["equitability", str(r), "", str(eq[r]), ""])
 
     for r in range(2, w.k + 1):
-        family = sampled_cylinder_family(
-            n, r, cylinders, derive(seed, "regularity-cylinders", r), density_grid
-        )
+        family = sampled_cylinder_family(n, r, cylinders, derive(seed, "regularity-cylinders", r))
         for j in range(l):
             g = partition.class_hypergraph(r, j)
             report = check_regularity_family(g, epsilon, family)
@@ -238,8 +226,7 @@ def cmd_cells(args) -> int:
 
 def cmd_regularity(args) -> int:
     g = parse_hypergraph(_read(args.host))
-    grid = _parse_grid(args.grid)
-    report = check_regularity_sampled(g, args.eps, args.M, args.seed, grid)
+    report = check_regularity_sampled(g, args.eps, args.M, args.seed)
     row = [
         str(g.n_vertices),
         str(g.k),
@@ -303,8 +290,7 @@ def cmd_experiment_convergence(args) -> int:
 def cmd_experiment_regularity(args) -> int:
     w = parse_hypergraphon(_read(args.w))
     l = args.l if args.l is not None else w.resolution
-    grid = _parse_grid(args.grid)
-    rows = regularity_table(w, args.n, l, args.eps, args.M, args.seed, grid)
+    rows = regularity_table(w, args.n, l, args.eps, args.M, args.seed)
     _write_csv(args.out, REGULARITY_HEADER, rows)
     return 0
 
@@ -350,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--M", type=int, default=200, help="number of sampled cylinders")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", default="0.25,0.5,0.75", help="side density grid")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_regularity)
 
@@ -385,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--M", type=int, default=50, help="sampled cylinders per level")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", default="0.25,0.5,0.75", help="side density grid")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_experiment_regularity)
 

@@ -104,14 +104,6 @@ class UniformHypergraph:
             self.k, self.n_vertices, [e for e in self.edges if e not in gone]
         )
 
-    def relabel(self, image: Sequence[int]) -> "UniformHypergraph":
-        """Apply a vertex bijection v -> image[v]."""
-        if sorted(image) != list(range(self.n_vertices)):
-            raise ValueError("image must be a permutation of the vertex set")
-        return UniformHypergraph.from_edges(
-            self.k, self.n_vertices, ([image[v] for v in e] for e in self.edges)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, UniformHypergraph)

@@ -121,16 +121,6 @@ class StepHypergraphon:
             raise ValueError(f"box {key}: index out of range 0..{self.resolution - 1}")
         return 0.0
 
-    def eval_point(self, point: Sequence[float]) -> float:
-        """Value at real coordinates, each in the half-open unit interval."""
-        box = []
-        for x in point:
-            if not 0.0 <= x < 1.0:
-                raise ValueError(f"coordinate {x} outside [0, 1)")
-            # min() guards the corner where float rounding pushes x*l to l.
-            box.append(min(int(x * self.resolution), self.resolution - 1))
-        return self.eval_box(box)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StepHypergraphon)

@@ -49,7 +49,8 @@ from .rng import (
 #: k-subset, canonicalized under the symmetric-group coordinate action.
 CellProfile = tuple[int, ...]
 
-DEFAULT_DENSITY_GRID = (0.25, 0.5, 0.75)
+#: Side thresholds of sampled cylinders: int(q * 2**64) for q = 1/4, 1/2, 3/4.
+_SIDE_THRESHOLDS = (1 << 62, 1 << 63, 3 << 62)
 
 
 def _check_shape(k: int, n_vertices: int, resolution: int) -> None:
@@ -449,66 +450,43 @@ def check_regularity_family(
     return RegularityReport(epsilon, len(family), admitted, max_dev, witness)
 
 
-def _check_density_grid(density_grid: Sequence[float]) -> None:
-    if not density_grid or any(not 0.0 <= q <= 1.0 for q in density_grid):
-        raise ValueError("density_grid must be nonempty with entries in [0, 1]")
-
-
-def check_sampled_arguments(
-    n: int,
-    r: int,
-    epsilon: float,
-    count: int,
-    seed: int,
-    density_grid: Sequence[float],
-) -> None:
+def check_sampled_arguments(n: int, r: int, epsilon: float, count: int, seed: int) -> None:
     """Refuse a sampled check at level r on n vertices that would test nothing.
 
     Called before any cylinder is built. Epsilon must lie in (0, 1) (see
     :func:`check_regularity_family`), at least one cylinder must be drawn,
-    and the seed must fit in 64 bits. A check whose cylinders are all
-    empty by construction is refused too: with fewer than r vertices there
-    is no r-subset, and a side drawn at a density below 2**-64 has a zero
-    threshold, so it is empty; if every grid density is that small, every
-    cylinder is. Each would report a regular verdict backed by no test.
+    and the seed must fit in 64 bits. With fewer than r vertices there is
+    no r-subset, so every cylinder is empty by construction and the check
+    would report a regular verdict backed by no test; that is refused too.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     if count < 1:
         raise ValueError("cylinder count must be positive")
     check_seed(seed)
-    _check_density_grid(density_grid)
     if n < r:
         raise ValueError(f"no {r}-subsets on {n} vertices, so every cylinder is empty")
-    if max(density_grid) < 2.0**-64:
-        raise ValueError(
-            "every density_grid entry is below 2**-64, so every cylinder side is empty"
-        )
 
 
-def sampled_cylinder_family(
-    n: int,
-    r: int,
-    count: int,
-    seed: int,
-    density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
-) -> list[CylinderIntersection]:
+def sampled_cylinder_family(n: int, r: int, count: int, seed: int) -> list[CylinderIntersection]:
     """Seeded random cylinder intersections on n vertices at level r.
 
-    Side i of cylinder m picks its density q as
-    ``density_grid[stream(seed, "cylinder-density", m, i).next_below(len(density_grid))]``
-    and holds the j-th (r-1)-subset, in lexicographic order, iff the j-th
+    Side i of cylinder m has density q = 1/4, 1/2 or 3/4, picked by
+    ``stream(seed, "cylinder-density", m, i).next_below(3)``, and holds
+    the j-th (r-1)-subset, in lexicographic order, iff the j-th
     ``next_u64`` of ``stream(seed, "cylinder-side", m, i)`` is below
     ``int(q * 2**64)``. The family is a pure function of the seed. Both
     labels are derived once and folded with m and i, and the side draws
-    use the counter identity of :mod:`hyperlim.rng`, inlined.
+    use the counter identity of :mod:`hyperlim.rng`, inlined. A level
+    outside 2..MAX_ARITY is refused before any draw.
     """
+    if not 2 <= r <= MAX_ARITY:
+        raise ValueError(f"cylinder level r={r} outside 2..{MAX_ARITY}")
     check_seed(seed)
     if count < 0:
         raise ValueError("cylinder count must be nonnegative")
-    _check_density_grid(density_grid)
     subsets = list(combinations(range(n), r - 1))
-    picks = len(density_grid)
+    picks = len(_SIDE_THRESHOLDS)
     density_state = derive(seed, "cylinder-density")
     side_state = derive(seed, "cylinder-side")
     family = []
@@ -517,8 +495,7 @@ def sampled_cylinder_family(
         side_m = fold(side_state, m)
         sides = []
         for i in range(r):
-            pick = (mix64(fold(density_m, i) + _GAMMA) * picks) >> 64
-            threshold = int(density_grid[pick] * 2.0**64)
+            threshold = _SIDE_THRESHOLDS[(mix64(fold(density_m, i) + _GAMMA) * picks) >> 64]
             state = fold(side_m, i)
             edges = []
             for sub in subsets:
@@ -533,11 +510,7 @@ def sampled_cylinder_family(
 
 
 def check_regularity_sampled(
-    g: UniformHypergraph,
-    epsilon: float,
-    count: int,
-    seed: int,
-    density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
+    g: UniformHypergraph, epsilon: float, count: int, seed: int
 ) -> RegularityReport:
     """Sampled regularity check against ``count`` seeded random cylinders.
 
@@ -546,8 +519,8 @@ def check_regularity_sampled(
     """
     if g.k < 2:
         raise ValueError("level 1 has no cylinder structure; use equitability")
-    check_sampled_arguments(g.n_vertices, g.k, epsilon, count, seed, density_grid)
-    family = sampled_cylinder_family(g.n_vertices, g.k, count, seed, density_grid)
+    check_sampled_arguments(g.n_vertices, g.k, epsilon, count, seed)
+    family = sampled_cylinder_family(g.n_vertices, g.k, count, seed)
     return check_regularity_family(g, epsilon, family)
 
 
@@ -566,36 +539,25 @@ class IndependenceResult:
 
 
 def independence_test(
-    k: int,
-    n: int,
-    l: int,
-    subsets: Sequence[tuple[int, ...]] | None = None,
-    seed: int = 0,
-    trials: int = 4,
+    k: int, n: int, l: int, seed: int = 0, trials: int = 4
 ) -> IndependenceResult:
     """Finite analog of label independence across position-subsets.
 
     Per trial: draw a random l-hyperpartition and one target class per
-    position-subset A_i; over all k-tuples of distinct vertices, compare
-    the fraction landing in every chosen class simultaneously against the
-    product of the per-subset fractions. Reports the max |gap| and the
-    reference bound 4 * sqrt(p0 (1 - p0) / C(n, k)) with p0 = l**-len(subsets).
+    nonempty position-subset A_i of 0..k-1; over all k-tuples of distinct
+    vertices, compare the fraction landing in every chosen class
+    simultaneously against the product of the per-subset fractions.
+    Reports the max |gap| and the reference bound
+    4 * sqrt(p0 (1 - p0) / C(n, k)) with p0 = l**-(2**k - 1). Every
+    argument is checked before the bound or any partition is computed.
     """
     check_seed(seed)
+    _check_shape(k, n, l)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    idx = subset_indexing(k)
-    if subsets is None:
-        subsets = idx.subsets
-    subsets = [tuple(s) for s in subsets]
-    if len(set(subsets)) != len(subsets):
-        raise ValueError("position subsets must be distinct")
-    for s in subsets:
-        if not s or tuple(sorted(set(s))) != s or any(not 0 <= a < k for a in s):
-            raise ValueError(f"{s} is not a sorted nonempty subset of positions 0..{k - 1}")
-
+    subsets = subset_indexing(k).subsets
     p0 = float(l) ** -len(subsets)
     bound = 4.0 * sqrt(p0 * (1.0 - p0) / comb(n, k))
     discrepancies = []

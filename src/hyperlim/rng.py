@@ -77,14 +77,6 @@ class Stream:
         self._state = (self._state + _GAMMA) & MASK64
         return mix64(self._state)
 
-    def next_fraction(self) -> int:
-        """A uniform 64-bit fraction: integer m meaning m / 2**64."""
-        return self.next_u64()
-
-    def next_float(self) -> float:
-        # 53-bit mantissa; low 11 bits dropped so m/2**64 round-trips exactly.
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) via fixed-point multiply.
 

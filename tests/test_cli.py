@@ -418,12 +418,18 @@ def test_regularity_csv_complete_host(files, capsys, tmp_path):
     assert fields[7] == "0" and fields[8] == "0"
 
 
-def test_regularity_rejects_bad_grid(files, capsys, tmp_path):
-    host = tmp_path / "k5.hg"
-    host.write_text(serialize_hypergraph(complete_hypergraph(2, 5)), encoding="utf-8")
-    code, _, err = run_main(["regularity", str(host), "--grid", "0.5,nope"], capsys)
-    assert code == 2
-    assert "grid" in err
+def test_regularity_commands_have_no_grid_flag(files, capsys):
+    # Side densities are fixed at 1/4, 1/2 and 3/4; argparse refuses --grid.
+    for argv in (
+        ["regularity", files["triangle.hg"]],
+        ["experiment", "regularity", files["w3.hgon"], "--n", "6"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--grid", "0.5"])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--grid" in err
 
 
 @pytest.mark.parametrize(
@@ -458,36 +464,18 @@ def test_regularity_rejects_bad_eps_and_count(files, flags, message, capsys, tmp
     [
         (["regularity", "{one}"], "no 2-subsets on 1 vertices"),
         (["experiment", "regularity", "{w3}", "--n", "2"], "no 3-subsets on 2 vertices"),
-        (["regularity", "{k5}", "--grid", "0"], "below 2**-64"),
-        (["regularity", "{k5}", "--grid", "1e-30"], "below 2**-64"),
-        (["regularity", "{k5}", "--grid", "0,1e-30"], "below 2**-64"),
-        (["experiment", "regularity", "{w3}", "--n", "6", "--grid", "0"], "below 2**-64"),
-        (["experiment", "regularity", "{w3}", "--n", "6", "--grid", "1e-30"], "below 2**-64"),
     ],
 )
 def test_regularity_refuses_cylinders_empty_by_construction(files, argv, message, capsys):
-    # Fewer vertices than r leaves no r-subset, and a grid below 2**-64
-    # draws only empty sides: nothing can be admitted, so a regular verdict
-    # (witness=0) would be backed by no test.
+    # Fewer vertices than r leaves no r-subset: nothing can be admitted, so
+    # a regular verdict (witness=0) would be backed by no test.
     one = files["tmp"] / "one.hg"
     one.write_text("HG 2 1 0\n", encoding="utf-8")
-    k5 = files["tmp"] / "k5.hg"
-    k5.write_text(serialize_hypergraph(complete_hypergraph(2, 5)), encoding="utf-8")
-    argv = [a.format(one=one, k5=k5, w3=files["w3.hgon"]) for a in argv]
+    argv = [a.format(one=one, w3=files["w3.hgon"]) for a in argv]
     code, out, err = run_main(argv, capsys)
     assert code == 2, argv
     assert out == ""
     assert message in err
-
-
-def test_regularity_accepts_a_grid_with_one_density_at_2_to_the_minus_64(files, capsys):
-    # 1e-19 > 2**-64, so its sides have threshold 1: not empty by construction.
-    code, out, _ = run_main(
-        ["experiment", "regularity", files["w3.hgon"], "--n", "6", "--M", "3", "--grid", "0,1e-19"],
-        capsys,
-    )
-    assert code == 0
-    assert out.startswith("kind,level,class,value,detail\n")
 
 
 def test_removal_csv_and_success_exit(files, capsys, tmp_path):

@@ -57,15 +57,9 @@ def test_from_edges_normalizes():
         UniformHypergraph.from_edges(2, 4, [(1, 1)])
 
 
-def test_without_edges_and_relabel():
+def test_without_edges():
     tri = triangle()
     assert tri.without_edges([(0, 1)]).edges == ((0, 2), (1, 2))
-    swapped = tri.relabel([1, 0, 2])
-    assert swapped == tri  # triangle is symmetric
-    path = UniformHypergraph(2, 3, [(0, 1), (1, 2)])
-    assert path.relabel([2, 1, 0]).edges == ((0, 1), (1, 2))
-    with pytest.raises(ValueError):
-        path.relabel([0, 0, 2])
 
 
 def test_equality_and_hash_are_structural():

@@ -165,22 +165,6 @@ def test_exact_density_retains_no_memory():
     assert retained < 1 << 20
 
 
-def test_eval_point_boxes_coordinates():
-    w = build_half_w()
-    assert w.eval_point((0.9, 0.2, 0.3)) == 1.0  # pair coordinate 0.3 -> box 0
-    assert w.eval_point((0.9, 0.2, 0.7)) == 0.0  # box 1
-    with pytest.raises(ValueError):
-        w.eval_point((0.5, 0.5, 1.0))
-    with pytest.raises(ValueError):
-        w.eval_point((-0.1, 0.5, 0.5))
-
-
-def test_eval_point_rounding_corner_stays_in_last_box():
-    w = StepHypergraphon(1, 4, PROJECTED, {(3,): 0.25})
-    x = 1.0 - 2.0**-53  # x * 4 rounds to 4.0 in float
-    assert w.eval_point((x,)) == 0.25
-
-
 def test_constant_hypergraphon_kinds():
     assert constant_hypergraphon(2, 0.0).kind == INDICATOR
     assert constant_hypergraphon(2, 0.0).values == {}
@@ -331,7 +315,7 @@ def test_mc_density_draws_are_the_documented_streams(half_w, seed):
     hits = []
     for i in range(40):
         st = stream(seed, "mc", i)
-        assign = {sub: fraction_box(st.next_fraction(), 2) for sub in support}
+        assign = {sub: fraction_box(st.next_u64(), 2) for sub in support}
         hits.append(all(
             half_w.eval_box([assign[tuple(e[p] for p in pos)] for pos in idx.subsets]) == 1.0
             for e in pattern.edges
@@ -357,7 +341,7 @@ def reference_mc_density(pattern, w, n_samples, seed):
     values = []
     for i in range(n_samples):
         st_i = Stream(fold(base, i))
-        assign = [fraction_box(st_i.next_fraction(), w.resolution) for _ in support]
+        assign = [fraction_box(st_i.next_u64(), w.resolution) for _ in support]
         value = Fraction(1)
         for cmap in coord_maps:
             value *= Fraction(w.eval_box([assign[c] for c in cmap]))
@@ -474,7 +458,7 @@ def test_sampled_latents_are_the_documented_streams(k):
     for n in sorted({0, 1, k - 1, k, 9}):
         for seed in SEEDS:
             expected = [
-                stream(seed, "latent", len(sub), *sub).next_fraction() for sub in lat_subsets(n, k)
+                stream(seed, "latent", len(sub), *sub).next_u64() for sub in lat_subsets(n, k)
             ]
             assert sample_w_random(w, n, seed).latents == expected
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperlim import (
-    DEFAULT_DENSITY_GRID,
     CylinderIntersection,
     FormatError,
     Hyperpartition,
@@ -356,6 +355,12 @@ def test_cylinder_complete_and_empty_sides():
     assert scan(full) == set(combinations(range(5), 3))
     hollow = CylinderIntersection((complete_hypergraph(2, 5), UniformHypergraph(2, 5, []), complete_hypergraph(2, 5)))
     assert scan(hollow) == frozenset()
+    # Sampled sides have density 1/4, 1/2 or 3/4; other sides are built by
+    # hand, as here, and checked with check_regularity_family. The solid
+    # cylinder is admitted with deviation 0, the hollow one fails the size gate.
+    g = UniformHypergraph(3, 5, [(0, 1, 2), (1, 3, 4)])
+    report = check_regularity_family(g, 0.1, [hollow, full])
+    assert (report.tested, report.admitted, report.max_deviation, report.witness) == (2, 1, 0, None)
 
 
 def test_deviation_counts_match_the_contains_scan():
@@ -479,34 +484,33 @@ def test_check_family_reports_first_argmax_as_witness():
             check_regularity_family(g, bad, [cyl])
 
 
-def test_sampled_family_is_seeded_and_respects_the_grid():
+def test_sampled_family_is_seeded_and_validates_count():
     fam1 = sampled_cylinder_family(10, 3, 5, seed=4)
     fam2 = sampled_cylinder_family(10, 3, 5, seed=4)
     assert [c.sides for c in fam1] == [c.sides for c in fam2]
     assert all(c.arity == 3 and c.sides[0].k == 2 for c in fam1)
-
-    solid = sampled_cylinder_family(6, 2, 3, seed=0, density_grid=(1.0,))
-    assert all(scan(c) == set(combinations(range(6), 2)) for c in solid)
-    hollow = sampled_cylinder_family(6, 2, 3, seed=0, density_grid=(0.0,))
-    assert all(scan(c) == frozenset() for c in hollow)
-    with pytest.raises(ValueError):
-        sampled_cylinder_family(6, 2, 3, seed=0, density_grid=(0.5, 1.2))
     assert sampled_cylinder_family(6, 2, 0, seed=0) == []
     with pytest.raises(ValueError, match="count"):
         sampled_cylinder_family(6, 2, -1, seed=0)
 
 
+@pytest.mark.parametrize("r", [-1, 0, 1, 5])
+def test_sampled_family_refuses_a_level_outside_2_to_max_arity_before_any_draw(monkeypatch, r):
+    forbid_work(monkeypatch, (regularity_module, "derive"), (regularity_module, "fold"))
+    with pytest.raises(ValueError, match=f"cylinder level r={r} outside 2..4"):
+        sampled_cylinder_family(9, r, 3, seed=0)
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
-@pytest.mark.parametrize("grid", [(0.0, 1.0), (0.0, 0.3, 0.5, 1.0)])
-def test_sampled_family_sides_are_the_documented_draws(r, grid):
+def test_sampled_family_sides_are_the_documented_draws(r):
     for n in (r - 1, r, 9):
         for seed in (0, 1, 2**40 + 17, 2**64 - 1):
-            family = sampled_cylinder_family(n, r, 4, seed, grid)
+            family = sampled_cylinder_family(n, r, 4, seed)
             assert len(family) == 4
             for m, cyl in enumerate(family):
                 for i, side in enumerate(cyl.sides):
-                    pick = stream(seed, "cylinder-density", m, i).next_below(len(grid))
-                    threshold = int(grid[pick] * 2.0**64)
+                    q = Fraction(1 + stream(seed, "cylinder-density", m, i).next_below(3), 4)
+                    threshold = int(q * 2**64)
                     st = stream(seed, "cylinder-side", m, i)
                     expected = [
                         sub for sub in combinations(range(n), r - 1) if st.next_u64() < threshold
@@ -534,20 +538,11 @@ def test_check_sampled_finds_a_prepended_planted_witness():
 
 
 def test_checks_refuse_cylinders_empty_by_construction():
-    w = build_fixture_w()
-    for n, grid, message in (
-        (2, DEFAULT_DENSITY_GRID, "no 3-subsets on 2 vertices"),
-        (6, (0.0,), "below 2\\*\\*-64"),
-        (6, (1e-30, 0.0), "below 2\\*\\*-64"),
-    ):
-        g = UniformHypergraph(3, n, [])
-        with pytest.raises(ValueError, match=message):
-            check_regularity_sampled(g, 0.1, 5, seed=0, density_grid=grid)
-        with pytest.raises(ValueError, match=message):
-            regularity_table(w, n, 2, 0.1, 5, seed=0, density_grid=grid)
-    # The family itself may still be hollow.
-    hollow = sampled_cylinder_family(6, 3, 2, seed=0, density_grid=(0.0,))
-    assert all(scan(c) == frozenset() for c in hollow)
+    g = UniformHypergraph(3, 2, [])
+    with pytest.raises(ValueError, match="no 3-subsets on 2 vertices"):
+        check_regularity_sampled(g, 0.1, 5, seed=0)
+    with pytest.raises(ValueError, match="no 3-subsets on 2 vertices"):
+        regularity_table(build_fixture_w(), 2, 2, 0.1, 5, seed=0)
 
 
 # The cylinder builds of both sampled checks and the W-sample of the table.
@@ -659,14 +654,21 @@ def test_independence_trivial_partition_is_exact():
 def test_independence_is_deterministic_and_validates():
     a = independence_test(2, 12, 2, seed=6, trials=3)
     assert a == independence_test(2, 12, 2, seed=6, trials=3)
-    with pytest.raises(ValueError, match="distinct"):
-        independence_test(2, 8, 2, subsets=[(0,), (0,)], seed=0)
-    with pytest.raises(ValueError):
-        independence_test(2, 8, 2, subsets=[(1, 0)], seed=0)
     with pytest.raises(ValueError):
         independence_test(3, 2, 2, seed=0)
     with pytest.raises(ValueError):
         independence_test(2, 8, 2, seed=0, trials=0)
+
+
+@pytest.mark.parametrize("l", [0, -1])
+def test_independence_refuses_resolution_below_one_before_any_partition(monkeypatch, l):
+    forbid_work(
+        monkeypatch,
+        (regularity_module, "random_hyperpartition"),
+        (regularity_module, "subset_indexing"),
+    )
+    with pytest.raises(ValueError, match="resolution l must be at least 1"):
+        independence_test(2, 5, l, seed=0)
 
 
 def test_independence_statistic_sits_below_the_bound():

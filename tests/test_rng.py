@@ -83,14 +83,6 @@ def test_next_below_stays_in_range(seed, n):
     assert 0 <= v < n
 
 
-@given(st.integers(0, MASK64))
-def test_next_float_is_a_53_bit_fraction_in_unit_interval(seed):
-    s = stream(seed, "f")
-    x = s.next_float()
-    assert 0.0 <= x < 1.0
-    assert x == int(x * 2**53) * 2.0**-53
-
-
 @given(st.integers(0, MASK64), st.integers(1, 64))
 def test_fraction_box_is_exact_floor(m, l):
     # box of m / 2**64 at resolution l, checked against rational floor

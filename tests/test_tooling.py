@@ -1,6 +1,7 @@
 """Tooling contracts: the package imports only the standard library, its
-public list names exactly what it imports, and the benchmark's span tracer
-names hyperlim functions and their parameters.
+public list names exactly what it imports, the README and the CLI parser
+name the same long options, and the benchmark's span tracer names hyperlim
+functions and their parameters.
 
 `bench/tracer.py` wraps functions by name and skips any name it cannot
 find, and a work counter that reads a renamed parameter is dropped
@@ -9,10 +10,12 @@ never changed), check every name against the package, and evaluate the
 sampling, image and hitting-set counters on real calls.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from math import comb
 from pathlib import Path
@@ -21,6 +24,7 @@ import pytest
 
 import hyperlim
 from hyperlim import complete_hypergraph, enumerate_hom_images, exact_hitting_set, sample_w_random
+from hyperlim.cli import build_parser
 
 from conftest import build_fixture_w, triangle
 
@@ -154,3 +158,27 @@ def test_the_cli_imports_no_private_package_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def parser_long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every long option of a parser and of its subcommands, but --help."""
+    out = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= parser_long_options(sub)
+        else:
+            out.update(o for o in action.option_strings if o.startswith("--") and o != "--help")
+    return out
+
+
+def readme_long_options(text: str) -> set[str]:
+    return set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+
+
+def test_the_readme_and_the_parser_name_the_same_long_options():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = readme.split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+    defined = parser_long_options(build_parser())
+    assert sorted(defined - readme_long_options(readme)) == []
+    assert sorted(readme_long_options(commands) - defined) == []
