@@ -7,10 +7,8 @@ ceiling. Edges are unordered k-subsets stored as sorted tuples.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations
-from math import comb
 from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -95,9 +93,6 @@ class UniformHypergraph:
     def edge_set(self) -> frozenset:
         return self._edge_set
 
-    def has_edge(self, edge: tuple[int, ...]) -> bool:
-        return edge in self._edge_set
-
     def without_edges(self, drop: Iterable[tuple[int, ...]]) -> "UniformHypergraph":
         gone = {tuple(e) for e in drop}
         return UniformHypergraph(
@@ -141,7 +136,7 @@ class SubsetIndexing:
         self.subsets = tuple(subsets)
         self.index = {s: i for i, s in enumerate(subsets)}
         self.perms = tuple(permutations(range(k)))
-        self._actions = {p: self._build_action(p) for p in self.perms}
+        self._actions = tuple(self._build_action(p) for p in self.perms)
 
     @property
     def n_coords(self) -> int:
@@ -160,20 +155,12 @@ class SubsetIndexing:
             source[self.index[tuple(sorted(perm[a] for a in s))]] = j
         return pick(source)
 
-    def _vector(self, vec: Sequence) -> tuple:
+    def orbit(self, vec: Sequence) -> list[tuple]:
+        """Images of ``vec`` under every permutation, in ``perms`` order."""
         key = tuple(vec)
         if len(key) != len(self.subsets):
             raise ValueError(f"vector {key}: expected {len(self.subsets)} coordinates")
-        return key
-
-    def permute_point(self, perm: tuple[int, ...], vec: Sequence) -> tuple:
-        """Action on coordinate vectors: result[index of perm(A_j)] = vec[j]."""
-        return self._actions[perm](self._vector(vec))
-
-    def orbit(self, vec: Sequence) -> list[tuple]:
-        """Images of ``vec`` under every permutation, in ``perms`` order."""
-        key = self._vector(vec)
-        return [action(key) for action in self._actions.values()]
+        return [action(key) for action in self._actions]
 
     def canonicalize(self, vec: Sequence) -> tuple:
         """Lexicographic minimum of the orbit of ``vec`` under all of S_k."""
@@ -273,14 +260,6 @@ def prefix_walk(rows: Sequence[Mapping[tuple[int, ...], list]], k: int):
 def complete_hypergraph(k: int, n: int) -> UniformHypergraph:
     """All k-subsets of {0..n-1}; empty when k > n."""
     return UniformHypergraph(k, n, list(combinations(range(n), k)))
-
-
-def edge_density(hypergraph: UniformHypergraph) -> Fraction:
-    """Exact |E| / C(n, k); undefined (raises) when n < k."""
-    n, k = hypergraph.n_vertices, hypergraph.k
-    if n < k:
-        raise ValueError(f"edge density undefined for n={n} < k={k}")
-    return Fraction(len(hypergraph.edges), comb(n, k))
 
 
 # ---------------------------------------------------------------------------

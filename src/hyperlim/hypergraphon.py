@@ -415,10 +415,14 @@ class LatentSample:
     seed: int
 
     def __post_init__(self):
+        check_seed(self.seed)
         hg = self.hypergraph
         expected = sum(comb(hg.n_vertices, r) for r in range(1, hg.k + 1))
         if len(self.latents) != expected:
             raise ValueError(f"expected {expected} latents, got {len(self.latents)}")
+        for m in (min(self.latents), max(self.latents)) if self.latents else ():
+            if not 0 <= m <= MASK64:
+                raise ValueError(f"latent {m} outside 0..2**64 - 1")
 
 
 def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:

@@ -550,6 +550,11 @@ def independence_test(
     Reports the max |gap| and the reference bound
     4 * sqrt(p0 (1 - p0) / C(n, k)) with p0 = l**-(2**k - 1). Every
     argument is checked before the bound or any partition is computed.
+
+    The tuples are never listed. A per-subset fraction is the share of
+    its class among the |A_i|-subsets, and the joint fraction is read off
+    the size of the targets' cell in :func:`cell_counts`: one walk of the
+    C(n, k) subsets per trial.
     """
     check_seed(seed)
     _check_shape(k, n, l)
@@ -557,40 +562,27 @@ def independence_test(
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    subsets = subset_indexing(k).subsets
+    idx = subset_indexing(k)
+    subsets = idx.subsets
     p0 = float(l) ** -len(subsets)
     bound = 4.0 * sqrt(p0 * (1.0 - p0) / comb(n, k))
+    no_edges = UniformHypergraph(k, n)
     discrepancies = []
     for t in range(trials):
         partition = random_hyperpartition(k, n, l, derive(seed, "independence-partition", t))
-        # One dict lookup per projection, where label() would check and rank each.
-        labels = {
-            sub: label
-            for r, level in enumerate(partition.levels, start=1)
-            for sub, label in zip(combinations(range(n), r), level)
-        }
-        targets = [
+        targets = tuple(
             stream(seed, "independence-class", t, i).next_below(l)
             for i in range(len(subsets))
-        ]
-        n_tuples = 0
-        inter = 0
-        singles = [0] * len(subsets)
-        for tup in permutations(range(n), k):
-            n_tuples += 1
-            all_hit = True
-            for i, positions in enumerate(subsets):
-                proj = tuple(sorted(tup[a] for a in positions))
-                if labels[proj] == targets[i]:
-                    singles[i] += 1
-                else:
-                    all_hit = False
-            if all_hit:
-                inter += 1
-        mu_inter = Fraction(inter, n_tuples)
+        )
+        # Positions A_i of the ordered tuples cover each |A_i|-subset equally often.
         product_mu = Fraction(1)
-        for c in singles:
-            product_mu *= Fraction(c, n_tuples)
+        for positions, target in zip(subsets, targets):
+            r = len(positions)
+            product_mu *= Fraction(partition.levels[r - 1].count(target), comb(n, r))
+        # The k! orderings of a k-subset read the orbit of its label vector,
+        # each entry |Stab(targets)| times; only the targets' cell meets them.
+        size, _ = cell_counts(no_edges, partition).get(idx.canonicalize(targets), (0, 0))
+        mu_inter = Fraction(size * idx.orbit(targets).count(targets), comb(n, k) * len(idx.perms))
         discrepancies.append(abs(float(mu_inter - product_mu)))
     return IndependenceResult(max(discrepancies), bound, trials, seed, tuple(discrepancies))
 

@@ -134,11 +134,6 @@ def subset_draws(seed: int, label: str, n: int, r: int) -> list[int]:
     return out
 
 
-def fraction_box(m: int, l: int) -> int:
-    """Exact box index floor(l * m / 2**64) for a 64-bit fraction m."""
-    return (m * l) >> 64
-
-
 def check_seed(seed: int) -> int:
     """Validate a user-supplied seed: a 64-bit value."""
     if not isinstance(seed, int) or isinstance(seed, bool):

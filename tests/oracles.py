@@ -5,9 +5,19 @@ code path with the function it checks.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import comb, sqrt
 
-from hyperlim import HomCount, UniformHypergraph, cell_profile, simplicial_support, subset_indexing
+from hyperlim import (
+    HomCount,
+    IndependenceResult,
+    UniformHypergraph,
+    cell_profile,
+    random_hyperpartition,
+    simplicial_support,
+    subset_indexing,
+)
+from hyperlim.rng import derive, stream
 
 
 def hom_count_brute(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
@@ -88,3 +98,38 @@ def nested_density(pattern: UniformHypergraph, w, groups) -> Fraction:
         return total / l ** len(groups[gi])
 
     return layer(0)
+
+
+def independence_brute(k: int, n: int, l: int, seed: int, trials: int) -> IndependenceResult:
+    """The independence statistic over every ordered k-tuple of distinct vertices.
+
+    Draws the same partitions and target classes as ``independence_test``,
+    then labels each tuple's projection onto every position subset A_i
+    from a subset-to-label dict and counts the tuples that hit target i,
+    and those that hit every target at once.
+    """
+    subsets = subset_indexing(k).subsets
+    p0 = float(l) ** -len(subsets)
+    bound = 4.0 * sqrt(p0 * (1.0 - p0) / comb(n, k))
+    discrepancies = []
+    for t in range(trials):
+        partition = random_hyperpartition(k, n, l, derive(seed, "independence-partition", t))
+        labels = {
+            sub: label
+            for r, level in enumerate(partition.levels, start=1)
+            for sub, label in zip(combinations(range(n), r), level)
+        }
+        targets = [stream(seed, "independence-class", t, i).next_below(l) for i in range(len(subsets))]
+        n_tuples = inter = 0
+        singles = [0] * len(subsets)
+        for tup in permutations(range(n), k):
+            n_tuples += 1
+            hits = [labels[tuple(sorted(tup[a] for a in pos))] == target
+                    for pos, target in zip(subsets, targets)]
+            singles = [c + hit for c, hit in zip(singles, hits)]
+            inter += all(hits)
+        product_mu = Fraction(1)
+        for c in singles:
+            product_mu *= Fraction(c, n_tuples)
+        discrepancies.append(abs(float(Fraction(inter, n_tuples) - product_mu)))
+    return IndependenceResult(max(discrepancies), bound, trials, seed, tuple(discrepancies))

@@ -1,6 +1,5 @@
 import random
-from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +8,6 @@ from hyperlim import (
     FormatError,
     UniformHypergraph,
     complete_hypergraph,
-    edge_density,
     parse_hypergraph,
     serialize_hypergraph,
     simplicial_support,
@@ -27,8 +25,8 @@ def test_constructor_accepts_canonical_input():
     h = UniformHypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
     assert h.k == 2 and h.n_vertices == 3
     assert h.edges == ((0, 1), (0, 2), (1, 2))
-    assert h.has_edge((0, 2))
-    assert not h.has_edge((2, 0))
+    assert (0, 2) in h.edge_set
+    assert (2, 0) not in h.edge_set
 
 
 @pytest.mark.parametrize(
@@ -82,13 +80,15 @@ def test_subset_order_is_size_then_lex():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_permute_point_respects_composition(k):
     idx = subset_indexing(k)
+
+    def permute_point(p, vec):
+        return idx.orbit(vec)[idx.perms.index(p)]
+
     vec = tuple(range(idx.n_coords))  # all coordinates distinguishable
     for p in idx.perms:
         for q in idx.perms:
             composed = tuple(p[q[i]] for i in range(k))
-            assert idx.permute_point(p, idx.permute_point(q, vec)) == idx.permute_point(
-                composed, vec
-            )
+            assert permute_point(p, permute_point(q, vec)) == permute_point(composed, vec)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -115,8 +115,8 @@ def test_canonicalize_is_orbit_minimum_by_independent_construction(k):
         assert idx.canonicalize(vec) == min(orbit)
         assert idx.orbit(vec) == orbit
         assert idx.canonicalize(idx.canonicalize(vec)) == idx.canonicalize(vec)
-        for p in idx.perms:
-            assert idx.canonicalize(idx.permute_point(p, vec)) == idx.canonicalize(vec)
+        for image in orbit:
+            assert idx.canonicalize(image) == idx.canonicalize(vec)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -128,8 +128,6 @@ def test_coordinate_action_rejects_wrong_length(k):
             idx.canonicalize(vec)
         with pytest.raises(ValueError, match="coordinates"):
             idx.orbit(vec)
-        with pytest.raises(ValueError, match="coordinates"):
-            idx.permute_point(idx.perms[-1], vec)
 
 
 # -- derived constructions -----------------------------------------------------
@@ -167,13 +165,6 @@ def test_link_masks_mark_exactly_the_completing_vertices():
             for v in range(n):
                 assert mask >> v & 1 == (tuple(sorted(s + (v,))) in h.edge_set)
         assert all(mask for mask in links.values())
-
-
-def test_edge_density_values():
-    assert edge_density(triangle()) == 1
-    assert edge_density(UniformHypergraph(2, 4, [(0, 1)])) == Fraction(1, 6)
-    with pytest.raises(ValueError):
-        edge_density(UniformHypergraph(3, 2, []))
 
 
 # -- HG text format ------------------------------------------------------------

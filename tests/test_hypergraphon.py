@@ -15,12 +15,12 @@ from hyperlim import (
     BudgetError,
     FormatError,
     INDICATOR,
+    LatentSample,
     PROJECTED,
     StepHypergraphon,
     UniformHypergraph,
     complete_hypergraph,
     constant_hypergraphon,
-    edge_density,
     exact_density,
     mc_density,
     parse_hypergraphon,
@@ -33,7 +33,7 @@ from hyperlim import (
     subset_indexing,
 )
 from hyperlim.hypergraphon import _edge_coordinate_map
-from hyperlim.rng import MASK64, Stream, derive, fold, fraction_box, stream
+from hyperlim.rng import MASK64, Stream, derive, fold, stream
 
 from conftest import build_fixture_w, build_half_w, shared_pair_triples, single_triple, triangle
 from oracles import flat_density, nested_density
@@ -315,7 +315,7 @@ def test_mc_density_draws_are_the_documented_streams(half_w, seed):
     hits = []
     for i in range(40):
         st = stream(seed, "mc", i)
-        assign = {sub: fraction_box(st.next_u64(), 2) for sub in support}
+        assign = {sub: (st.next_u64() * 2) >> 64 for sub in support}
         hits.append(all(
             half_w.eval_box([assign[tuple(e[p] for p in pos)] for pos in idx.subsets]) == 1.0
             for e in pattern.edges
@@ -341,7 +341,7 @@ def reference_mc_density(pattern, w, n_samples, seed):
     values = []
     for i in range(n_samples):
         st_i = Stream(fold(base, i))
-        assign = [fraction_box(st_i.next_u64(), w.resolution) for _ in support]
+        assign = [(st_i.next_u64() * w.resolution) >> 64 for _ in support]
         value = Fraction(1)
         for cmap in coord_maps:
             value *= Fraction(w.eval_box([assign[c] for c in cmap]))
@@ -423,7 +423,7 @@ def test_half_indicator_edge_density_is_binomial_at_half(half_w):
     # within 4 sigma of 1/2, sigma = sqrt(0.25 / C(100,2)).
     sample = sample_w_random(half_w, 100, seed=0)
     sigma = sqrt(0.25 / comb(100, 2))
-    assert abs(float(edge_density(sample.hypergraph)) - 0.5) <= 4 * sigma
+    assert abs(float(Fraction(len(sample.hypergraph.edges), comb(100, 2))) - 0.5) <= 4 * sigma
 
 
 def test_sample_latents_cover_all_subsets(fixture_w):
@@ -441,10 +441,10 @@ def test_sampling_matches_latent_boxes_exactly(fixture_w):
     # Edge iff the indicator is 1 on the subset boxes; recompute directly.
     sample = sample_w_random(fixture_w, 8, seed=21)
     idx = subset_indexing(3)
-    boxes = {sub: fraction_box(m, 2) for sub, m in zip(lat_subsets(8, 3), sample.latents)}
+    boxes = {sub: (m * 2) >> 64 for sub, m in zip(lat_subsets(8, 3), sample.latents)}
     for e in combinations(range(8), 3):
         vec = tuple(boxes[tuple(e[i] for i in pos)] for pos in idx.subsets)
-        assert (fixture_w.eval_box(vec) == 1.0) == sample.hypergraph.has_edge(e)
+        assert (fixture_w.eval_box(vec) == 1.0) == (e in sample.hypergraph.edge_set)
 
 
 SEEDS = (0, 1, 2**40 + 17, 2**64 - 1)
@@ -475,7 +475,7 @@ def test_sampled_edges_match_eval_box_on_random_w(k, l):
         by_subset = dict(zip(lat_subsets(n, k), latents))
 
         def vec(e):
-            return tuple(fraction_box(by_subset[tuple(e[i] for i in pos)], l) for pos in idx.subsets)
+            return tuple((by_subset[tuple(e[i] for i in pos)] * l) >> 64 for pos in idx.subsets)
 
         orbits = sorted({idx.canonicalize(vec(e)) for e in combinations(range(n), k)})
         w = StepHypergraphon(k, l, INDICATOR, {o: 1.0 for o in orbits if rng.random() < 0.5})
@@ -639,6 +639,24 @@ def test_lat_parse_errors(fixture_w):
     bad = text.replace("0 1 2 ", "0 1 5 ", 1)
     with pytest.raises(FormatError):
         parse_latents(bad)
+
+
+@pytest.mark.parametrize(
+    "latents,seed,match",
+    [
+        ([2**64, 0], 0, "latent 18446744073709551616 outside"),  # 17 hex digits
+        ([-1, 0], 0, "latent -1 outside"),  # a signed token
+        ([0, 2**64 - 1], -5, "seed"),
+        ([0, 2**64 - 1], 2**64, "seed"),
+    ],
+)
+def test_latent_sample_refuses_what_its_lat_file_could_not_hold(latents, seed, match):
+    # Two vertices at k = 2: two singleton latents, then the pair's.
+    empty = UniformHypergraph(2, 2, [])
+    with pytest.raises(ValueError, match=match):
+        LatentSample(empty, latents + [0], seed)
+    extreme = LatentSample(empty, [0, 2**64 - 1, 0], 2**64 - 1)
+    assert parse_latents(serialize_latents(extreme)) == extreme
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -37,10 +37,10 @@ import hyperlim.cli as cli_module
 import hyperlim.regularity as regularity_module
 from hyperlim.cli import regularity_table
 from hyperlim.hypergraphon import LatentSample
-from hyperlim.rng import fraction_box, stream, subset_draws
+from hyperlim.rng import stream, subset_draws
 
 from conftest import build_fixture_w, forbid_work, single_triple
-from oracles import induce_cells
+from oracles import independence_brute, induce_cells
 
 
 def one_uniform(n, members):
@@ -147,7 +147,7 @@ def test_builders_equal_a_validated_partition(k, l):
             draws = [subset_draws(seed, "latent", n, r) for r in range(1, k + 1)]
             latents = [u for level in draws for u in level]
             sample = LatentSample(UniformHypergraph(k, n, []), latents, seed)
-            boxed = [[fraction_box(u, l) for u in level] for level in draws]
+            boxed = [[(u * l) >> 64 for u in level] for level in draws]
             assert latent_hyperpartition(sample, l) == Hyperpartition(k, n, l, boxed)
     drawn = sample_w_random(build_fixture_w(), 7, seed=3)
     q = latent_hyperpartition(drawn, l)
@@ -252,7 +252,7 @@ def test_cell_counts_equal_a_tally_by_cell_profile(k, l):
         expected: dict = {}
         for sub in combinations(range(n), k):
             size, edges = expected.get(cell_profile(p, sub), (0, 0))
-            expected[cell_profile(p, sub)] = (size + 1, edges + h.has_edge(sub))
+            expected[cell_profile(p, sub)] = (size + 1, edges + (sub in h.edge_set))
         counts = cell_counts(h, p)
         assert counts == expected
         assert list(counts) == list(expected)  # first-met order of the lexicographic scan
@@ -269,7 +269,7 @@ def test_cell_constant_weights_cannot_tell_h_from_its_densities():
     cells = induce_cells(p)
     dens = cell_density(h, p)
     weights = {c: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for c in set(cells.values())}
-    lhs = sum(weights[cells[s]] for s in cells if h.has_edge(s))
+    lhs = sum(weights[cells[s]] for s in cells if s in h.edge_set)
     rhs = sum(dens[cells[s]] * weights[cells[s]] for s in cells)
     assert lhs == rhs
 
@@ -672,6 +672,21 @@ def test_independence_refuses_resolution_below_one_before_any_partition(monkeypa
     )
     with pytest.raises(ValueError, match="resolution l must be at least 1"):
         independence_test(2, 5, l, seed=0)
+
+
+def test_independence_equals_the_ordered_tuple_walk():
+    rng = random.Random(20)
+    for _ in range(50):
+        k = rng.randint(1, 4)
+        n, l, seed = rng.randint(k, 9), rng.randint(1, 3), rng.getrandbits(64)
+        expected = independence_brute(k, n, l, seed, trials=2)
+        assert independence_test(k, n, l, seed=seed, trials=2) == expected, (k, n, l, seed)
+    assert independence_test(3, 30, 2, seed=7, trials=2) == independence_brute(3, 30, 2, 7, trials=2)
+
+
+def test_independence_lists_no_ordered_tuples(monkeypatch):
+    forbid_work(monkeypatch, (regularity_module, "permutations"))
+    assert independence_test(3, 12, 2, seed=1, trials=2) == independence_brute(3, 12, 2, 1, trials=2)
 
 
 def test_independence_statistic_sits_below_the_bound():

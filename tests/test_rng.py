@@ -1,12 +1,11 @@
 """Determinism and distribution contracts of the seeded stream layer."""
 
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperlim.rng import MASK64, Stream, check_seed, derive, fold, fraction_box, mix64, stream, subset_draws
+from hyperlim.rng import MASK64, Stream, check_seed, derive, fold, mix64, stream, subset_draws
 
 
 def test_streams_are_pure_functions_of_their_coordinates():
@@ -81,22 +80,6 @@ def test_mix64_behaves_like_a_permutation_on_a_sample():
 def test_next_below_stays_in_range(seed, n):
     v = stream(seed, "t").next_below(n)
     assert 0 <= v < n
-
-
-@given(st.integers(0, MASK64), st.integers(1, 64))
-def test_fraction_box_is_exact_floor(m, l):
-    # box of m / 2**64 at resolution l, checked against rational floor
-    expected = (Fraction(m, 2**64) * l).__floor__()
-    assert fraction_box(m, l) == expected
-    assert 0 <= fraction_box(m, l) < l
-
-
-def test_fraction_box_boundaries():
-    assert fraction_box(0, 4) == 0
-    assert fraction_box(2**62, 4) == 1
-    assert fraction_box(2**64 - 1, 4) == 3
-    assert fraction_box(2**63, 2) == 1
-    assert fraction_box(2**63 - 1, 2) == 0
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "7", None])

@@ -1,7 +1,8 @@
 """Tooling contracts: the package imports only the standard library, its
 public list names exactly what it imports, the README and the CLI parser
-name the same long options, and the benchmark's span tracer names hyperlim
-functions and their parameters.
+name the same long options, the README's Determinism table names exactly
+the stream labels the package draws from, and the benchmark's span tracer
+names hyperlim functions and their parameters.
 
 `bench/tracer.py` wraps functions by name and skips any name it cannot
 find, and a work counter that reads a renamed parameter is dropped
@@ -182,3 +183,23 @@ def test_the_readme_and_the_parser_name_the_same_long_options():
     defined = parser_long_options(build_parser())
     assert sorted(defined - readme_long_options(readme)) == []
     assert sorted(readme_long_options(commands) - defined) == []
+
+
+def source_stream_labels() -> set[str]:
+    """The string labels that src/ passes to derive, stream and subset_draws."""
+    labels = set()
+    for path in (ROOT / "src" / "hyperlim").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in ("derive", "stream", "subset_draws")
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                labels.add(node.args[1].value)
+    return labels
+
+
+def test_the_readme_determinism_table_names_exactly_the_stream_labels():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Determinism\n", 1)[1].split("\n## ", 1)[0]
+    table = set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE))
+    assert sorted(table) == sorted(source_stream_labels())
