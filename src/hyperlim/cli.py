@@ -22,17 +22,17 @@ from pathlib import Path
 from .core import (
     BudgetError,
     UniformHypergraph,
+    hypergraph_lines,
     parse_hypergraph,
-    serialize_hypergraph,
 )
 from .homomorphism import hom_count, hom_density
 from .hypergraphon import (
     StepHypergraphon,
     exact_density,
+    latent_lines,
     mc_density,
     parse_hypergraphon,
     sample_w_random,
-    serialize_latents,
 )
 from .regularity import (
     cell_approximation,
@@ -202,13 +202,12 @@ def cmd_density(args) -> int:
 def cmd_sample(args) -> int:
     w = parse_hypergraphon(_read(args.w))
     sample = sample_w_random(w, args.n, args.seed)
-    text = serialize_hypergraph(sample.hypergraph)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    # Both files are streamed: no whole HG or LAT text is ever built.
+    with _out_stream(args.out) as fh:
+        fh.writelines(hypergraph_lines(sample.hypergraph))
     if args.latents:
-        Path(args.latents).write_text(serialize_latents(sample), encoding="utf-8")
+        with _out_stream(args.latents) as fh:
+            fh.writelines(latent_lines(sample))
     return 0
 
 

@@ -7,12 +7,16 @@ ceiling. Edges are unordered k-subsets stored as sorted tuples.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_ARITY = 4
+
+#: Unsigned array typecodes, narrowest first, each with the least value it cannot hold.
+_UNSIGNED = tuple((code, 1 << 8 * array(code).itemsize) for code in "BHIQ")
 
 
 class FormatError(ValueError):
@@ -201,17 +205,33 @@ def link_masks(hypergraph: UniformHypergraph) -> dict[tuple[int, ...], int]:
     return links
 
 
-def prefix_rows(values: Iterable, n: int, r: int) -> dict[tuple[int, ...], list]:
+def unsigned_array(values: Iterable[int], top: int) -> array:
+    """``values`` in an array of the narrowest unsigned typecode that holds ``top``.
+
+    A value the typecode cannot hold (negative, or too wide) raises
+    OverflowError. ``top`` must lie in 0..2**64 - 1.
+    """
+    for code, limit in _UNSIGNED:
+        if top < limit:
+            return array(code, values)
+    raise ValueError(f"{top} does not fit in 64 bits")
+
+
+def prefix_rows(values: Sequence, n: int, r: int) -> dict[tuple[int, ...], Sequence]:
     """One value per r-subset of range(n), in lexicographic order, as rows.
 
-    Row T, for each sorted (r-1)-subset T, holds the values of T + (v,)
-    for v from max(T) + 1 to n - 1.
+    Row T, for each sorted (r-1)-subset T, is the slice of ``values``
+    holding the values of T + (v,) for v from max(T) + 1 to n - 1. Rows
+    of an array or a memoryview are arrays or views, one object each,
+    so no value is boxed until the walk reads it.
     """
-    values = iter(values)
-    return {
-        prefix: list(islice(values, n - 1 - prefix[-1] if prefix else n))
-        for prefix in combinations(range(n), r - 1)
-    }
+    rows = {}
+    start = 0
+    for prefix in combinations(range(n), r - 1):
+        stop = start + (n - 1 - prefix[-1] if prefix else n)
+        rows[prefix] = values[start:stop]
+        start = stop
+    return rows
 
 
 def _walk_steps(k: int) -> list[list[tuple[int, ...]]]:
@@ -391,8 +411,14 @@ def _parse_hypergraph_lines(lines: list[tuple[int, str]]) -> UniformHypergraph:
     return UniformHypergraph(k, n, sorted(edges))
 
 
+def hypergraph_lines(hypergraph: UniformHypergraph) -> Iterator[str]:
+    """Canonical HG text, one line at a time: the header, then the edges in
+    lexicographic order, each line ending in a line feed."""
+    yield f"HG {hypergraph.k} {hypergraph.n_vertices} {len(hypergraph.edges)}\n"
+    for e in hypergraph.edges:
+        yield " ".join(map(str, e)) + "\n"
+
+
 def serialize_hypergraph(hypergraph: UniformHypergraph) -> str:
-    """Canonical HG text: header plus edges in lexicographic order."""
-    lines = [f"HG {hypergraph.k} {hypergraph.n_vertices} {len(hypergraph.edges)}"]
-    lines.extend(" ".join(str(v) for v in e) for e in hypergraph.edges)
-    return "\n".join(lines) + "\n"
+    """Canonical HG text: the lines of :func:`hypergraph_lines`, joined."""
+    return "".join(hypergraph_lines(hypergraph))

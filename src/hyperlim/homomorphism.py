@@ -94,30 +94,37 @@ def _last_masks(
         yield masks[0]
         return
     # level[i]: the candidate masks in force at position i; cands[i]: the
-    # candidates of position i not yet tried. Position last - 1 runs in
-    # the inner loop.
+    # candidates of position i not yet tried. Every update planned at
+    # position last - 1 narrows the last position, so there each placement
+    # ANDs its links into one copy of the last mask, and the list is not
+    # copied.
     level = [masks] + [None] * last
     cands = [masks[0]] + [0] * last
     i = 0
     while i >= 0:
         cand, v, fixed, masks = cands[i], order[i], updates[i], level[i]
-        while cand:
+        if i + 1 == last:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                assignment[v] = low.bit_length() - 1
+                m = masks[last]
+                for _, others in fixed:
+                    m &= links.get(tuple(sorted([assignment[u] for u in others])), 0)
+                yield m
+            i -= 1
+        elif cand:
             low = cand & -cand
-            cand ^= low
+            cands[i] = cand ^ low
             assignment[v] = low.bit_length() - 1
             nxt = masks.copy()
             for j, others in fixed:
                 nxt[j] &= links.get(tuple(sorted([assignment[u] for u in others])), 0)
-            if i + 1 < last:
-                break
-            yield nxt[last]
+            i += 1
+            level[i] = nxt
+            cands[i] = nxt[i]
         else:
             i -= 1
-            continue
-        cands[i] = cand
-        i += 1
-        level[i] = nxt
-        cands[i] = nxt[i]
 
 
 def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:

@@ -23,11 +23,12 @@ integral of W reads that table and sums exactly, on ints:
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb, sqrt
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import (
     BudgetError,
@@ -39,12 +40,13 @@ from .core import (
     _parse_int,
     _subset_lines,
     check_arity,
+    hypergraph_lines,
     pick,
     prefix_rows,
     prefix_walk,
-    serialize_hypergraph,
     simplicial_support,
     subset_indexing,
+    unsigned_array,
     walk_order,
 )
 from .rng import MASK64, _GAMMA, _MIX1, _MIX2, check_seed, derive, subset_draws
@@ -402,16 +404,22 @@ def mc_density(
 class LatentSample:
     """A W-random draw: the hypergraph plus every latent subset coordinate.
 
-    ``latents`` lists one 64-bit fraction m per vertex subset of size 1..k,
+    ``latents`` holds one 64-bit fraction m per vertex subset of size 1..k,
     standing for the uniform variate m / 2**64, in LAT order: by size,
     then lexicographically (the order of ``itertools.combinations``). An
     edge is present iff the indicator evaluates to 1 on the box vector
     read off the latents of its subsets, with boxes computed exactly as
     ``(m * l) >> 64``.
+
+    Whatever sequence it is given, the sample keeps its latents as a
+    read-only memoryview of one ``array('Q')``, 8 bytes per subset: every
+    held value fits a LAT file, and no write can change one. Compare it
+    to a list through ``.tolist()``. A memoryview is not picklable, and a
+    ``'Q'`` view is not hashable, so neither is a sample.
     """
 
     hypergraph: UniformHypergraph
-    latents: list[int]
+    latents: Sequence[int]
     seed: int
 
     def __post_init__(self):
@@ -420,9 +428,15 @@ class LatentSample:
         expected = sum(comb(hg.n_vertices, r) for r in range(1, hg.k + 1))
         if len(self.latents) != expected:
             raise ValueError(f"expected {expected} latents, got {len(self.latents)}")
-        for m in (min(self.latents), max(self.latents)) if self.latents else ():
-            if not 0 <= m <= MASK64:
-                raise ValueError(f"latent {m} outside 0..2**64 - 1")
+        try:
+            store = array("Q", self.latents)
+        except OverflowError:
+            # array('Q') names no value; report the smallest if it is negative, else the largest.
+            m = min(self.latents)
+            raise ValueError(
+                f"latent {m if m < 0 else max(self.latents)} outside 0..2**64 - 1"
+            ) from None
+        object.__setattr__(self, "latents", memoryview(store).toreadonly())
 
 
 def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
@@ -436,7 +450,7 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     Latents come from :func:`subset_draws`, level by level in
     lexicographic order. Edges are tested by the same prefix walk,
     :func:`~hyperlim.core.prefix_walk`: each level's boxes are stored as
-    rows over the last vertex, keyed by the other members, and the box
+    typed rows over the last vertex, keyed by the other members, and the box
     table is reindexed once so that a box vector lists its coordinates in
     the order the walk fixes them (every subset whose largest position is
     j, once position j is fixed). At the last position the rows of the new
@@ -449,13 +463,17 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
         raise ValueError("n must be nonnegative")
     check_seed(seed)
     k, l = w.k, w.resolution
-    latents: list[int] = []
-    # rows[r - 1][T]: boxes of the r-subsets T + (v,), for v from max(T) + 1 to n - 1.
-    rows: list[dict[tuple[int, ...], list[int]]] = []
+    if l > 1 << 64:
+        raise ValueError(f"resolution l={l} above 2**64: boxes are held in 64-bit arrays")
+    latents = array("Q")
+    # rows[r - 1][T]: boxes of the r-subsets T + (v,), for v from max(T) + 1 to n - 1,
+    # sliced from one typed array of the level's boxes.
+    rows = []
     for r in range(1, k + 1):
         draws = subset_draws(seed, "latent", n, r)
         latents += draws
-        rows.append(prefix_rows(((m * l) >> 64 for m in draws), n, r))
+        rows.append(prefix_rows(unsigned_array(((m * l) >> 64 for m in draws), l - 1), n, r))
+    del draws  # copied into latents; only the box rows are walked
 
     # The table is reindexed to list a box's coordinates in walk order.
     order = walk_order(k)
@@ -464,6 +482,7 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     for verts, key, cols in prefix_walk(rows, k):
         lo = verts[-1] + 1 if verts else 0
         edges.extend(verts + (v,) for v, c in enumerate(zip(*cols), lo) if key + c in table)
+    del rows  # freed before the sample copies the latents
     return LatentSample(UniformHypergraph(k, n, edges), latents, seed)
 
 
@@ -577,20 +596,30 @@ def serialize_hypergraphon(w: StepHypergraphon) -> str:
 _HEX64 = re.compile("[0-9a-f]{16}")
 
 
-def serialize_latents(sample: LatentSample) -> str:
+def latent_lines(sample: LatentSample) -> Iterator[str]:
+    """Canonical LAT text in pieces of whole lines, each ending in a line feed.
+
+    The header, then one piece per (r-1)-prefix holding the lines of its
+    extensions by a larger last vertex, then the lines of the embedded HG
+    block. Only one prefix row is built at a time.
+    """
     hg = sample.hypergraph
     n, latents = hg.n_vertices, iter(sample.latents)
     names = [str(v) for v in range(n)]
-    lines = [f"LAT {hg.k} {n} {sample.seed}"]
+    yield f"LAT {hg.k} {n} {sample.seed}\n"
     for r in range(1, hg.k + 1):
-        # One line per extension of each (r-1)-prefix by a larger last vertex.
         for prefix in combinations(range(n), r - 1):
             head = "".join([names[v] + " " for v in prefix])
-            lines.extend(
-                f"{head}{names[v]} {m:016x}"
+            yield "".join([
+                f"{head}{names[v]} {m:016x}\n"
                 for v, m in zip(range(prefix[-1] + 1 if prefix else 0, n), latents)
-            )
-    return "\n".join(lines) + "\n" + serialize_hypergraph(hg)
+            ])
+    yield from hypergraph_lines(hg)
+
+
+def serialize_latents(sample: LatentSample) -> str:
+    """Canonical LAT text: the pieces of :func:`latent_lines`, joined."""
+    return "".join(latent_lines(sample))
 
 
 def parse_latents(text: str | bytes) -> LatentSample:
@@ -606,15 +635,17 @@ def parse_latents(text: str | bytes) -> LatentSample:
     body = lines[1:]
     if len(body) < expected:
         raise FormatError(f"expected {expected} latent lines before the HG block", lineno)
-    latents: list[int] = []
+    latents = array("Q")
     rows = iter(body)
     for r in range(1, k + 1):
+        level = []
         for elineno, token in _subset_lines(rows, n, r, lineno):
             if _HEX64.fullmatch(token) is None:
                 raise FormatError(
                     f"{token!r} is not a fraction of 16 lowercase hex digits", elineno
                 )
-            latents.append(int(token, 16))
+            level.append(int(token, 16))
+        latents.fromlist(level)
     hypergraph = _parse_hypergraph_lines(body[expected:])
     if hypergraph.k != k or hypergraph.n_vertices != n:
         raise FormatError("embedded HG block disagrees with the LAT header", lineno)

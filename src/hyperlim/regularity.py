@@ -29,6 +29,7 @@ from .core import (
     prefix_rows,
     prefix_walk,
     subset_indexing,
+    unsigned_array,
     walk_order,
 )
 from .hypergraphon import PROJECTED, LatentSample, StepHypergraphon
@@ -59,6 +60,8 @@ def _check_shape(k: int, n_vertices: int, resolution: int) -> None:
         raise ValueError("n_vertices must be nonnegative")
     if resolution < 1:
         raise ValueError("resolution l must be at least 1")
+    if resolution > 1 << 64:
+        raise ValueError(f"resolution l={resolution} above 2**64: labels are held in 64-bit arrays")
 
 
 class Hyperpartition:
@@ -66,7 +69,10 @@ class Hyperpartition:
 
     ``levels[r - 1][i]`` is the class of the i-th r-subset of the vertex
     set in lexicographic order, the order of ``itertools.combinations``:
-    one list of C(n, r) labels per level, the layout of the HP file.
+    C(n, r) labels per level, the layout of the HP file. Whatever
+    sequences it is given, each level is kept as a read-only memoryview
+    of an array in the narrowest unsigned typecode that holds l - 1 (one
+    byte per label up to l = 256), so no write can change a label.
     """
 
     __slots__ = ("k", "n_vertices", "resolution", "levels")
@@ -79,14 +85,13 @@ class Hyperpartition:
             raise ValueError(f"expected {k} levels, got {len(levels)}")
         frozen = []
         for r, level in enumerate(levels, start=1):
-            level = list(level)
             expected = comb(n_vertices, r)
             if len(level) != expected:
                 raise ValueError(f"level {r}: expected {expected} labeled subsets, got {len(level)}")
             for label in (min(level), max(level)) if level else ():
                 if not 0 <= label < resolution:
                     raise ValueError(f"level {r}: label {label} outside 0..{resolution - 1}")
-            frozen.append(level)
+            frozen.append(memoryview(unsigned_array(level, resolution - 1)).toreadonly())
         self.k = k
         self.n_vertices = n_vertices
         self.resolution = resolution
@@ -201,7 +206,7 @@ def cell_counts(
     order = walk_order(k)
     gather = sorted(range(len(order)), key=order.__getitem__)
     rows = [prefix_rows(level, n, r) for r, level in enumerate(partition.levels, start=1)]
-    edge_rows = prefix_rows(map(host.edge_set.__contains__, combinations(range(n), k)), n, k)
+    edge_rows = prefix_rows(bytes(map(host.edge_set.__contains__, combinations(range(n), k))), n, k)
     # Raw label vectors in walk order, each with the subset's edge flag last.
     tally: Counter = Counter()
     for verts, key, cols in prefix_walk(rows, k):
@@ -578,7 +583,7 @@ def independence_test(
         product_mu = Fraction(1)
         for positions, target in zip(subsets, targets):
             r = len(positions)
-            product_mu *= Fraction(partition.levels[r - 1].count(target), comb(n, r))
+            product_mu *= Fraction(partition.levels[r - 1].tolist().count(target), comb(n, r))
         # The k! orderings of a k-subset read the orbit of its label vector,
         # each entry |Stab(targets)| times; only the targets' cell meets them.
         size, _ = cell_counts(no_edges, partition).get(idx.canonicalize(targets), (0, 0))
@@ -629,8 +634,10 @@ def parse_hyperpartition(text: str | bytes) -> Hyperpartition:
     lineno, k, (n_tok, l_tok) = _header(lines, "HP <k> <n> <l>")
     n = _parse_int(n_tok, "vertex count n", lineno)
     l = _parse_int(l_tok, "resolution l", lineno)
-    if l < 1:
-        raise FormatError("resolution l must be at least 1", lineno)
+    try:
+        _check_shape(k, n, l)
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno) from None
     rows = iter(lines[1:])
     levels = []
     for r in range(1, k + 1):

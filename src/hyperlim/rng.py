@@ -26,6 +26,8 @@ bit.
 
 from __future__ import annotations
 
+from array import array
+
 MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 # SplitMix64 golden-gamma increment and finalizer constants.
 _GAMMA = 0x9E37_79B9_7F4B_7C15
@@ -100,18 +102,19 @@ def fold(state: int, index: int) -> int:
     return mix64((state + _GAMMA) ^ (index & MASK64))
 
 
-def subset_draws(seed: int, label: str, n: int, r: int) -> list[int]:
+def subset_draws(seed: int, label: str, n: int, r: int) -> array:
     """First u64 of ``stream(seed, label, r, *sub)`` for every r-subset of range(n).
 
     Subsets are visited in lexicographic order (that of
     ``itertools.combinations``), as the leaves of a prefix tree: the hash
     after ``(seed, label, r)`` is computed once and each inner node's
     partial hash is folded once and shared by all its extensions. A leaf
-    costs one fold and one ``next_u64``, both inlined.
+    costs one fold and one ``next_u64``, both inlined. The draws come back
+    as one ``array('Q')``, 8 bytes each, filled a leaf row at a time.
     """
     if r < 1:
         raise ValueError("subset size r must be at least 1")
-    out: list[int] = []
+    out = array("Q")
 
     def walk(h: int, lo: int, depth: int) -> None:
         if depth < r:
@@ -120,7 +123,8 @@ def subset_draws(seed: int, label: str, n: int, r: int) -> list[int]:
                 walk(fold(h, i), i + 1, depth + 1)
             return
         h += _GAMMA
-        append = out.append
+        row: list[int] = []
+        append = row.append
         for i in range(lo, n):
             x = (h ^ i) & MASK64
             x = ((x ^ (x >> 30)) * _MIX1) & MASK64
@@ -129,6 +133,7 @@ def subset_draws(seed: int, label: str, n: int, r: int) -> list[int]:
             x = ((x ^ (x >> 30)) * _MIX1) & MASK64
             x = ((x ^ (x >> 27)) * _MIX2) & MASK64
             append(x ^ (x >> 31))
+        out.fromlist(row)
 
     walk(fold(derive(seed, label), r), 0, 1)
     return out

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: output formats, exit codes, determinism."""
 
+import gc
 import io
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product
@@ -384,6 +386,45 @@ def test_sample_round_trips_through_files(files, capsys, tmp_path):
     assert main(argv) == 0
     capsys.readouterr()
     assert out_hg.read_bytes() == first
+
+
+SAMPLED_W = {1: StepHypergraphon(1, 2, INDICATOR, {(0,): 1.0}), 3: build_fixture_w()}
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 3) for n in sorted({0, 1, k, 80})])
+def test_sample_streams_the_bytes_of_the_serializers(k, n, tmp_path, capsysbinary):
+    # HG and LAT are written line by line; the bytes must be those of the joined strings.
+    w = tmp_path / "w.hgon"
+    w.write_text(serialize_hypergraphon(SAMPLED_W[k]), encoding="utf-8")
+    sample = sample_w_random(SAMPLED_W[k], n, seed=4)
+    hg_bytes = serialize_hypergraph(sample.hypergraph).encode()
+    out_hg, out_lat = tmp_path / "s.hg", tmp_path / "s.lat"
+    argv = ["sample", str(w), "--n", str(n), "--seed", "4"]
+    assert main([*argv, "--latents", str(out_lat)]) == 0
+    assert capsysbinary.readouterr().out == hg_bytes
+    assert out_lat.read_bytes() == serialize_latents(sample).encode()
+    assert main([*argv, "--out", str(out_hg)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out_hg.read_bytes() == hg_bytes
+
+
+def test_sample_writes_its_files_in_bounded_memory(files, tmp_path, capsys):
+    # The k=3 fixture at n = 80 has 85 400 latents (683 kB at 8 bytes
+    # each) and a 2.2 MB LAT text. Streaming both files and holding the
+    # latents in a typed store peaks near 3.2 MiB under tracemalloc
+    # (Python 3.11); building each text whole from a list of ints peaked
+    # near 16.9 MiB.
+    argv = ["sample", files["w3.hgon"], "--n", "80", "--seed", "0",
+            "--out", str(tmp_path / "s.hg"), "--latents", str(tmp_path / "s.lat")]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == ""
+    assert peak < 6 << 20, peak
 
 
 def test_sample_of_the_zero_indicator_is_empty(files, capsys):

@@ -447,6 +447,32 @@ def test_sampling_matches_latent_boxes_exactly(fixture_w):
         assert (fixture_w.eval_box(vec) == 1.0) == (e in sample.hypergraph.edge_set)
 
 
+def test_latents_are_a_read_only_typed_store(fixture_w):
+    sample = sample_w_random(fixture_w, 6, seed=5)
+    # A held latent cannot become one that the LAT reader refuses, nor change at all.
+    with pytest.raises(TypeError):
+        sample.latents[0] = 2**64
+    with pytest.raises(TypeError):
+        sample.latents[0] = 0
+    values = sample.latents.tolist()
+    given = LatentSample(sample.hypergraph, values, sample.seed)
+    values[0] ^= 1  # the caller's list is copied, not kept
+    for s in (sample, given):
+        assert isinstance(s.latents, memoryview)
+        assert (s.latents.readonly, s.latents.format, s.latents.itemsize) == (True, "Q", 8)
+    assert given.latents.tolist() == sample.latents.tolist()
+    assert given == sample
+
+
+def test_sampling_refuses_a_resolution_past_64_bits():
+    # Boxes are held in typed arrays of at most 64 bits.
+    with pytest.raises(ValueError, match=r"above 2\*\*64"):
+        sample_w_random(StepHypergraphon(1, 2**64 + 1, INDICATOR, {}), 3, seed=0)
+    top = (2**64 - 1,)
+    sample = sample_w_random(StepHypergraphon(1, 2**64, INDICATOR, {top: 1.0}), 3, seed=0)
+    assert list(sample.hypergraph.edges) == [(v,) for v in range(3) if sample.latents[v] == top[0]]
+
+
 SEEDS = (0, 1, 2**40 + 17, 2**64 - 1)
 
 
@@ -460,7 +486,7 @@ def test_sampled_latents_are_the_documented_streams(k):
             expected = [
                 stream(seed, "latent", len(sub), *sub).next_u64() for sub in lat_subsets(n, k)
             ]
-            assert sample_w_random(w, n, seed).latents == expected
+            assert sample_w_random(w, n, seed).latents.tolist() == expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

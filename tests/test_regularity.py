@@ -70,11 +70,29 @@ def test_hyperpartition_requires_total_labelings():
         Hyperpartition(2, 3, 2, [[0, 0, 0]])
 
 
+def test_levels_are_read_only_in_the_narrowest_typecode():
+    p = random_hyperpartition(2, 5, 2, seed=0)
+    with pytest.raises(TypeError):
+        p.levels[0][0] = 7
+    assert all(level.readonly and level.itemsize == 1 for level in p.levels)
+    labels = [0, 1]
+    q = Hyperpartition(1, 2, 2, [labels])
+    labels[0] = 7  # the caller's list is copied, not kept
+    assert q.levels[0].tolist() == [0, 1]
+    for l, size in ((256, 1), (257, 2), (2**16, 2), (2**16 + 1, 4), (2**32 + 1, 8), (2**64, 8)):
+        q = Hyperpartition(1, 2, l, [[l - 1, 0]])
+        assert (q.levels[0].itemsize, q.levels[0].tolist()) == (size, [l - 1, 0])
+    with pytest.raises(ValueError, match=r"above 2\*\*64"):
+        Hyperpartition(1, 2, 2**64 + 1, [[0, 1]])
+    with pytest.raises(FormatError, match=r"^line 1: .*above 2\*\*64"):
+        parse_hyperpartition(f"HP 1 1 {2**64 + 1}\nLEVEL 1\n0 0\n")
+
+
 def test_label_reads_the_lexicographic_rank_and_refuses_other_subsets():
     for k, n in ((1, 5), (2, 6), (3, 7), (4, 8)):
         p = random_hyperpartition(k, n, 5, seed=k)
         for r, level in enumerate(p.levels, start=1):
-            assert [p.label(sub) for sub in combinations(range(n), r)] == level
+            assert [p.label(sub) for sub in combinations(range(n), r)] == level.tolist()
         for bad in [(), (1, 0), (0, 0), (-1, 0), (0, n), tuple(range(k + 1))]:
             with pytest.raises(ValueError, match="strictly increasing subset"):
                 p.label(bad)

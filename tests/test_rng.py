@@ -65,7 +65,7 @@ def test_subset_draws_are_first_draws_of_the_subset_streams(seed):
         for n in range(0, 9):
             subs = combinations(range(n), r)
             expected = [stream(seed, "latent", r, *sub).next_u64() for sub in subs]
-            assert subset_draws(seed, "latent", n, r) == expected
+            assert subset_draws(seed, "latent", n, r).tolist() == expected
     with pytest.raises(ValueError):
         subset_draws(seed, "latent", 3, 0)
 
