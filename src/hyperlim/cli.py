@@ -95,7 +95,8 @@ def convergence_table(
     rep). Returns CSV body rows (data rows then a rep="mean" summary row
     per block) and the mean |diff| per (K id, n). A bad seed, rep count or
     sample size, or an empty list of patterns or sizes, is refused before
-    any density is computed.
+    any density is computed, and every t(K, W) is computed, so a pattern
+    of the wrong arity or over the budget is refused, before any sample.
     """
     check_seed(seed)
     if reps < 1:
@@ -106,8 +107,8 @@ def convergence_table(
         raise ValueError("every n must be positive")
     rows: list[list[str]] = []
     means: dict[tuple[str, int], float] = {}
-    for ki, (kid, pattern) in enumerate(patterns):
-        t_w = exact_density(pattern, w, budget=budget)
+    t_ws = [exact_density(pattern, w, budget=budget) for _, pattern in patterns]
+    for ki, ((kid, pattern), t_w) in enumerate(zip(patterns, t_ws)):
         for n in ns:
             diffs = []
             for rep in range(reps):
@@ -140,11 +141,14 @@ def regularity_table(
     the cell-approximation error of H. Every argument is checked before
     any work, by :func:`~hyperlim.regularity.check_sampled_arguments` at
     level k (so a run whose cylinders would all be empty by construction
-    is refused too) and for l >= 1.
+    is refused too) and for 1 <= l <= 2**64, with the messages of
+    :class:`~hyperlim.regularity.Hyperpartition`.
     """
     check_sampled_arguments(n, w.k, epsilon, cylinders, seed)
     if l < 1:
         raise ValueError("resolution l must be at least 1")
+    if l > 1 << 64:
+        raise ValueError(f"resolution l={l} above 2**64: labels are held in 64-bit arrays")
     sample = sample_w_random(w, n, derive(seed, "regularity-sample"))
     partition = latent_hyperpartition(sample, l)
     rows: list[list[str]] = []

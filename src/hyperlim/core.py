@@ -34,8 +34,9 @@ class BudgetError(RuntimeError):
 
 
 def check_arity(k: int) -> None:
-    if not 1 <= k <= MAX_ARITY:
-        raise ValueError(f"arity k={k} unsupported: must satisfy 1 <= k <= {MAX_ARITY}")
+    # type(...) is int refuses bools and floats, which no text format can spell.
+    if type(k) is not int or not 1 <= k <= MAX_ARITY:
+        raise ValueError(f"arity k={k!r} unsupported: must be an int with 1 <= k <= {MAX_ARITY}")
 
 
 def pick(positions: Sequence[int]):
@@ -62,16 +63,18 @@ class UniformHypergraph:
 
     def __init__(self, k: int, n_vertices: int, edges: Sequence[tuple[int, ...]] = ()):
         check_arity(k)
-        if n_vertices < 0:
-            raise ValueError("n_vertices must be nonnegative")
+        if type(n_vertices) is not int or n_vertices < 0:
+            raise ValueError(f"n_vertices must be a nonnegative int, got {n_vertices!r}")
         edges = tuple(tuple(e) for e in edges)
         prev = None
         for e in edges:
             if len(e) != k:
                 raise ValueError(f"edge {e} does not have arity {k}")
             for i, v in enumerate(e):
-                if not 0 <= v < n_vertices:
-                    raise ValueError(f"edge {e}: vertex {v} out of range 0..{n_vertices - 1}")
+                if type(v) is not int or not 0 <= v < n_vertices:
+                    raise ValueError(
+                        f"edge {e}: vertex {v!r} out of range 0..{n_vertices - 1} or not an int"
+                    )
                 if i and e[i - 1] >= v:
                     raise ValueError(f"edge {e} is not strictly increasing")
             if prev is not None and prev >= e:

@@ -8,14 +8,13 @@ ones; no large-n correction is applied anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import BudgetError, UniformHypergraph, link_masks
 
 
-@dataclass(frozen=True)
-class HomCount:
+class HomCount(NamedTuple):
     """An exact homomorphism count together with its map-space size."""
 
     count: int
@@ -27,8 +26,7 @@ class HomCount:
         return Fraction(self.count, self.domain_size)
 
 
-@dataclass(frozen=True)
-class HomImageSet:
+class HomImageSet(NamedTuple):
     """Distinct edge-image sets {f(E(K))} over all homomorphisms K -> H."""
 
     images: frozenset[frozenset[tuple[int, ...]]]
@@ -136,11 +134,7 @@ def hom_count(pattern: UniformHypergraph, host: UniformHypergraph) -> HomCount:
     """
     _check_arity(pattern, host)
     n_pat, n_host = pattern.n_vertices, host.n_vertices
-    if n_pat == 0:
-        return HomCount(1, 1)
     domain = n_host**n_pat
-    if n_host == 0:
-        return HomCount(0, 0)
     order = _covered_order(pattern)
     if not order:
         return HomCount(domain, domain)
@@ -174,9 +168,6 @@ def enumerate_hom_images(
         raise ValueError("pattern must have at least one edge")
     if cap < 1:
         raise ValueError("cap must be positive")
-    if host.n_vertices == 0:
-        return HomImageSet(frozenset())
-
     order = _covered_order(pattern)
     v = order[-1]
     assignment = [-1] * pattern.n_vertices

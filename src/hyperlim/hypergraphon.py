@@ -11,8 +11,9 @@ Every stored value is a dyadic rational, so W keeps its box table as
 ints over one power-of-two denominator, fixed at construction. Every
 integral of W reads that table and sums exactly, on ints:
 
-- the density integral t(K, W) and the projection of W, by one sparse
-  exact eliminator, each result rounded to a float once;
+- the density integral t(K, W), by a sparse exact eliminator, and the
+  projection of W, by one pass over the table, each result rounded to a
+  float once;
 - the Monte-Carlo estimate of t(K, W), as two running sums S1 = sum(v)
   and S2 = sum(v**2) of the n sample values v over the denominator D:
   the estimate is S1 / (n D) and the standard error is the square root
@@ -24,11 +25,10 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import comb, sqrt
-from typing import Iterator, Mapping, Sequence
+from math import comb, prod, sqrt
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     BudgetError,
@@ -71,8 +71,8 @@ class StepHypergraphon:
 
     def __init__(self, k: int, resolution: int, kind: str, values: Mapping[tuple[int, ...], float]):
         check_arity(k)
-        if resolution < 1:
-            raise ValueError("resolution must be at least 1")
+        if type(resolution) is not int or resolution < 1:
+            raise ValueError(f"resolution must be an int of at least 1, got {resolution!r}")
         if kind not in (INDICATOR, PROJECTED):
             raise ValueError(f"kind must be {INDICATOR!r} or {PROJECTED!r}, got {kind!r}")
         idx = subset_indexing(k)
@@ -82,8 +82,8 @@ class StepHypergraphon:
             key = tuple(key)
             if len(key) != idx.n_coords:
                 raise ValueError(f"box {key}: expected {idx.n_coords} coordinates")
-            if any(not 0 <= b < resolution for b in key):
-                raise ValueError(f"box {key}: index out of range 0..{resolution - 1}")
+            if any(type(b) is not int or not 0 <= b < resolution for b in key):
+                raise ValueError(f"box {key}: index out of range 0..{resolution - 1} or not an int")
             orbit = idx.orbit(key)
             if min(orbit) != key:
                 raise ValueError(f"box {key} is not a canonical orbit representative")
@@ -207,13 +207,13 @@ def _join(a, b, keep: tuple[int, ...]):
     return keep, out
 
 
-def _min_degree_order(scopes: Sequence[tuple[int, ...]], kept: set[int]) -> list[int]:
-    """Variables outside ``kept``, fewest neighbours first (ties by index), with fill-in."""
+def _min_degree_order(scopes: Sequence[tuple[int, ...]]) -> list[int]:
+    """Every variable, fewest neighbours first (ties by index), with fill-in."""
     adj: dict[int, set[int]] = {}  # each variable's set holds itself too
     for scope in scopes:
         for v in scope:
             adj.setdefault(v, set()).update(scope)
-    heap = [(len(nb), v) for v, nb in adj.items() if v not in kept]
+    heap = [(len(nb), v) for v, nb in adj.items()]
     heapify(heap)
     order = []
     while heap:
@@ -224,32 +224,28 @@ def _min_degree_order(scopes: Sequence[tuple[int, ...]], kept: set[int]) -> list
             for u in nb - {v}:
                 adj[u] |= nb
                 adj[u].discard(v)
-                if u not in kept:
-                    heappush(heap, (len(adj[u]), u))
+                heappush(heap, (len(adj[u]), u))
     return order
 
 
-def _eliminate(table, scopes: Sequence[tuple[int, ...]], keep: tuple[int, ...] = ()):
-    """Sum over every variable outside ``keep`` of the product of one factor per scope.
+def _eliminate(table, scopes: Sequence[tuple[int, ...]]) -> int:
+    """Sum over every variable of the product of one factor per scope.
 
     Every factor reads ``table`` itself, its scope naming the variables of
-    the box coordinates, and each variable in ``keep`` must occur in some
-    scope. Variables go in min-degree order: the factors that mention one
-    are joined one by one, and each variable that no factor left mentions
-    is summed out as soon as it is joined. Returns the result's entries
-    over ``keep``, in that order.
+    the box coordinates. Variables go in min-degree order: the factors that
+    mention one are joined one by one, and each variable that no factor
+    left mentions is summed out as soon as it is joined. Every factor left
+    at the end is a scalar; returns their product.
     """
-    kept = set(keep)
     factors = {i: (scope, table) for i, scope in enumerate(scopes)}
     where: dict[int, set[int]] = {}  # variable -> ids of the live factors that mention it
     for i, scope in enumerate(scopes):
         for u in scope:
             where.setdefault(u, set()).add(i)
-    for i, v in enumerate([*_min_degree_order(scopes, kept), None], len(scopes)):
-        # None: every factor left lies over ``keep``; join them all.
-        if v is not None and v not in where:
+    for i, v in enumerate(_min_degree_order(scopes), len(scopes)):
+        if v not in where:
             continue  # summed out with an earlier group
-        ids = set(factors if v is None else where[v])
+        ids = set(where[v])
         group = [factors.pop(j) for j in sorted(ids)]
         for scope, _ in group:
             for u in scope:
@@ -258,15 +254,14 @@ def _eliminate(table, scopes: Sequence[tuple[int, ...]], keep: tuple[int, ...] =
         for j, factor in enumerate(group):
             later = {u for scope, _ in group[j + 1 :] for u in scope}
             joint = dict.fromkeys(product[0] + factor[0])
-            out = [u for u in keep if u in joint]
-            out += [u for u in joint if u not in kept and (where[u] or u in later)]
-            product = _join(product, factor, tuple(out))
-            for u in joint.keys() - kept - set(out):
+            out = tuple(u for u in joint if where[u] or u in later)
+            product = _join(product, factor, out)
+            for u in joint.keys() - set(out):
                 del where[u]
         factors[i] = product
         for u in product[0]:
             where[u].add(i)
-    return product[1]
+    return prod(entries.get((), 0) for _, entries in factors.values())
 
 
 def exact_density(
@@ -290,12 +285,10 @@ def exact_density(
     if boxes > budget:
         raise BudgetError(f"exact density needs {boxes} grid boxes, budget is {budget}")
     scopes = _edge_coordinate_map(pattern, support)
-    total = _eliminate(w._table, scopes).get((), 0)
-    return total / (w._scale ** len(scopes) * boxes)
+    return _eliminate(w._table, scopes) / (w._scale ** len(scopes) * boxes)
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
+class DensityEstimate(NamedTuple):
     """Monte-Carlo density estimate with its sample standard error."""
 
     estimate: float
@@ -400,7 +393,6 @@ def mc_density(
     return DensityEstimate(s1 / (n * d), se, n_samples, seed)
 
 
-@dataclass(frozen=True)
 class LatentSample:
     """A W-random draw: the hypergraph plus every latent subset coordinate.
 
@@ -415,28 +407,31 @@ class LatentSample:
     read-only memoryview of one ``array('Q')``, 8 bytes per subset: every
     held value fits a LAT file, and no write can change one. Compare it
     to a list through ``.tolist()``. A memoryview is not picklable, and a
-    ``'Q'`` view is not hashable, so neither is a sample.
+    ``'Q'`` view is not hashable, so neither is a sample: it compares by
+    (hypergraph, latents, seed) and has no hash.
     """
 
-    hypergraph: UniformHypergraph
-    latents: Sequence[int]
-    seed: int
+    __slots__ = ("hypergraph", "latents", "seed")
 
-    def __post_init__(self):
-        check_seed(self.seed)
-        hg = self.hypergraph
-        expected = sum(comb(hg.n_vertices, r) for r in range(1, hg.k + 1))
-        if len(self.latents) != expected:
-            raise ValueError(f"expected {expected} latents, got {len(self.latents)}")
+    def __init__(self, hypergraph: UniformHypergraph, latents: Sequence[int], seed: int):
+        check_seed(seed)
+        expected = sum(comb(hypergraph.n_vertices, r) for r in range(1, hypergraph.k + 1))
+        if len(latents) != expected:
+            raise ValueError(f"expected {expected} latents, got {len(latents)}")
         try:
-            store = array("Q", self.latents)
+            store = array("Q", latents)
         except OverflowError:
             # array('Q') names no value; report the smallest if it is negative, else the largest.
-            m = min(self.latents)
-            raise ValueError(
-                f"latent {m if m < 0 else max(self.latents)} outside 0..2**64 - 1"
-            ) from None
-        object.__setattr__(self, "latents", memoryview(store).toreadonly())
+            m = min(latents)
+            raise ValueError(f"latent {m if m < 0 else max(latents)} outside 0..2**64 - 1") from None
+        self.hypergraph = hypergraph
+        self.latents = memoryview(store).toreadonly()
+        self.seed = seed
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LatentSample) and (self.hypergraph, self.latents, self.seed) == (
+            other.hypergraph, other.latents, other.seed
+        )
 
 
 def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
@@ -490,16 +485,17 @@ def project(w: StepHypergraphon) -> StepHypergraphon:
     """Average out the top (full-set) coordinate; projected kind.
 
     The result is represented on the full coordinate grid, constant in the
-    top coordinate. The top coordinate is summed out of W's box table by
-    :func:`_eliminate`, exactly, and each average is rounded once. The top
-    coordinate is fixed by every permutation, so a box is canonical iff
-    its lower coordinates are; each canonical lower box with a nonzero
-    average is stored once per top box value.
+    top coordinate, the last of a box. The top coordinate is summed out of
+    W's integer box table in one pass, exactly, and each average is rounded
+    once. The top coordinate is fixed by every permutation, so a box is
+    canonical iff its lower coordinates are; each canonical lower box with
+    a nonzero average is stored once per top box value.
     """
     idx = subset_indexing(w.k)
     l = w.resolution
-    lower = tuple(range(idx.top_index))
-    sums = _eliminate(w._table, [lower + (idx.top_index,)], lower)
+    sums: dict[tuple[int, ...], int] = {}
+    for box, v in w._table.items():
+        sums[box[:-1]] = sums.get(box[:-1], 0) + v
     values: dict[tuple[int, ...], float] = {}
     for prefix, total in sums.items():
         if idx.canonicalize(prefix + (0,))[:-1] == prefix:

@@ -10,12 +10,11 @@ only.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice, permutations, repeat
 from math import comb, sqrt
 from operator import and_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     FormatError,
@@ -56,8 +55,10 @@ _SIDE_THRESHOLDS = (1 << 62, 1 << 63, 3 << 62)
 
 def _check_shape(k: int, n_vertices: int, resolution: int) -> None:
     check_arity(k)
-    if n_vertices < 0:
-        raise ValueError("n_vertices must be nonnegative")
+    if type(n_vertices) is not int or n_vertices < 0:
+        raise ValueError(f"n_vertices must be a nonnegative int, got {n_vertices!r}")
+    if type(resolution) is not int:
+        raise ValueError(f"resolution l={resolution!r} is not an int")
     if resolution < 1:
         raise ValueError("resolution l must be at least 1")
     if resolution > 1 << 64:
@@ -279,7 +280,6 @@ def equitability(partition: Hyperpartition) -> dict[int, Fraction]:
 # -- cylinder intersections ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CylinderIntersection:
     """r sides of arity r-1 on a common vertex set.
 
@@ -295,13 +295,10 @@ class CylinderIntersection:
     out of comparisons, so equality and hashing look only at the sides.
     """
 
-    sides: tuple[UniformHypergraph, ...]
-    _good: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
-    _size: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("sides", "_good", "_size")
 
-    def __post_init__(self):
-        sides = tuple(self.sides)
-        object.__setattr__(self, "sides", sides)
+    def __init__(self, sides: Sequence[UniformHypergraph]):
+        sides = tuple(sides)
         r = len(sides)
         if not 2 <= r <= MAX_ARITY:
             raise ValueError(f"need 2..{MAX_ARITY} sides, got {r}")
@@ -311,9 +308,15 @@ class CylinderIntersection:
                 raise ValueError(f"side arity {b.k} != r-1 = {r - 1}")
             if b.n_vertices != n:
                 raise ValueError("sides must share one vertex set")
-        good = _good_masks(sides)
-        object.__setattr__(self, "_good", good)
-        object.__setattr__(self, "_size", sum(map(int.bit_count, good.values())))
+        self.sides = sides
+        self._good = _good_masks(sides)
+        self._size = sum(map(int.bit_count, self._good.values()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CylinderIntersection) and self.sides == other.sides
+
+    def __hash__(self) -> int:
+        return hash(self.sides)
 
     @property
     def arity(self) -> int:
@@ -409,15 +412,14 @@ def regularity_deviation(
     return _deviation(g, _prefix_masks(g), cyl, size_gate)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     """Outcome of testing one hypergraph against a cylinder family."""
 
     epsilon: float
     tested: int
     admitted: int
     max_deviation: Fraction | None
-    witness: CylinderIntersection | None = field(repr=False, default=None)
+    witness: CylinderIntersection | None = None
 
 
 def check_regularity_family(
@@ -532,8 +534,7 @@ def check_regularity_sampled(
 # -- total-independence diagnostic -------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     """Worst observed product-vs-intersection gap over seeded partitions."""
 
     max_discrepancy: float

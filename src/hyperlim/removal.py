@@ -11,7 +11,6 @@ hitting set or recount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -158,8 +157,7 @@ def exact_hitting_set(
     return _decode(family, best), True
 
 
-@dataclass(frozen=True)
-class RemovalResult:
+class RemovalResult(NamedTuple):
     """What it cost to make the host pattern-free, and proof it worked."""
 
     removed: tuple[Edge, ...]

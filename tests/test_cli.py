@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperlim import (
+    BudgetError,
     INDICATOR,
     FormatError,
     StepHypergraphon,
@@ -681,12 +682,19 @@ def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch,
         ({"seed": -1}, "seed must fit in 64 bits"),
         ({"ns": ()}, "one sample size"),
         ({"patterns": []}, "one pattern"),
+        ({"patterns": [("triangle", complete_hypergraph(3, 3)), ("edge", complete_hypergraph(2, 2))]},
+         "arity mismatch"),
+        # K4^(3) has 14 support coordinates: 2**14 boxes at l = 2.
+        ({"patterns": [("triangle", complete_hypergraph(3, 3)), ("k4", complete_hypergraph(3, 4))],
+          "budget": 10**4}, "exact density needs 16384 grid boxes"),
     ],
 )
 def test_convergence_table_refuses_bad_arguments_before_any_work(monkeypatch, kwargs, message):
-    forbid_work(monkeypatch, *TABLE_WORK)
+    # TABLE_WORK[0] is exact_density: a pattern that only t(K, W) refuses
+    # lets the densities before it run, but no sample.
+    forbid_work(monkeypatch, *(TABLE_WORK[1:] if kwargs.get("patterns") else TABLE_WORK))
     args = {"patterns": [("triangle", complete_hypergraph(3, 3))], "ns": (4,), "reps": 2, "seed": 0}
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(BudgetError if "budget" in kwargs else ValueError, match=message):
         convergence_table(build_fixture_w(), **(args | kwargs))
 
 

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from hyperlim import (
     FormatError,
+    Hyperpartition,
+    INDICATOR,
+    StepHypergraphon,
     UniformHypergraph,
     complete_hypergraph,
     parse_hypergraph,
@@ -46,6 +49,26 @@ def test_constructor_accepts_canonical_input():
 def test_constructor_rejects_noncanonical_input(k, n, edges):
     with pytest.raises(ValueError):
         UniformHypergraph(k, n, edges)
+
+
+@pytest.mark.parametrize(
+    "cls,args",
+    [
+        (UniformHypergraph, (2, 3, [(0, 1.5)])),
+        (UniformHypergraph, (2, 3, [(False, True)])),
+        (UniformHypergraph, (2.0, 3, [(0, 1)])),
+        (UniformHypergraph, (2, 3.0, [(0, 1)])),
+        (StepHypergraphon, (2, 2, INDICATOR, {(0, 0, 0.5): 1.0})),
+        (StepHypergraphon, (2, 2.0, INDICATOR, {(0, 0, 0): 1.0})),
+        (StepHypergraphon, (True, 2, INDICATOR, {})),
+        (Hyperpartition, (1, 2, 2.0, [[0, 1]])),
+    ],
+)
+def test_constructors_refuse_values_that_are_not_ints(cls, args):
+    # Each value would be written as a token ('1.5', 'False', '2.0') that
+    # the format's reader refuses, so the constructor refuses it first.
+    with pytest.raises(ValueError, match="int"):
+        cls(*args)
 
 
 def test_from_edges_normalizes():

@@ -58,6 +58,17 @@ def test_empty_pattern_and_empty_host():
         result.density()
 
 
+def test_patterns_into_an_empty_host_have_no_images():
+    # The general walk finds no candidate on an empty host, whatever the pattern.
+    for k, edges in [(1, [(0,)]), (2, [(0, 1)]), (2, [(0, 1), (0, 2), (1, 2)]), (3, [(0, 1, 2)])]:
+        pattern = UniformHypergraph(k, 3, edges)
+        empty_host = UniformHypergraph(k, 0, [])
+        assert enumerate_hom_images(pattern, empty_host).images == frozenset()
+        assert hom_count(pattern, empty_host) == (0, 0)
+        assert hom_count(UniformHypergraph(k, 2, []), empty_host) == (0, 0)
+        assert hom_count(UniformHypergraph(k, 0, []), empty_host) == (1, 1)
+
+
 def test_arity_mismatch_rejected():
     with pytest.raises(ValueError, match="arity"):
         hom_count(triangle(), single_triple())

@@ -464,6 +464,16 @@ def test_latents_are_a_read_only_typed_store(fixture_w):
     assert given == sample
 
 
+def test_latent_samples_compare_by_value_and_have_no_hash(fixture_w):
+    sample = sample_w_random(fixture_w, 5, seed=3)
+    latents = sample.latents.tolist()
+    assert sample == LatentSample(sample.hypergraph, latents, 3)
+    assert sample != LatentSample(sample.hypergraph, latents, 4)
+    assert sample != LatentSample(sample.hypergraph, [m ^ 1 for m in latents], 3)
+    with pytest.raises(TypeError):
+        hash(sample)
+
+
 def test_sampling_refuses_a_resolution_past_64_bits():
     # Boxes are held in typed arrays of at most 64 bits.
     with pytest.raises(ValueError, match=r"above 2\*\*64"):

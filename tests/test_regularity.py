@@ -381,6 +381,16 @@ def test_cylinder_complete_and_empty_sides():
     assert (report.tested, report.admitted, report.max_deviation, report.witness) == (2, 1, 0, None)
 
 
+def test_cylinders_compare_and_hash_by_their_sides_and_reports_are_tuples():
+    sides = (complete_hypergraph(2, 5), UniformHypergraph(2, 5, []), complete_hypergraph(2, 5))
+    cyl = CylinderIntersection(sides)
+    assert cyl == CylinderIntersection(list(sides)) and len({cyl, CylinderIntersection(sides)}) == 1
+    assert cyl != CylinderIntersection(sides[1:] + sides[:1]) and cyl != sides
+    report = check_regularity_family(complete_hypergraph(3, 5), 0.1, [cyl])
+    assert report == (0.1, 1, 0, None, None)  # a named tuple; the witness defaults to None
+    assert type(report)(0.1, 1, 0, None).witness is None
+
+
 def test_deviation_counts_match_the_contains_scan():
     # Side densities include 0 and 1, so empty and complete sides occur.
     rng = random.Random(2024)
@@ -603,6 +613,7 @@ def test_sampled_check_refuses_before_building_cylinders(monkeypatch, kwargs, me
         ({"epsilon": 0.0}, "epsilon"),
         ({"l": 0}, "resolution"),
         ({"n": 0}, "no 3-subsets on 0 vertices"),
+        ({"l": 2**64 + 1}, r"l=18446744073709551617 above 2\*\*64"),
     ],
 )
 def test_regularity_table_refuses_bad_arguments_before_any_work(monkeypatch, kwargs, message):

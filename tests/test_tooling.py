@@ -1,5 +1,6 @@
-"""Tooling contracts: the package imports only the standard library, its
-public list names exactly what it imports, the README and the CLI parser
+"""Tooling contracts: the package imports only the standard library and
+its public list names exactly what it imports, a CLI process loads no
+`dataclasses` or introspection modules, the README and the CLI parser
 name the same long options, the README's Determinism table names exactly
 the stream labels the package draws from, and the benchmark's span tracer
 names hyperlim functions and their parameters.
@@ -17,6 +18,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
 import sys
 from math import comb
 from pathlib import Path
@@ -27,7 +29,7 @@ import hyperlim
 from hyperlim import complete_hypergraph, enumerate_hom_images, exact_hitting_set, sample_w_random
 from hyperlim.cli import build_parser
 
-from conftest import build_fixture_w, triangle
+from conftest import build_fixture_w, cli_env, triangle
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "bench" / "tracer.py"
@@ -144,6 +146,15 @@ def test_the_package_imports_only_the_standard_library():
                 if top != "hyperlim" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_the_cli_process_imports_no_dataclasses_or_introspection():
+    # Every command starts a fresh interpreter; dataclasses pulls in inspect,
+    # dis, ast and tokenize, which no command uses.
+    code = "import sys, hyperlim.cli; print(sorted({'dataclasses', 'inspect', 'dis', 'ast'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env("0"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_the_cli_imports_no_private_package_name():
