@@ -22,12 +22,14 @@ from pathlib import Path
 from .core import (
     BudgetError,
     UniformHypergraph,
+    check_shape,
     hypergraph_lines,
     parse_hypergraph,
 )
 from .homomorphism import hom_count, hom_density
 from .hypergraphon import (
     StepHypergraphon,
+    check_density_budget,
     exact_density,
     latent_lines,
     mc_density,
@@ -141,14 +143,11 @@ def regularity_table(
     the cell-approximation error of H. Every argument is checked before
     any work, by :func:`~hyperlim.regularity.check_sampled_arguments` at
     level k (so a run whose cylinders would all be empty by construction
-    is refused too) and for 1 <= l <= 2**64, with the messages of
+    is refused too) and by :func:`~hyperlim.core.check_shape`, the rule of
     :class:`~hyperlim.regularity.Hyperpartition`.
     """
     check_sampled_arguments(n, w.k, epsilon, cylinders, seed)
-    if l < 1:
-        raise ValueError("resolution l must be at least 1")
-    if l > 1 << 64:
-        raise ValueError(f"resolution l={l} above 2**64: labels are held in 64-bit arrays")
+    check_shape(w.k, n, l)
     sample = sample_w_random(w, n, derive(seed, "regularity-sample"))
     partition = latent_hyperpartition(sample, l)
     rows: list[list[str]] = []
@@ -192,8 +191,7 @@ def cmd_hom(args) -> int:
 def cmd_density(args) -> int:
     pattern = parse_hypergraph(_read(args.pattern))
     w = parse_hypergraphon(_read(args.w))
-    if args.budget < 1:
-        raise ValueError(f"budget must be at least 1, got {args.budget}")
+    check_density_budget(args.budget)
     if args.mode == "exact":
         print(_real(exact_density(pattern, w, budget=args.budget)))
     else:

@@ -8,10 +8,10 @@ ceiling. Edges are unordered k-subsets stored as sorted tuples.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 from operator import itemgetter, length_hint
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 MAX_ARITY = 4
 
@@ -36,7 +36,24 @@ class BudgetError(RuntimeError):
 def check_arity(k: int) -> None:
     # type(...) is int refuses bools and floats, which no text format can spell.
     if type(k) is not int or not 1 <= k <= MAX_ARITY:
-        raise ValueError(f"arity k={k!r} unsupported: must be an int with 1 <= k <= {MAX_ARITY}")
+        raise ValueError(f"arity k={k!r} out of supported range 1..{MAX_ARITY} or not an int")
+
+
+def check_shape(k: int, n_vertices: int, resolution: int) -> None:
+    """Refuse an arity, a vertex count below 0 or a resolution outside 1..2**64.
+
+    Each must be an int. Partition labels and sampled boxes, the classes
+    of a resolution, are held in 64-bit arrays; a hypergraph has one class.
+    """
+    check_arity(k)
+    if type(n_vertices) is not int or n_vertices < 0:
+        raise ValueError(f"n_vertices must be a nonnegative int, got {n_vertices!r}")
+    if type(resolution) is not int:
+        raise ValueError(f"resolution l={resolution!r} is not an int")
+    if resolution < 1:
+        raise ValueError("resolution l must be at least 1")
+    if resolution > 1 << 64:
+        raise ValueError(f"resolution l={resolution} above 2**64: classes are held in 64 bits")
 
 
 def pick(positions: Sequence[int]):
@@ -62,9 +79,7 @@ class UniformHypergraph:
     __slots__ = ("k", "n_vertices", "edges", "_edge_set")
 
     def __init__(self, k: int, n_vertices: int, edges: Sequence[tuple[int, ...]] = ()):
-        check_arity(k)
-        if type(n_vertices) is not int or n_vertices < 0:
-            raise ValueError(f"n_vertices must be a nonnegative int, got {n_vertices!r}")
+        check_shape(k, n_vertices, 1)
         edges = tuple(tuple(e) for e in edges)
         prev = None
         for e in edges:
@@ -73,10 +88,12 @@ class UniformHypergraph:
             for i, v in enumerate(e):
                 if type(v) is not int or not 0 <= v < n_vertices:
                     raise ValueError(
-                        f"edge {e}: vertex {v!r} out of range 0..{n_vertices - 1} or not an int"
+                        f"vertex {v!r} out of range 0..{n_vertices - 1} or not an int, in edge {e}"
                     )
                 if i and e[i - 1] >= v:
-                    raise ValueError(f"edge {e} is not strictly increasing")
+                    if e[i - 1] == v:
+                        raise ValueError(f"repeated vertex {v} within edge {e}")
+                    raise ValueError(f"edge {e}: vertices not in strictly increasing order")
             if prev is not None and prev >= e:
                 raise ValueError(f"edges not in canonical order or duplicated near {e}")
             prev = e
@@ -88,13 +105,7 @@ class UniformHypergraph:
     @classmethod
     def from_edges(cls, k: int, n_vertices: int, edges: Iterable[Iterable[int]]) -> "UniformHypergraph":
         """Build from arbitrary edge iterables; sorts and deduplicates."""
-        canon = set()
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(set(t)) != len(t):
-                raise ValueError(f"edge {tuple(e)} has a repeated vertex")
-            canon.add(t)
-        return cls(k, n_vertices, sorted(canon))
+        return cls(k, n_vertices, sorted({tuple(sorted(e)) for e in edges}))
 
     @property
     def edge_set(self) -> frozenset:
@@ -353,21 +364,6 @@ def _subset_lines(
         yield elineno, tokens[-1]
 
 
-def parse_edge_line(line: str, lineno: int, k: int, n: int) -> tuple[int, ...]:
-    tokens = line.split()
-    if len(tokens) != k:
-        raise FormatError(f"expected {k} vertex ids, got {len(tokens)}", lineno)
-    edge = tuple(_parse_int(t, "vertex id", lineno) for t in tokens)
-    for i, v in enumerate(edge):
-        if not 0 <= v < n:
-            raise FormatError(f"vertex {v} out of range 0..{n - 1}", lineno)
-        if i and edge[i - 1] == v:
-            raise FormatError(f"repeated vertex {v} within an edge", lineno)
-        if i and edge[i - 1] > v:
-            raise FormatError("vertices not in strictly increasing order", lineno)
-    return edge
-
-
 def parse_hypergraph(text: str | bytes) -> UniformHypergraph:
     """Parse the HG format; raises FormatError with a line number."""
     return _parse_hypergraph_lines(_content_lines(text))
@@ -389,9 +385,24 @@ def _header(lines: list[tuple[int, str]], form: str) -> tuple[int, int, list[str
     if len(tokens) != len(fields) or tokens[0] != fields[0]:
         raise FormatError(f"malformed header: expected '{form}'", lineno)
     k = _parse_int(tokens[1], "arity k", lineno)
-    if not 1 <= k <= MAX_ARITY:
-        raise FormatError(f"arity k={k} out of supported range 1..{MAX_ARITY}", lineno)
+    _first_refused([(lineno, k)], check_arity)
     return lineno, k, tokens[2:]
+
+
+def _first_refused(entries: Iterable[tuple[int, object]], build: Callable) -> None:
+    """Raise the first entry that ``build`` refuses on its own as a FormatError.
+
+    ``entries`` holds (line number, entry) pairs in file order; the first
+    ValueError of ``build(entry)`` is raised again at the entry's line.
+    Readers leave value rules to the constructors and call this when one
+    refuses, or when a later line is malformed; if it returns, the reader
+    re-raises the original error.
+    """
+    for lineno, entry in entries:
+        try:
+            build(entry)
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from None
 
 
 def _parse_hypergraph_lines(lines: list[tuple[int, str]]) -> UniformHypergraph:
@@ -403,15 +414,21 @@ def _parse_hypergraph_lines(lines: list[tuple[int, str]]) -> UniformHypergraph:
     body = lines[1:]
     if len(body) != m:
         raise FormatError(f"expected {m} edge lines, found {len(body)}", lineno)
-    edges = []
-    seen = set()
-    for elineno, line in body:
-        edge = parse_edge_line(line, elineno, k, n)
-        if edge in seen:
-            raise FormatError(f"duplicate edge {edge}", elineno)
-        seen.add(edge)
-        edges.append(edge)
-    return UniformHypergraph(k, n, sorted(edges))
+    # Vertex range and order are left to the constructor.
+    edges: dict[tuple[int, ...], int] = {}  # edge -> its line, in file order
+    try:
+        for elineno, line in body:
+            tokens = line.split()
+            if len(tokens) != k:
+                raise FormatError(f"expected {k} vertex ids, got {len(tokens)}", elineno)
+            edge = tuple(_parse_int(t, "vertex id", elineno) for t in tokens)
+            if edge in edges:
+                raise FormatError(f"duplicate edge {edge}", elineno)
+            edges[edge] = elineno
+        return UniformHypergraph(k, n, sorted(edges))
+    except ValueError:
+        _first_refused(((ln, [e]) for e, ln in edges.items()), partial(UniformHypergraph, k, n))
+        raise
 
 
 def hypergraph_lines(hypergraph: UniformHypergraph) -> Iterator[str]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb, prod, sqrt
@@ -35,11 +36,13 @@ from .core import (
     FormatError,
     UniformHypergraph,
     _content_lines,
+    _first_refused,
     _header,
     _parse_hypergraph_lines,
     _parse_int,
     _subset_lines,
     check_arity,
+    check_shape,
     hypergraph_lines,
     pick,
     prefix_rows,
@@ -53,6 +56,16 @@ from .rng import MASK64, _GAMMA, _MIX1, _MIX2, check_seed, derive, subset_draws
 
 INDICATOR = "ind"
 PROJECTED = "proj"
+
+
+def _check_box(box: Sequence[int], n_coords: int, resolution: int) -> tuple[int, ...]:
+    """``box`` as a tuple, refused unless it holds n_coords int indices in 0..resolution-1."""
+    key = tuple(box)
+    if len(key) != n_coords:
+        raise ValueError(f"box {key}: expected {n_coords} coordinates")
+    if any(type(b) is not int or not 0 <= b < resolution for b in key):
+        raise ValueError(f"box {key}: index out of range 0..{resolution - 1} or not an int")
+    return key
 
 
 class StepHypergraphon:
@@ -79,18 +92,14 @@ class StepHypergraphon:
         stored: dict[tuple[int, ...], float] = {}
         table: dict[tuple[int, ...], float] = {}
         for key, value in values.items():
-            key = tuple(key)
-            if len(key) != idx.n_coords:
-                raise ValueError(f"box {key}: expected {idx.n_coords} coordinates")
-            if any(type(b) is not int or not 0 <= b < resolution for b in key):
-                raise ValueError(f"box {key}: index out of range 0..{resolution - 1} or not an int")
+            key = _check_box(key, idx.n_coords, resolution)
             orbit = idx.orbit(key)
             if min(orbit) != key:
                 raise ValueError(f"box {key} is not a canonical orbit representative")
             v = float(value)
             if kind == INDICATOR:
                 if v != 1.0:
-                    raise ValueError("indicator kind stores only value-1 boxes")
+                    raise ValueError("indicator entries must have value 1")
             elif not 0.0 <= v <= 1.0:
                 raise ValueError(f"box {key}: value {v} outside [0, 1]")
             if v == 0.0:
@@ -113,15 +122,8 @@ class StepHypergraphon:
 
     def eval_box(self, box: Sequence[int]) -> float:
         """Value on a raw (not necessarily canonical) box vector."""
-        key = tuple(box)
-        value = self._table.get(key)
-        if value is not None:
-            return value / self._scale
-        if len(key) != self._indexing.n_coords:
-            raise ValueError(f"box {key}: expected {self._indexing.n_coords} coordinates")
-        if any(not 0 <= b < self.resolution for b in key):
-            raise ValueError(f"box {key}: index out of range 0..{self.resolution - 1}")
-        return 0.0
+        key = _check_box(box, self._indexing.n_coords, self.resolution)
+        return self._table.get(key, 0) / self._scale
 
     def __eq__(self, other) -> bool:
         return (
@@ -264,6 +266,12 @@ def _eliminate(table, scopes: Sequence[tuple[int, ...]]) -> int:
     return prod(entries.get((), 0) for _, entries in factors.values())
 
 
+def check_density_budget(budget: int) -> None:
+    """Refuse an exact-density grid budget below 1, before any work."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+
+
 def exact_density(
     pattern: UniformHypergraph, w: StepHypergraphon, budget: int = 10**6
 ) -> float:
@@ -278,10 +286,9 @@ def exact_density(
     not the l**s boxes.
     """
     _check_density_args(pattern, w)
+    check_density_budget(budget)
     support = simplicial_support(pattern)
     boxes = w.resolution ** len(support)
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
     if boxes > budget:
         raise BudgetError(f"exact density needs {boxes} grid boxes, budget is {budget}")
     scopes = _edge_coordinate_map(pattern, support)
@@ -325,8 +332,8 @@ def mc_density(
     """
     _check_density_args(pattern, w)
     check_seed(seed)
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    if type(n_samples) is not int or n_samples < 2:
+        raise ValueError(f"n_samples must be an int of at least 2, got {n_samples!r}")
     support = simplicial_support(pattern)
     s = len(support)
     l = w.resolution
@@ -454,12 +461,9 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     """
     if w.kind != INDICATOR:
         raise ValueError("sampling requires an indicator-kind hypergraphon")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    check_seed(seed)
     k, l = w.k, w.resolution
-    if l > 1 << 64:
-        raise ValueError(f"resolution l={l} above 2**64: boxes are held in 64-bit arrays")
+    check_shape(k, n, l)
+    check_seed(seed)
     latents = array("Q")
     # rows[r - 1][T]: boxes of the r-subsets T + (v,), for v from max(T) + 1 to n - 1,
     # sliced from one typed array of the level's boxes.
@@ -525,46 +529,31 @@ def parse_hypergraphon(text: str | bytes) -> StepHypergraphon:
     lineno, k, (l_tok, kind, s_tok) = _header(lines, "HGON <k> <l> <kind> <s>")
     l = _parse_int(l_tok, "resolution l", lineno)
     s = _parse_int(s_tok, "entry count s", lineno)
-    if kind not in (INDICATOR, PROJECTED):
-        raise FormatError(f"kind must be 'ind' or 'proj', got {kind!r}", lineno)
-    if l < 1:
-        raise FormatError("resolution l must be at least 1", lineno)
+    # Resolution, kind and every entry's box and value are left to the
+    # constructor; the header is checked by building an empty W.
+    build = partial(StepHypergraphon, k, l, kind)
+    _first_refused([(lineno, {})], build)
     body = lines[1:]
     if len(body) != s:
         raise FormatError(f"expected {s} entry lines, found {len(body)}", lineno)
-    idx = subset_indexing(k)
-    width = idx.n_coords
+    width = subset_indexing(k).n_coords
     values: dict[tuple[int, ...], float] = {}
-    # Canonicity is left to the constructor, which computes each orbit
-    # once. On any refusal, the first non-canonical box read so far is
-    # reported instead, as a line-by-line check would have.
-    boxes: list[tuple[int, tuple[int, ...]]] = []
+    linenos: list[int] = []  # the line of each entry of values
     try:
         for elineno, line in body:
             tokens = line.split()
             if len(tokens) != width + 1:
                 raise FormatError(f"expected {width} box indices and a value", elineno)
             key = tuple(_parse_int(t, "box index", elineno) for t in tokens[:width])
-            if any(not 0 <= b < l for b in key):
-                raise FormatError(f"box index out of range 0..{l - 1}", elineno)
-            boxes.append((elineno, key))
             if key in values:
                 raise FormatError(f"duplicate orbit entry {key}", elineno)
             if _DECIMAL.fullmatch(tokens[width]) is None:
                 raise FormatError(f"value {tokens[width]!r} is not a number", elineno)
-            value = float(tokens[width])
-            if kind == INDICATOR and value != 1.0:
-                raise FormatError("indicator entries must have value 1", elineno)
-            if not 0.0 <= value <= 1.0:
-                raise FormatError(f"value {value} outside [0, 1]", elineno)
-            values[key] = value
-        return StepHypergraphon(k, l, kind, values)
+            values[key] = float(tokens[width])
+            linenos.append(elineno)
+        return build(values)
     except ValueError:
-        for elineno, key in boxes:
-            if idx.canonicalize(key) != key:
-                raise FormatError(
-                    f"box {key} is not a canonical orbit representative", elineno
-                ) from None
+        _first_refused(((ln, dict([entry])) for ln, entry in zip(linenos, values.items())), build)
         raise
 
 
@@ -623,10 +612,7 @@ def parse_latents(text: str | bytes) -> LatentSample:
     lineno, k, (n_tok, seed_tok) = _header(lines, "LAT <k> <n> <seed>")
     n = _parse_int(n_tok, "vertex count n", lineno)
     seed = _parse_int(seed_tok, "seed", lineno)
-    try:
-        check_seed(seed)
-    except ValueError as exc:
-        raise FormatError(str(exc), lineno) from None
+    _first_refused([(lineno, seed)], check_seed)
     expected = sum(comb(n, r) for r in range(1, k + 1))
     body = lines[1:]
     if len(body) < expected:

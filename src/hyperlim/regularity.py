@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, islice, permutations, repeat
 from math import comb, sqrt
 from operator import and_
@@ -21,10 +22,11 @@ from .core import (
     MAX_ARITY,
     UniformHypergraph,
     _content_lines,
+    _first_refused,
     _header,
     _parse_int,
     _subset_lines,
-    check_arity,
+    check_shape,
     prefix_rows,
     prefix_walk,
     subset_indexing,
@@ -53,18 +55,6 @@ CellProfile = tuple[int, ...]
 _SIDE_THRESHOLDS = (1 << 62, 1 << 63, 3 << 62)
 
 
-def _check_shape(k: int, n_vertices: int, resolution: int) -> None:
-    check_arity(k)
-    if type(n_vertices) is not int or n_vertices < 0:
-        raise ValueError(f"n_vertices must be a nonnegative int, got {n_vertices!r}")
-    if type(resolution) is not int:
-        raise ValueError(f"resolution l={resolution!r} is not an int")
-    if resolution < 1:
-        raise ValueError("resolution l must be at least 1")
-    if resolution > 1 << 64:
-        raise ValueError(f"resolution l={resolution} above 2**64: labels are held in 64-bit arrays")
-
-
 class Hyperpartition:
     """Total labeling of all r-subsets, r = 1..k, into l classes each.
 
@@ -81,7 +71,7 @@ class Hyperpartition:
     def __init__(
         self, k: int, n_vertices: int, resolution: int, levels: Sequence[Sequence[int]]
     ):
-        _check_shape(k, n_vertices, resolution)
+        check_shape(k, n_vertices, resolution)
         if len(levels) != k:
             raise ValueError(f"expected {k} levels, got {len(levels)}")
         frozen = []
@@ -144,7 +134,7 @@ def random_hyperpartition(k: int, n: int, l: int, seed: int) -> Hyperpartition:
     the seed, independent of iteration order.
     """
     check_seed(seed)
-    _check_shape(k, n, l)
+    check_shape(k, n, l)
     levels = [
         [(u * l) >> 64 for u in subset_draws(seed, "hyperpartition", n, r)]
         for r in range(1, k + 1)
@@ -161,7 +151,7 @@ def latent_hyperpartition(sample: LatentSample, l: int) -> Hyperpartition:
     then lexicographically, so level r is the next C(n, r) of them, boxed.
     """
     k, n = sample.hypergraph.k, sample.hypergraph.n_vertices
-    _check_shape(k, n, l)
+    check_shape(k, n, l)
     latents = iter(sample.latents)
     levels = [[(u * l) >> 64 for u in islice(latents, comb(n, r))] for r in range(1, k + 1)]
     return Hyperpartition(k, n, l, levels)
@@ -433,14 +423,15 @@ def check_regularity_family(
     that maximum exceeds epsilon (the same epsilon gates cylinder size).
     Epsilon must lie in (0, 1): at 1 or above no deviation can exceed it
     and no proper cylinder passes the size gate, so every verdict would be
-    regular without a test.
+    regular without a test; an empty family is refused for that reason too.
 
     The class g is grouped into per-(r-1)-prefix masks once; each cylinder
     then costs one pass over at most C(n, r-1) prefixes of its own table,
     built when the cylinder was, whatever the number of edges of g.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
+    _check_epsilon(epsilon)
+    if not family:
+        raise ValueError("empty cylinder family: a regular verdict would rest on no test")
     masks = _prefix_masks(g)
     admitted = 0
     max_dev: Fraction | None = None
@@ -457,6 +448,16 @@ def check_regularity_family(
     return RegularityReport(epsilon, len(family), admitted, max_dev, witness)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
+
+
+def _check_count(count: int) -> None:
+    if type(count) is not int or count < 1:
+        raise ValueError(f"cylinder count must be positive: an int of at least 1, got {count!r}")
+
+
 def check_sampled_arguments(n: int, r: int, epsilon: float, count: int, seed: int) -> None:
     """Refuse a sampled check at level r on n vertices that would test nothing.
 
@@ -466,10 +467,8 @@ def check_sampled_arguments(n: int, r: int, epsilon: float, count: int, seed: in
     no r-subset, so every cylinder is empty by construction and the check
     would report a regular verdict backed by no test; that is refused too.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    if count < 1:
-        raise ValueError("cylinder count must be positive")
+    _check_epsilon(epsilon)
+    _check_count(count)
     check_seed(seed)
     if n < r:
         raise ValueError(f"no {r}-subsets on {n} vertices, so every cylinder is empty")
@@ -485,13 +484,12 @@ def sampled_cylinder_family(n: int, r: int, count: int, seed: int) -> list[Cylin
     ``int(q * 2**64)``. The family is a pure function of the seed. Both
     labels are derived once and folded with m and i, and the side draws
     use the counter identity of :mod:`hyperlim.rng`, inlined. A level
-    outside 2..MAX_ARITY is refused before any draw.
+    outside 2..MAX_ARITY, or a count below 1, is refused before any draw.
     """
     if not 2 <= r <= MAX_ARITY:
         raise ValueError(f"cylinder level r={r} outside 2..{MAX_ARITY}")
     check_seed(seed)
-    if count < 0:
-        raise ValueError("cylinder count must be nonnegative")
+    _check_count(count)
     subsets = list(combinations(range(n), r - 1))
     picks = len(_SIDE_THRESHOLDS)
     density_state = derive(seed, "cylinder-density")
@@ -563,11 +561,11 @@ def independence_test(
     C(n, k) subsets per trial.
     """
     check_seed(seed)
-    _check_shape(k, n, l)
+    check_shape(k, n, l)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be a positive int, got {trials!r}")
     idx = subset_indexing(k)
     subsets = idx.subsets
     p0 = float(l) ** -len(subsets)
@@ -635,10 +633,7 @@ def parse_hyperpartition(text: str | bytes) -> Hyperpartition:
     lineno, k, (n_tok, l_tok) = _header(lines, "HP <k> <n> <l>")
     n = _parse_int(n_tok, "vertex count n", lineno)
     l = _parse_int(l_tok, "resolution l", lineno)
-    try:
-        _check_shape(k, n, l)
-    except ValueError as exc:
-        raise FormatError(str(exc), lineno) from None
+    _first_refused([(lineno, l)], partial(check_shape, k, n))
     rows = iter(lines[1:])
     levels = []
     for r in range(1, k + 1):

@@ -239,6 +239,23 @@ def test_parse_errors_name_the_problem(text, fragment):
         parse_hypergraph(text)
 
 
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        # A value fault ahead of a syntax fault, and the reverse.
+        ("HG 2 4 3\n0 9\n0 2\n1 x\n", "vertex 9 out of range"),
+        ("HG 2 4 3\n0 x\n0 2\n1 9\n", "vertex id: 'x' is not an integer"),
+        # Two value faults: file order, not the order of the sorted edges.
+        ("HG 2 4 3\n2 1\n0 2\n0 9\n", "strictly increasing"),
+        ("HG 2 4 3\n1 1\n0 2\n1 1\n", "repeated vertex 1"),
+    ],
+)
+def test_parse_reports_the_first_of_two_faulty_lines(text, fragment):
+    with pytest.raises(FormatError) as info:
+        parse_hypergraph(text)
+    assert info.value.line == 2 and fragment in str(info.value)
+
+
 def test_parse_errors_carry_line_numbers():
     try:
         parse_hypergraph("# c\nHG 2 3 1\n\n9 9\n")

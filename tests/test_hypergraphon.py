@@ -32,10 +32,18 @@ from hyperlim import (
     simplicial_support,
     subset_indexing,
 )
+import hyperlim.hypergraphon as hypergraphon_module
 from hyperlim.hypergraphon import _edge_coordinate_map
 from hyperlim.rng import MASK64, Stream, derive, fold, stream
 
-from conftest import build_fixture_w, build_half_w, shared_pair_triples, single_triple, triangle
+from conftest import (
+    build_fixture_w,
+    build_half_w,
+    forbid_work,
+    shared_pair_triples,
+    single_triple,
+    triangle,
+)
 from oracles import flat_density, nested_density
 
 CLOSED_FORM_TOL = 1e-12
@@ -45,7 +53,7 @@ CLOSED_FORM_TOL = 1e-12
 
 
 def test_indicator_constructor_validates():
-    with pytest.raises(ValueError, match="value-1"):
+    with pytest.raises(ValueError, match="value 1"):
         StepHypergraphon(2, 2, INDICATOR, {(0, 0, 0): 0.5})
     with pytest.raises(ValueError, match="canonical"):
         StepHypergraphon(2, 2, INDICATOR, {(1, 0, 0): 1.0})
@@ -75,6 +83,14 @@ def test_eval_box_is_symmetric():
         w.eval_box((0, 1))
     with pytest.raises(ValueError):
         w.eval_box((0, 1, 5))
+
+
+def test_eval_box_applies_the_constructor_box_rule():
+    # A non-int index is refused whether or not the box holds a value.
+    w = StepHypergraphon(2, 2, INDICATOR, {(0, 0, 0): 1.0})
+    for bad in [(0, 0, 0.5), (0, 0, True), (0.0, 0, 0), (1, 0, 1.0)]:
+        with pytest.raises(ValueError, match="not an int"):
+            w.eval_box(bad)
 
 
 def random_symmetric_w(k: int, l: int, kind: str, seed: int) -> StepHypergraphon:
@@ -401,6 +417,13 @@ def test_mc_density_rejects_tiny_sample_counts(fixture_w):
         mc_density(single_triple(), fixture_w, 1, seed=0)
 
 
+@pytest.mark.parametrize("n_samples", [1, 2.5, 2.0, True])
+def test_mc_density_refuses_a_bad_sample_count_before_any_sample(monkeypatch, fixture_w, n_samples):
+    forbid_work(monkeypatch, (hypergraphon_module, "simplicial_support"), (hypergraphon_module, "derive"))
+    with pytest.raises(ValueError, match="n_samples must be an int of at least 2"):
+        mc_density(single_triple(), fixture_w, n_samples, seed=0)
+
+
 # -- sampling ------------------------------------------------------------------
 
 
@@ -411,6 +434,13 @@ def test_sampling_the_all_one_indicator_gives_complete(fixture_w):
 
     w0 = StepHypergraphon(3, 1, INDICATOR, {})
     assert sample_w_random(w0, 7, seed=3).hypergraph.edges == ()
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, 3.0, True])
+def test_sampling_refuses_a_bad_vertex_count_before_any_draw(monkeypatch, fixture_w, n):
+    forbid_work(monkeypatch, (hypergraphon_module, "subset_draws"))
+    with pytest.raises(ValueError, match="n_vertices must be a nonnegative int"):
+        sample_w_random(fixture_w, n, seed=0)
 
 
 def test_sampling_rejects_projected_kind():
@@ -621,6 +651,31 @@ def test_hgon_reports_the_first_faulty_line(text, message):
     assert str(info.value) == message
 
 
+HGON_PROJ = "HGON 2 2 proj 3\n0 0 0 0.5\n0 0 1 0.5\n0 1 1 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "faults,fragment",
+    [
+        # A value fault on line 2 ahead of a syntax fault on line 4, and the reverse.
+        ({1: "0 0 0 1.5", 3: "0 1 1 x"}, "value 1.5 outside [0, 1]"),
+        ({1: "0 0 0 x", 3: "0 1 1 1.5"}, "value 'x' is not a number"),
+        ({1: "0 0 2 0.5", 3: "0 1"}, "out of range 0..1"),
+        ({1: "0 0", 3: "0 0 2 0.5"}, "expected 3 box indices and a value"),
+        # Two value faults.
+        ({1: "0 0 0 2", 3: "1 0 1 0.5"}, "value 2.0 outside [0, 1]"),
+        ({1: "1 0 1 0.5", 3: "0 1 1 2"}, "box (1, 0, 1) is not a canonical"),
+    ],
+)
+def test_hgon_reports_the_first_of_two_faulty_lines(faults, fragment):
+    lines = HGON_PROJ.splitlines()
+    for i, line in faults.items():
+        lines[i] = line
+    with pytest.raises(FormatError) as info:
+        parse_hypergraphon("\n".join(lines) + "\n")
+    assert info.value.line == 2 and fragment in str(info.value)
+
+
 @st.composite
 def step_hypergraphons(draw, kinds=(INDICATOR, PROJECTED)):
     """A W at k, l <= 3 on a random set of orbits: an indicator, or values in [0, 1]."""
@@ -720,6 +775,27 @@ def test_lat_lines_must_be_in_size_then_lex_order(fixture_w, a, b):
     lines[a], lines[b] = lines[b], lines[a]
     with pytest.raises(FormatError, match=f"^line {a + 1}: .*out of order"):
         parse_latents("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "faults,lineno,fragment",
+    [
+        # Lines 2 to 7 hold the six latents, 8 the HG header, 9 and 10 the edges.
+        ({1: "0 zz", 9: "1 9"}, 2, "'zz' is not a fraction"),
+        ({8: "0 9", 9: "1 x"}, 9, "vertex 9 out of range"),
+        ({8: "0 x", 9: "1 9"}, 9, "vertex id: 'x' is not an integer"),
+        ({8: "1 0", 9: "0 9"}, 9, "strictly increasing"),
+    ],
+)
+def test_lat_reports_the_first_of_two_faulty_lines(faults, lineno, fragment):
+    sample = LatentSample(UniformHypergraph(2, 3, [(0, 1), (1, 2)]), [0] * 6, 5)
+    lines = serialize_latents(sample).splitlines()
+    assert lines[7:] == ["HG 2 3 2", "0 1", "1 2"]
+    for i, line in faults.items():
+        lines[i] = line
+    with pytest.raises(FormatError) as info:
+        parse_latents("\n".join(lines) + "\n")
+    assert info.value.line == lineno and fragment in str(info.value)
 
 
 def test_lat_reports_embedded_hg_faults_at_their_file_line(fixture_w):

@@ -506,7 +506,9 @@ def test_check_family_reports_first_argmax_as_witness():
 
     relaxed = check_regularity_family(g, 0.6, [cyl])
     assert relaxed.witness is None
-    assert check_regularity_family(g, 0.1, []).max_deviation is None
+    # An empty family would give a regular verdict backed by no test.
+    with pytest.raises(ValueError, match="empty cylinder family"):
+        check_regularity_family(g, 0.1, [])
     for bad in (0.0, -1.0, float("nan"), 1.0, 2.0, float("inf")):
         with pytest.raises(ValueError, match="epsilon"):
             check_regularity_family(g, bad, [cyl])
@@ -517,9 +519,10 @@ def test_sampled_family_is_seeded_and_validates_count():
     fam2 = sampled_cylinder_family(10, 3, 5, seed=4)
     assert [c.sides for c in fam1] == [c.sides for c in fam2]
     assert all(c.arity == 3 and c.sides[0].k == 2 for c in fam1)
-    assert sampled_cylinder_family(6, 2, 0, seed=0) == []
-    with pytest.raises(ValueError, match="count"):
-        sampled_cylinder_family(6, 2, -1, seed=0)
+    # One count rule for the family and the sampled check: at least one cylinder.
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="count must be positive"):
+            sampled_cylinder_family(6, 2, bad, seed=0)
 
 
 @pytest.mark.parametrize("r", [-1, 0, 1, 5])
@@ -703,6 +706,17 @@ def test_independence_refuses_resolution_below_one_before_any_partition(monkeypa
         independence_test(2, 5, l, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, 2.5, 2.0, True])
+def test_independence_refuses_a_bad_trial_count_before_any_partition(monkeypatch, trials):
+    forbid_work(
+        monkeypatch,
+        (regularity_module, "random_hyperpartition"),
+        (regularity_module, "subset_indexing"),
+    )
+    with pytest.raises(ValueError, match="trials must be a positive int"):
+        independence_test(2, 5, 2, seed=0, trials=trials)
+
+
 def test_independence_equals_the_ordered_tuple_walk():
     rng = random.Random(20)
     for _ in range(50):
@@ -800,3 +814,22 @@ def test_hp_serialization_shape():
 def test_hp_parse_errors(text, fragment):
     with pytest.raises(FormatError, match=fragment):
         parse_hyperpartition(text)
+
+
+@pytest.mark.parametrize(
+    "faults,fragment",
+    [
+        # A value fault on line 3 ahead of a syntax fault on line 5, and the reverse.
+        ({2: "0 5", 4: "2 x"}, "class label 5 outside 0..1"),
+        ({2: "0 x", 4: "2 5"}, "class label: 'x' is not an integer"),
+        ({2: "0 5", 4: "1 0"}, "class label 5 outside 0..1"),
+        ({2: "1 0", 4: "2 5"}, "got '1 0', out of order"),
+    ],
+)
+def test_hp_reports_the_first_of_two_faulty_lines(faults, fragment):
+    lines = "HP 1 3 2\nLEVEL 1\n0 0\n1 1\n2 0\n".splitlines()
+    for i, line in faults.items():
+        lines[i] = line
+    with pytest.raises(FormatError) as info:
+        parse_hyperpartition("\n".join(lines) + "\n")
+    assert info.value.line == 3 and fragment in str(info.value)

@@ -2,8 +2,9 @@
 its public list names exactly what it imports, a CLI process loads no
 `dataclasses` or introspection modules, the README and the CLI parser
 name the same long options, the README's Determinism table names exactly
-the stream labels the package draws from, and the benchmark's span tracer
-names hyperlim functions and their parameters.
+the stream labels the package draws from, no two `raise` sites in the
+package spell the same message, and the benchmark's span tracer names
+hyperlim functions and their parameters.
 
 `bench/tracer.py` wraps functions by name and skips any name it cannot
 find, and a work counter that reads a renamed parameter is dropped
@@ -170,6 +171,37 @@ def test_the_cli_imports_no_private_package_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def raise_templates() -> dict[str, list[str]]:
+    """Message template -> every `raise` site in src/ that spells it.
+
+    A template is the literal first argument of the raised exception, with
+    each f-string field read as '{}'; a message built at run time is skipped.
+    """
+    sites: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "src" / "hyperlim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+                continue
+            message = node.exc.args[0]
+            if isinstance(message, ast.JoinedStr):
+                template = "".join(
+                    part.value if isinstance(part, ast.Constant) else "{}" for part in message.values
+                )
+            elif isinstance(message, ast.Constant) and isinstance(message.value, str):
+                template = message.value
+            else:
+                continue
+            sites.setdefault(template, []).append(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def test_no_two_raise_sites_share_a_message_template():
+    # Each input rule is written once, in the function that takes the
+    # input; a message spelled at two sites is a copy of a rule that can drift.
+    shared = {template: where for template, where in raise_templates().items() if len(where) > 1}
+    assert shared == {}
 
 
 def parser_long_options(parser: argparse.ArgumentParser) -> set[str]:
