@@ -43,7 +43,8 @@ def check_shape(k: int, n_vertices: int, resolution: int) -> None:
     """Refuse an arity, a vertex count below 0 or a resolution outside 1..2**64.
 
     Each must be an int. Partition labels and sampled boxes, the classes
-    of a resolution, are held in 64-bit arrays; a hypergraph has one class.
+    of a resolution, are held in 64-bit arrays; a hypergraph has one class,
+    and a step hypergraphon, which has no vertex set, passes 0 vertices.
     """
     check_arity(k)
     if type(n_vertices) is not int or n_vertices < 0:
@@ -74,13 +75,21 @@ class UniformHypergraph:
     The constructor expects canonical input: every edge a strictly
     increasing k-tuple, edges strictly increasing lexicographically.
     Use :meth:`from_edges` to normalize arbitrary edge iterables.
+
+    The pass that checks every vertex of every edge also builds ``links``:
+    per sorted (k-1)-subset S, the int with bit v set iff S + {v} is an
+    edge. Subsets that complete to no edge are left out, so a missing key
+    reads as the empty mask 0. The table is never written after
+    construction; every kernel that reads the hypergraph through its links
+    (hom counting, cylinder tables, regularity counts) reads this one.
     """
 
-    __slots__ = ("k", "n_vertices", "edges", "_edge_set")
+    __slots__ = ("k", "n_vertices", "edges", "links")
 
     def __init__(self, k: int, n_vertices: int, edges: Sequence[tuple[int, ...]] = ()):
         check_shape(k, n_vertices, 1)
         edges = tuple(tuple(e) for e in edges)
+        links: dict[tuple[int, ...], int] = {}
         prev = None
         for e in edges:
             if len(e) != k:
@@ -94,13 +103,15 @@ class UniformHypergraph:
                     if e[i - 1] == v:
                         raise ValueError(f"repeated vertex {v} within edge {e}")
                     raise ValueError(f"edge {e}: vertices not in strictly increasing order")
+                s = e[:i] + e[i + 1 :]
+                links[s] = links.get(s, 0) | 1 << v
             if prev is not None and prev >= e:
                 raise ValueError(f"edges not in canonical order or duplicated near {e}")
             prev = e
         self.k = k
         self.n_vertices = n_vertices
         self.edges = edges
-        self._edge_set = frozenset(edges)
+        self.links = links
 
     @classmethod
     def from_edges(cls, k: int, n_vertices: int, edges: Iterable[Iterable[int]]) -> "UniformHypergraph":
@@ -109,7 +120,8 @@ class UniformHypergraph:
 
     @property
     def edge_set(self) -> frozenset:
-        return self._edge_set
+        """The edges as a frozenset, built on each call."""
+        return frozenset(self.edges)
 
     def without_edges(self, drop: Iterable[tuple[int, ...]]) -> "UniformHypergraph":
         gone = {tuple(e) for e in drop}
@@ -203,20 +215,6 @@ def simplicial_support(hypergraph: UniformHypergraph) -> tuple[tuple[int, ...], 
         for size in range(1, hypergraph.k + 1):
             seen.update(combinations(e, size))
     return tuple(sorted(seen, key=lambda s: (len(s), s)))
-
-
-def link_masks(hypergraph: UniformHypergraph) -> dict[tuple[int, ...], int]:
-    """Per sorted (k-1)-subset S: the int with bit v set iff S + {v} is an edge.
-
-    Subsets that complete to no edge are left out, so a missing key reads
-    as the empty mask 0.
-    """
-    links: dict[tuple[int, ...], int] = {}
-    for e in hypergraph.edges:
-        for i, v in enumerate(e):
-            s = e[:i] + e[i + 1 :]
-            links[s] = links.get(s, 0) | (1 << v)
-    return links
 
 
 def unsigned_array(values: Iterable[int], top: int) -> array:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import BudgetError, UniformHypergraph, link_masks
+from .core import BudgetError, UniformHypergraph
 
 
 class HomCount(NamedTuple):
@@ -85,7 +85,7 @@ def _last_masks(
     earlier position. With one position there is nothing to place, and
     its starting mask is yielded once.
     """
-    links = link_masks(host)
+    links = host.links
     masks, updates = _mask_plan(pattern, order, links, (1 << host.n_vertices) - 1)
     last = len(order) - 1
     if not last:

@@ -41,7 +41,6 @@ from .core import (
     _parse_hypergraph_lines,
     _parse_int,
     _subset_lines,
-    check_arity,
     check_shape,
     hypergraph_lines,
     pick,
@@ -83,9 +82,7 @@ class StepHypergraphon:
     __slots__ = ("k", "resolution", "kind", "values", "_indexing", "_table", "_scale")
 
     def __init__(self, k: int, resolution: int, kind: str, values: Mapping[tuple[int, ...], float]):
-        check_arity(k)
-        if type(resolution) is not int or resolution < 1:
-            raise ValueError(f"resolution must be an int of at least 1, got {resolution!r}")
+        check_shape(k, 0, resolution)
         if kind not in (INDICATOR, PROJECTED):
             raise ValueError(f"kind must be {INDICATOR!r} or {PROJECTED!r}, got {kind!r}")
         idx = subset_indexing(k)
@@ -340,30 +337,32 @@ def mc_density(
     coord_maps = _edge_coordinate_map(pattern, support)
     table = w._table
 
-    # allowed[j]: bit b set iff box value b can occur at coordinate j of
-    # a nonzero sample.
-    full = (1 << l) - 1
-    position_masks = [0] * subset_indexing(w.k).n_coords
+    # allowed[j]: the box values that can occur at coordinate j of a
+    # nonzero sample, read off W's table; every coordinate lies in an edge.
+    position_values = [set() for _ in range(subset_indexing(w.k).n_coords)]
     for box in table:
         for p, b in enumerate(box):
-            position_masks[p] |= 1 << b
-    allowed = [full] * s
+            position_values[p].add(b)
+    allowed: list = [None] * s
     for cmap in coord_maps:
         for p, j in enumerate(cmap):
-            allowed[j] &= position_masks[p]
-    # A step (j, counter increment of draw j + 1, allowed mask, None) draws
-    # coordinate j and checks it; a step (0, 0, 0, cmap) multiplies in one
-    # edge's value. Every coordinate is drawn before the first edge reads it.
-    checked = sorted((j for j in range(s) if allowed[j] != full),
-                     key=lambda j: (allowed[j].bit_count(), j))
+            here = position_values[p]
+            allowed[j] = here if allowed[j] is None else allowed[j] & here
+    # A step (j, counter increment of draw j + 1, allowed values, None)
+    # draws coordinate j and checks it; a step (0, 0, None, cmap) multiplies
+    # in one edge's value. Every coordinate is drawn before the first edge
+    # reads it. A coordinate that may take every value is checked against
+    # range(l), which holds them all in constant space.
+    checked = sorted((j for j in range(s) if len(allowed[j]) < l),
+                     key=lambda j: (len(allowed[j]), j))
     steps = [(j, ((j + 1) * _GAMMA) & MASK64, allowed[j], None) for j in checked]
     drawn = set(checked)
     for cmap in coord_maps:
         for j in cmap:
             if j not in drawn:
                 drawn.add(j)
-                steps.append((j, ((j + 1) * _GAMMA) & MASK64, full, None))
-        steps.append((0, 0, 0, cmap))
+                steps.append((j, ((j + 1) * _GAMMA) & MASK64, range(l), None))
+        steps.append((0, 0, None, cmap))
 
     # Sample i's state is fold(derive(seed, "mc"), i); draw j + 1 of its
     # stream is mix64(state + (j + 1) * gamma). Both are inlined.
@@ -377,13 +376,13 @@ def mc_density(
         x = ((x ^ (x >> 27)) * _MIX2) & MASK64
         state = x ^ (x >> 31)
         value = 1
-        for j, inc, mask, cmap in steps:
+        for j, inc, values, cmap in steps:
             if cmap is None:
                 x = (state + inc) & MASK64
                 x = ((x ^ (x >> 30)) * _MIX1) & MASK64
                 x = ((x ^ (x >> 27)) * _MIX2) & MASK64
                 b = ((x ^ (x >> 31)) * l) >> 64
-                if not mask >> b & 1:
+                if b not in values:
                     break
                 assign[j] = b
             else:

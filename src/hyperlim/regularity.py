@@ -262,8 +262,9 @@ def equitability(partition: Hyperpartition) -> dict[int, Fraction]:
             out[r] = Fraction(0)
             continue
         counts = Counter(partition.levels[r - 1])
-        sizes = [counts[j] for j in range(partition.resolution)]
-        out[r] = Fraction(max(sizes) - min(sizes), total)
+        # A class that no label names is empty, and then it is the smallest.
+        smallest = min(counts.values()) if len(counts) == partition.resolution else 0
+        out[r] = Fraction(max(counts.values()) - smallest, total)
     return out
 
 
@@ -333,61 +334,28 @@ class CylinderIntersection:
 def _good_masks(sides: Sequence[UniformHypergraph]) -> dict[tuple[int, ...], int]:
     """Per sorted (r-1)-subset T: bitmask of v > max(T) with T + {v} in the cylinder.
 
-    Side Y's prefix mask at an (r-2)-subset U is the mask of vertices
-    w > max(U) with U + {w} in Y. For S = T + {v}, facet T goes to some
-    side X holding T, and the facets T - t + {v} go bijectively to the
-    other sides, so the mask is an OR over those r! assignments of ANDs of
-    r-1 prefix masks; since v > max(T), only their bits above the prefix
-    are read. Each side takes its (r-1)! bijections in turn, one pass over
-    its edges per bijection. Subsets T in no side have no members above
-    them and are left out.
+    For S = T + {v}, facet T goes to some side X holding T, and the facets
+    T - t + {v} go bijectively to the other sides, so the mask is an OR
+    over those r! assignments of ANDs of r-1 link masks of the other sides,
+    each read at T - t. The mask starts at the bits above max(T), which
+    drops every other bit of the links. Each side takes its (r-1)!
+    bijections in turn, one pass over its edges per bijection. Subsets T
+    in no side have no members above them and are left out.
     """
     r = len(sides)
-    prefixes = [_prefix_masks(side) for side in sides]
     good: dict[tuple[int, ...], int] = {}
     for x, side in enumerate(sides):
-        others = prefixes[:x] + prefixes[x + 1 :]
+        others = [other.links for other in sides[:x] + sides[x + 1 :]]
         for perm in permutations(range(r - 1)):
             # The y-th other side takes facet S - t[perm[y]], read at T - t[perm[y]].
             plan = list(zip(others, perm))
             for t in side.edges:
                 m = -(2 << t[-1])
-                for masks, i in plan:
-                    m &= masks.get(t[:i] + t[i + 1 :], 0)
+                for links, i in plan:
+                    m &= links.get(t[:i] + t[i + 1 :], 0)
                 if m:
                     good[t] = good.get(t, 0) | m
     return good
-
-
-def _prefix_masks(g: UniformHypergraph) -> dict[tuple[int, ...], int]:
-    """Per (r-1)-prefix T of an edge: bitmask of v with T + (v,) an edge of g."""
-    masks: dict[tuple[int, ...], int] = {}
-    for e in g.edges:
-        t = e[:-1]
-        masks[t] = masks.get(t, 0) | 1 << e[-1]
-    return masks
-
-
-def _deviation(
-    g: UniformHypergraph,
-    masks: dict[tuple[int, ...], int],
-    cyl: CylinderIntersection,
-    size_gate: float | Fraction,
-) -> Fraction | None:
-    """The counting kernel behind both checks; ``masks`` are g's prefix masks.
-
-    |G & L| is the sum over prefixes T of popcount(good[T] & masks[T]),
-    one pass over the smaller of the two tables.
-    """
-    if g.k != cyl.arity or g.n_vertices != cyl.n_vertices:
-        raise ValueError("hypergraph and cylinder disagree on arity or vertex count")
-    total = comb(g.n_vertices, g.k)
-    size = cyl._size
-    if size == 0 or Fraction(size, total) < size_gate:
-        return None
-    small, large = (cyl._good, masks) if len(cyl._good) <= len(masks) else (masks, cyl._good)
-    inside = sum(map(int.bit_count, map(and_, small.values(), map(large.get, small, repeat(0)))))
-    return abs(Fraction(len(g.edges), total) - Fraction(inside, size))
 
 
 def regularity_deviation(
@@ -396,10 +364,21 @@ def regularity_deviation(
     """|density of g - density of g inside the cylinder|, or None.
 
     None marks a skipped (too small) cylinder: assessment requires
-    |L| >= size_gate * C(n, r). |L| and |g inside L| are counted by the
-    same kernel as `check_regularity_family`; L itself is never listed.
+    |L| >= size_gate * C(n, r). L itself is never listed: |G & L| is the
+    sum over (r-1)-subsets T of popcount(good[T] & links[T]), with g's
+    link masks, one pass over the smaller of the two tables. The members
+    of good[T] lie above max(T), so each edge of g in L counts once.
     """
-    return _deviation(g, _prefix_masks(g), cyl, size_gate)
+    if g.k != cyl.arity or g.n_vertices != cyl.n_vertices:
+        raise ValueError("hypergraph and cylinder disagree on arity or vertex count")
+    total = comb(g.n_vertices, g.k)
+    size = cyl._size
+    if size == 0 or Fraction(size, total) < size_gate:
+        return None
+    good, links = cyl._good, g.links
+    small, large = (good, links) if len(good) <= len(links) else (links, good)
+    inside = sum(map(int.bit_count, map(and_, small.values(), map(large.get, small, repeat(0)))))
+    return abs(Fraction(len(g.edges), total) - Fraction(inside, size))
 
 
 class RegularityReport(NamedTuple):
@@ -425,19 +404,19 @@ def check_regularity_family(
     and no proper cylinder passes the size gate, so every verdict would be
     regular without a test; an empty family is refused for that reason too.
 
-    The class g is grouped into per-(r-1)-prefix masks once; each cylinder
-    then costs one pass over at most C(n, r-1) prefixes of its own table,
-    built when the cylinder was, whatever the number of edges of g.
+    Each cylinder costs one :func:`regularity_deviation`: a pass over at
+    most C(n, r-1) entries of its own table, built when the cylinder was,
+    against g's link masks, built when g was, whatever the number of edges
+    of g.
     """
     _check_epsilon(epsilon)
     if not family:
         raise ValueError("empty cylinder family: a regular verdict would rest on no test")
-    masks = _prefix_masks(g)
     admitted = 0
     max_dev: Fraction | None = None
     argmax = None
     for cyl in family:
-        dev = _deviation(g, masks, cyl, epsilon)
+        dev = regularity_deviation(g, cyl, epsilon)
         if dev is None:
             continue
         admitted += 1
@@ -556,9 +535,11 @@ def independence_test(
     argument is checked before the bound or any partition is computed.
 
     The tuples are never listed. A per-subset fraction is the share of
-    its class among the |A_i|-subsets, and the joint fraction is read off
-    the size of the targets' cell in :func:`cell_counts`: one walk of the
-    C(n, k) subsets per trial.
+    its class among the |A_i|-subsets. For the joint fraction, the
+    k-subsets are walked by :func:`~hyperlim.core.prefix_walk`, as in
+    :func:`cell_counts`, and each one's label vector is tested for
+    membership in the orbit of the targets: one walk of the C(n, k)
+    subsets per trial, with no cell built.
     """
     check_seed(seed)
     check_shape(k, n, l)
@@ -570,7 +551,7 @@ def independence_test(
     subsets = idx.subsets
     p0 = float(l) ** -len(subsets)
     bound = 4.0 * sqrt(p0 * (1.0 - p0) / comb(n, k))
-    no_edges = UniformHypergraph(k, n)
+    order = walk_order(k)
     discrepancies = []
     for t in range(trials):
         partition = random_hyperpartition(k, n, l, derive(seed, "independence-partition", t))
@@ -584,9 +565,16 @@ def independence_test(
             r = len(positions)
             product_mu *= Fraction(partition.levels[r - 1].tolist().count(target), comb(n, r))
         # The k! orderings of a k-subset read the orbit of its label vector,
-        # each entry |Stab(targets)| times; only the targets' cell meets them.
-        size, _ = cell_counts(no_edges, partition).get(idx.canonicalize(targets), (0, 0))
-        mu_inter = Fraction(size * idx.orbit(targets).count(targets), comb(n, k) * len(idx.perms))
+        # each entry |Stab(targets)| times; only subsets whose vector lies in
+        # the orbit of the targets meet them. Vectors are read in walk order.
+        orbit = idx.orbit(targets)
+        wanted = {tuple([vec[i] for i in order]) for vec in orbit}
+        rows = [prefix_rows(level, n, r) for r, level in enumerate(partition.levels, start=1)]
+        size = sum(
+            sum(map(wanted.__contains__, map(key.__add__, zip(*cols))))
+            for _, key, cols in prefix_walk(rows, k)
+        )
+        mu_inter = Fraction(size * orbit.count(targets), comb(n, k) * len(idx.perms))
         discrepancies.append(abs(float(mu_inter - product_mu)))
     return IndependenceResult(max(discrepancies), bound, trials, seed, tuple(discrepancies))
 

@@ -27,11 +27,12 @@ def hom_count_brute(pattern: UniformHypergraph, host: UniformHypergraph) -> HomC
         raise ValueError(f"arity mismatch: pattern k={pattern.k}, host k={host.k}")
     if pattern.n_vertices == 0:
         return HomCount(1, 1)
+    edge_set = host.edge_set
     count = total = 0
     for f in product(range(host.n_vertices), repeat=pattern.n_vertices):
         total += 1
         images = [tuple(sorted(f[v] for v in e)) for e in pattern.edges]
-        if all(len(set(t)) == len(t) and t in host.edge_set for t in images):
+        if all(len(set(t)) == len(t) and t in edge_set for t in images):
             count += 1
     return HomCount(count, total)
 

@@ -190,6 +190,14 @@ def header_case(fmt, files):
     return serialize_latents(sample_w_random(build_fixture_w(), 4, seed=1)), None
 
 
+def test_an_hgon_resolution_past_64_bits_exits_2_at_line_1(files, capsys, tmp_path):
+    path = tmp_path / "wide.hgon"
+    path.write_text(f"HGON 2 {2**64 + 1} ind 0\n", encoding="utf-8")
+    code, out, err = run_main(["density", files["edge.hg"], str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1: resolution l=18446744073709551617 above 2**64"), err
+
+
 @pytest.mark.parametrize("fmt", ["HG", "HGON", "HP", "LAT"])
 def test_every_single_header_fault_is_reported_at_line_1(files, capsys, tmp_path, fmt):
     # Dropping, duplicating or garbling any one header token.

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations, product
 
@@ -16,7 +17,7 @@ from hyperlim import (
     simplicial_support,
     subset_indexing,
 )
-from hyperlim.core import _content_lines, link_masks
+from hyperlim.core import _content_lines
 
 from conftest import triangle
 
@@ -182,12 +183,21 @@ def test_link_masks_mark_exactly_the_completing_vertices():
     for k in (1, 2, 3):
         n = 7
         h = UniformHypergraph(k, n, [e for e in combinations(range(n), k) if rng.random() < 0.5])
-        links = link_masks(h)
+        edge_set = h.edge_set
         for s in combinations(range(n), k - 1):
-            mask = links.get(s, 0)
+            mask = h.links.get(s, 0)
             for v in range(n):
-                assert mask >> v & 1 == (tuple(sorted(s + (v,))) in h.edge_set)
-        assert all(mask for mask in links.values())
+                assert mask >> v & 1 == (tuple(sorted(s + (v,))) in edge_set)
+        assert all(mask for mask in h.links.values())
+
+
+def test_a_hypergraph_pickles_with_its_links():
+    # Protocols 0 and 1 refuse any class with __slots__ and no __getstate__.
+    h = UniformHypergraph(3, 6, [(0, 1, 2), (0, 1, 5), (2, 3, 4)])
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(h, protocol))
+        assert back == h and hash(back) == hash(h)
+        assert back.links == h.links and back.edge_set == h.edge_set
 
 
 # -- HG text format ------------------------------------------------------------

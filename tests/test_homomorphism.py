@@ -106,10 +106,11 @@ def random_instance_patterns() -> dict[int, list[UniformHypergraph]]:
 
 def brute_images(pattern: UniformHypergraph, host: UniformHypergraph) -> set:
     """Image sets of every map V(K) -> V(H) that sends each edge to an edge."""
+    edge_set = host.edge_set
     images = set()
     for f in product(range(host.n_vertices), repeat=pattern.n_vertices):
         image = frozenset(tuple(sorted(f[v] for v in e)) for e in pattern.edges)
-        if all(img in host.edge_set for img in image):
+        if all(img in edge_set for img in image):
             images.add(image)
     return images
 

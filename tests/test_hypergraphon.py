@@ -151,6 +151,34 @@ def test_mc_density_memory_does_not_grow_with_the_sample_count():
     assert abs(peaks[1] - peaks[0]) < 8 << 10, peaks
 
 
+def test_mc_density_memory_does_not_grow_with_the_resolution():
+    # Each coordinate's allowed box values are a set read off W's table,
+    # so l = 2**24 costs what l = 2 does; one mask of l bits is 2 MiB.
+    pattern = UniformHypergraph(1, 1, [(0,)])
+    for l in (2, 2**24):
+        w = StepHypergraphon(1, l, INDICATOR, {(l - 1,): 1.0})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            mc_density(pattern, w, 2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, (l, peak)
+
+
+def test_w_takes_the_one_resolution_rule():
+    # W's resolution obeys check_shape, as a hyperpartition's does: an
+    # int in 1..2**64, since sampled boxes are held in 64 bits.
+    for l, message in ((0, "at least 1"), (2**64 + 1, r"above 2\*\*64"), (2**70, r"above 2\*\*64"),
+                       (2.0, "not an int"), (True, "not an int")):
+        with pytest.raises(ValueError, match=message):
+            StepHypergraphon(1, l, INDICATOR, {})
+    assert StepHypergraphon(1, 2**64, INDICATOR, {}).resolution == 2**64
+    with pytest.raises(FormatError, match=r"^line 1: resolution l=18446744073709551617 above 2\*\*64"):
+        parse_hypergraphon(f"HGON 1 {2**64 + 1} ind 0\n")
+
+
 @pytest.mark.parametrize("k,l", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
 @pytest.mark.parametrize("kind", [INDICATOR, PROJECTED])
 def test_eval_box_matches_the_stored_orbit_of_every_box(k, l, kind):
@@ -472,9 +500,10 @@ def test_sampling_matches_latent_boxes_exactly(fixture_w):
     sample = sample_w_random(fixture_w, 8, seed=21)
     idx = subset_indexing(3)
     boxes = {sub: (m * 2) >> 64 for sub, m in zip(lat_subsets(8, 3), sample.latents)}
+    edge_set = sample.hypergraph.edge_set
     for e in combinations(range(8), 3):
         vec = tuple(boxes[tuple(e[i] for i in pos)] for pos in idx.subsets)
-        assert (fixture_w.eval_box(vec) == 1.0) == (e in sample.hypergraph.edge_set)
+        assert (fixture_w.eval_box(vec) == 1.0) == (e in edge_set)
 
 
 def test_latents_are_a_read_only_typed_store(fixture_w):

@@ -1,6 +1,9 @@
 """Hyperpartitions, cells, cylinders, and the regularity diagnostics."""
 
+import gc
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -36,6 +39,7 @@ from hyperlim import (
 import hyperlim.cli as cli_module
 import hyperlim.regularity as regularity_module
 from hyperlim.cli import regularity_table
+from hyperlim.core import SubsetIndexing
 from hyperlim.hypergraphon import LatentSample
 from hyperlim.rng import stream, subset_draws
 
@@ -267,10 +271,11 @@ def test_cell_counts_equal_a_tally_by_cell_profile(k, l):
     for n in range(8):
         p = random_hyperpartition(k, n, l, seed=rng.getrandbits(64))
         h = UniformHypergraph(k, n, [e for e in combinations(range(n), k) if rng.random() < 0.4])
+        edge_set = h.edge_set
         expected: dict = {}
         for sub in combinations(range(n), k):
             size, edges = expected.get(cell_profile(p, sub), (0, 0))
-            expected[cell_profile(p, sub)] = (size + 1, edges + (sub in h.edge_set))
+            expected[cell_profile(p, sub)] = (size + 1, edges + (sub in edge_set))
         counts = cell_counts(h, p)
         assert counts == expected
         assert list(counts) == list(expected)  # first-met order of the lexicographic scan
@@ -287,7 +292,8 @@ def test_cell_constant_weights_cannot_tell_h_from_its_densities():
     cells = induce_cells(p)
     dens = cell_density(h, p)
     weights = {c: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for c in set(cells.values())}
-    lhs = sum(weights[cells[s]] for s in cells if s in h.edge_set)
+    edge_set = h.edge_set
+    lhs = sum(weights[cells[s]] for s in cells if s in edge_set)
     rhs = sum(dens[cells[s]] * weights[cells[s]] for s in cells)
     assert lhs == rhs
 
@@ -341,6 +347,38 @@ def test_equitability_explicit_and_trivial():
     # empty classes count: with l=3 and only labels {0,1} used, min is 0
     p = Hyperpartition(1, 4, 3, [[0, 0, 1, 1]])
     assert equitability(p) == {1: Fraction(2, 4)}
+
+
+def listed_equitability(partition):
+    """Equitability from the list of all l class sizes."""
+    out = {}
+    for r, level in enumerate(partition.levels, start=1):
+        counts = Counter(level)
+        sizes = [counts[j] for j in range(partition.resolution)]
+        total = comb(partition.n_vertices, r)
+        out[r] = Fraction(max(sizes) - min(sizes), total) if total else Fraction(0)
+    return out
+
+
+def test_equitability_lists_no_class_sizes():
+    # The smallest class is 0 unless all l labels occur, so a few labels
+    # at a large l cost what they cost at a small one.
+    rng = random.Random(31)
+    for _ in range(200):
+        k, n, l = rng.randint(1, 3), rng.randint(0, 7), rng.randint(1, 4)
+        p = random_hyperpartition(k, n, l, seed=rng.getrandbits(64))
+        assert equitability(p) == listed_equitability(p), (k, n, l)
+    big = Hyperpartition(2, 3, 10**6, [[0, 5, 5], [7, 7, 7]])
+    expected = listed_equitability(big)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = equitability(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected == {1: Fraction(2, 3), 2: Fraction(3, 3)}
+    assert peak < 64 << 10, peak
 
 
 # -- cylinder intersections -----------------------------------------------------
@@ -628,33 +666,47 @@ def test_regularity_table_refuses_bad_arguments_before_any_work(monkeypatch, kwa
 
 def test_regularity_table_builds_one_table_per_cylinder_and_one_mask_set_per_class(monkeypatch):
     # Pins the work done: each cylinder's table is built once, whatever
-    # the number of classes tested against it, and each class is grouped
-    # into prefix masks once, whatever the number of cylinders. A table
-    # build groups its own sides into prefix masks too; those calls are
-    # not counted, so only the grouping of classes is.
-    calls = {"tables": 0, "masks": 0}
-    building = []
+    # the number of classes tested against it, and each hypergraph's link
+    # masks are built once, by its constructor: r per cylinder at level r
+    # (its sides) and one per class, and none while a family is checked,
+    # whatever the number of cylinders.
+    calls = {"tables": 0}
+    built: dict = {}  # the phase of regularity_table -> hypergraphs constructed in it
+    phase = [None]
     good_masks = regularity_module._good_masks
-    prefix_masks = regularity_module._prefix_masks
+    init = UniformHypergraph.__init__
 
     def counting_tables(sides):
         calls["tables"] += 1
-        building.append(sides)
-        try:
-            return good_masks(sides)
-        finally:
-            building.pop()
+        return good_masks(sides)
 
-    def counting_masks(g):
-        calls["masks"] += not building
-        return prefix_masks(g)
+    def counting_init(self, *args, **kwargs):
+        built[phase[-1]] = built.get(phase[-1], 0) + 1
+        init(self, *args, **kwargs)
+
+    def in_phase(name, fn):
+        def wrapper(*args, **kwargs):
+            phase.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase.pop()
+        return wrapper
 
     monkeypatch.setattr(regularity_module, "_good_masks", counting_tables)
-    monkeypatch.setattr(regularity_module, "_prefix_masks", counting_masks)
+    monkeypatch.setattr(UniformHypergraph, "__init__", counting_init)
+    monkeypatch.setattr(cli_module, "sampled_cylinder_family",
+                        in_phase("sides", cli_module.sampled_cylinder_family))
+    monkeypatch.setattr(Hyperpartition, "class_hypergraph",
+                        in_phase("classes", Hyperpartition.class_hypergraph))
+    monkeypatch.setattr(cli_module, "check_regularity_family",
+                        in_phase("check", cli_module.check_regularity_family))
     w, l, cylinders = build_fixture_w(), 2, 7
     rows = regularity_table(w, 10, l, 0.1, cylinders, seed=3)
     assert sum(row[0] == "regularity" for row in rows) == (w.k - 1) * l
-    assert calls == {"tables": (w.k - 1) * cylinders, "masks": (w.k - 1) * l}
+    assert calls == {"tables": (w.k - 1) * cylinders}
+    sides = sum(cylinders * r for r in range(2, w.k + 1))
+    assert (built.get("sides"), built.get("classes"), built.get("check", 0)) == (sides, (w.k - 1) * l, 0)
 
 
 def test_complete_host_never_yields_a_witness():
@@ -725,6 +777,11 @@ def test_independence_equals_the_ordered_tuple_walk():
         expected = independence_brute(k, n, l, seed, trials=2)
         assert independence_test(k, n, l, seed=seed, trials=2) == expected, (k, n, l, seed)
     assert independence_test(3, 30, 2, seed=7, trials=2) == independence_brute(3, 30, 2, 7, trials=2)
+
+
+def test_independence_builds_no_cell(monkeypatch):
+    forbid_work(monkeypatch, (regularity_module, "cell_counts"), (SubsetIndexing, "canonicalize"))
+    assert independence_test(3, 12, 2, seed=1, trials=2) == independence_brute(3, 12, 2, 1, trials=2)
 
 
 def test_independence_lists_no_ordered_tuples(monkeypatch):

@@ -9,8 +9,9 @@ hyperlim functions and their parameters.
 `bench/tracer.py` wraps functions by name and skips any name it cannot
 find, and a work counter that reads a renamed parameter is dropped
 silently. These tests read the tracer's tables (the file is only loaded,
-never changed), check every name against the package, and evaluate the
-sampling, image and hitting-set counters on real calls.
+never changed), check every name against the package, evaluate the
+sampling, image and hitting-set counters on real calls, and check that the
+regularity family check reaches the wrapped kernel once per cylinder.
 """
 
 import argparse
@@ -27,7 +28,15 @@ from pathlib import Path
 import pytest
 
 import hyperlim
-from hyperlim import complete_hypergraph, enumerate_hom_images, exact_hitting_set, sample_w_random
+import hyperlim.regularity as regularity_module
+from hyperlim import (
+    UniformHypergraph,
+    complete_hypergraph,
+    enumerate_hom_images,
+    exact_hitting_set,
+    sample_w_random,
+    sampled_cylinder_family,
+)
 from hyperlim.cli import build_parser
 
 from conftest import build_fixture_w, cli_env, triangle
@@ -118,6 +127,31 @@ def test_the_removal_counters_read_real_values():
     images = enumerate_hom_images(*args)
     assert traced_counts("removal.exact_hitting_set", exact_hitting_set, images) == {"optimal": 1}
     assert traced_counts("removal.exact_hitting_set", exact_hitting_set, images, budget=0) == {"optimal": 0}
+
+
+def test_the_family_check_calls_the_traced_kernel_once_per_cylinder(monkeypatch):
+    # The tracer wraps regularity_deviation where the module binds it, so
+    # its span and the admitted ratio see check_regularity_family only if
+    # the family check calls the kernel through that binding.
+    kernel = regularity_module.regularity_deviation
+    seen = []
+    admitted = 0
+
+    def counting(g, cyl, size_gate):
+        nonlocal admitted
+        ret = kernel(g, cyl, size_gate)
+        seen.append(cyl)
+        counts = tracer.COUNTERS["regularity.regularity_deviation"]({"cyl": cyl}, ret)
+        assert counts["r"] == 3
+        admitted += counts["admitted"]
+        return ret
+
+    monkeypatch.setattr(regularity_module, "regularity_deviation", counting)
+    family = sampled_cylinder_family(9, 3, 12, seed=5)
+    g = UniformHypergraph(3, 9, [(0, 1, 2), (0, 3, 4), (1, 5, 8), (2, 6, 7), (3, 4, 8)])
+    report = regularity_module.check_regularity_family(g, 0.1, family)
+    assert seen == family
+    assert report.tested == len(family) and 0 < report.admitted == admitted
 
 
 def test_the_public_names_are_exactly_the_imported_ones():
