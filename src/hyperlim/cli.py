@@ -30,10 +30,12 @@ from .homomorphism import hom_count, hom_density
 from .hypergraphon import (
     StepHypergraphon,
     check_density_budget,
+    check_sample_arguments,
     exact_density,
     latent_lines,
     mc_density,
     parse_hypergraphon,
+    sample_hypergraph,
     sample_w_random,
 )
 from .regularity import (
@@ -96,15 +98,21 @@ def convergence_table(
     Sample sub-seeds come from (seed, "convergence-sample", K index, n,
     rep). Returns CSV body rows (data rows then a rep="mean" summary row
     per block) and the mean |diff| per (K id, n). A bad seed, rep count or
-    sample size, or an empty list of patterns or sizes, is refused before
-    any density is computed, and every t(K, W) is computed, so a pattern
-    of the wrong arity or over the budget is refused, before any sample.
+    sample size (each n goes through the sampler's own rule,
+    :func:`~hyperlim.hypergraphon.check_sample_arguments`), a W that is not
+    indicator kind, or an empty list of patterns or sizes, is refused
+    before any density is computed, and every t(K, W) is computed, so a
+    pattern of the wrong arity or over the budget is refused, before any
+    sample. Samples are drawn by
+    :func:`~hyperlim.hypergraphon.sample_hypergraph`, which keeps no latents.
     """
     check_seed(seed)
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    if type(reps) is not int or reps < 1:
+        raise ValueError(f"reps must be positive and an int, got {reps!r}")
     if not patterns or not ns:
         raise ValueError("need at least one pattern and one sample size n")
+    for n in ns:
+        check_sample_arguments(w, n, seed)
     if any(n < 1 for n in ns):
         raise ValueError("every n must be positive")
     rows: list[list[str]] = []
@@ -115,8 +123,7 @@ def convergence_table(
             diffs = []
             for rep in range(reps):
                 sub_seed = derive(seed, "convergence-sample", ki, n, rep)
-                sample = sample_w_random(w, n, sub_seed)
-                t_h = hom_density(pattern, sample.hypergraph)
+                t_h = hom_density(pattern, sample_hypergraph(w, n, sub_seed))
                 diff = abs(float(t_h) - t_w)
                 diffs.append(diff)
                 rows.append([kid, str(n), str(rep), str(t_h), _real(t_w), _real(diff)])
@@ -203,10 +210,15 @@ def cmd_density(args) -> int:
 
 def cmd_sample(args) -> int:
     w = parse_hypergraphon(_read(args.w))
-    sample = sample_w_random(w, args.n, args.seed)
+    # Latents are drawn in bulk and held only when they are written.
+    if args.latents:
+        sample = sample_w_random(w, args.n, args.seed)
+        graph = sample.hypergraph
+    else:
+        graph = sample_hypergraph(w, args.n, args.seed)
     # Both files are streamed: no whole HG or LAT text is ever built.
     with _out_stream(args.out) as fh:
-        fh.writelines(hypergraph_lines(sample.hypergraph))
+        fh.writelines(hypergraph_lines(graph))
     if args.latents:
         with _out_stream(args.latents) as fh:
             fh.writelines(latent_lines(sample))

@@ -258,6 +258,17 @@ def walk_order(k: int) -> list[int]:
     return [index[t + (j,)] for j, step in enumerate(_walk_steps(k)) for t in step]
 
 
+def _prefix_cols(rows: Sequence[Mapping[tuple[int, ...], Sequence]], step, verts: tuple[int, ...]):
+    """For each position subset T in ``step``, the row of T's members from max(verts) + 1 on."""
+    lo = verts[-1] + 1 if verts else 0
+    cols = []
+    for t in step:
+        members = tuple(verts[i] for i in t)
+        # Row T starts at vertex max(T) + 1; slice it from lo.
+        cols.append(rows[len(t)][members][lo - (members[-1] + 1 if members else 0):])
+    return cols
+
+
 def prefix_walk(rows: Sequence[Mapping[tuple[int, ...], list]], k: int):
     """Walk the k-subsets of range(n) as a prefix tree, in lexicographic order.
 
@@ -273,17 +284,11 @@ def prefix_walk(rows: Sequence[Mapping[tuple[int, ...], list]], k: int):
     steps = _walk_steps(k)
 
     def walk(verts: tuple[int, ...], key: tuple):
-        j = len(verts)
-        lo = verts[-1] + 1 if verts else 0
-        cols = []
-        for t in steps[j]:
-            members = tuple(verts[i] for i in t)
-            # Row T starts at vertex max(T) + 1; slice it from lo.
-            cols.append(rows[len(t)][members][lo - (members[-1] + 1 if members else 0):])
-        if j == k - 1:
+        cols = _prefix_cols(rows, steps[len(verts)], verts)
+        if len(verts) == k - 1:
             yield verts, key, cols
         else:
-            for v, c in enumerate(zip(*cols), lo):
+            for v, c in enumerate(zip(*cols), verts[-1] + 1 if verts else 0):
                 yield from walk(verts + (v,), key + c)
 
     return walk((), ())

@@ -40,18 +40,19 @@ from .core import (
     _header,
     _parse_hypergraph_lines,
     _parse_int,
+    _prefix_cols,
     _subset_lines,
+    _walk_steps,
     check_shape,
     hypergraph_lines,
     pick,
     prefix_rows,
-    prefix_walk,
     simplicial_support,
     subset_indexing,
     unsigned_array,
     walk_order,
 )
-from .rng import MASK64, _GAMMA, _MIX1, _MIX2, check_seed, derive, subset_draws
+from .rng import MASK64, _GAMMA, _MIX1, _MIX2, check_seed, derive, fold, subset_draws
 
 INDICATOR = "ind"
 PROJECTED = "proj"
@@ -440,6 +441,65 @@ class LatentSample:
         )
 
 
+def check_sample_arguments(w: StepHypergraphon, n: int, seed: int) -> None:
+    """Refuse a W that is not indicator kind, a bad vertex count or a bad seed, before any draw."""
+    if w.kind != INDICATOR:
+        raise ValueError("sampling requires an indicator-kind hypergraphon")
+    check_shape(w.k, n, w.resolution)
+    check_seed(seed)
+
+
+def _box_rows(draws: array, l: int, n: int, r: int) -> dict[tuple[int, ...], Sequence]:
+    """The boxes ``(m * l) >> 64`` of one level's draws, as typed prefix rows."""
+    return prefix_rows(unsigned_array(((m * l) >> 64 for m in draws), l - 1), n, r)
+
+
+def _live_prefixes(w: StepHypergraphon, rows: Sequence[Mapping], n: int, h: int | None):
+    """Walk the k-subsets of range(n) whose lower box vector can still give an edge.
+
+    ``rows[r - 1]`` holds the boxes of the r-subsets, r = 1..k-1, laid out
+    by :func:`~hyperlim.core.prefix_rows`. W's table is reindexed once to
+    list a box's coordinates in :func:`~hyperlim.core.walk_order`, whose
+    last coordinate is the top one. A walk-order key prefix is live if it
+    extends to a box of W's support, and a vertex whose key prefix is not
+    live is skipped with its whole subtree.
+
+    Yields ``(verts, h, live)`` in lexicographic order, for each sorted
+    (k-1)-subset ``verts`` with a live extension: ``live`` lists, for each
+    v > max(verts) such that ``verts + (v,)`` has a live lower vector, the
+    pair (v, the top boxes that make it an edge). ``h`` is the given state
+    folded once per vertex of ``verts``, or None throughout if given None.
+    """
+    k = w.k
+    order = walk_order(k)
+    table = [tuple(box[i] for i in order) for box in w._table]
+    live = [{key[: 2 ** (j + 1) - 1] for key in table} for j in range(k - 1)]
+    tops: dict[tuple[int, ...], set[int]] = {}
+    for key in table:
+        tops.setdefault(key[:-1], set()).add(key[-1])
+    get = tops.get
+    steps = _walk_steps(k)
+    del steps[-1][-1]  # the top coordinate, T = verts, is read per candidate
+
+    def walk(verts: tuple[int, ...], key: tuple, h: int | None):
+        j = len(verts)
+        lo = verts[-1] + 1 if verts else 0
+        cols = _prefix_cols(rows, steps[j], verts)
+        if j < k - 1:
+            here = live[j]
+            for v, c in enumerate(zip(*cols), lo):
+                if (ext := key + c) in here:
+                    yield from walk(verts + (v,), ext, None if h is None else fold(h, v))
+        elif cols:
+            found = [(v, ts) for v, c in enumerate(zip(*cols), lo) if (ts := get(key + c))]
+            if found:
+                yield verts, h, found
+        elif () in tops:  # k = 1: the top coordinate is the only one
+            yield verts, h, [(v, tops[()]) for v in range(n)]
+
+    return walk((), (), h)
+
+
 def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     """Draw the n-vertex random hypergraph generated by an indicator ``w``.
 
@@ -448,40 +508,60 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     iff w is 1 at the box vector of E's subset latents. Deterministic
     given (w, n, seed), independent of evaluation order.
 
-    Latents come from :func:`subset_draws`, level by level in
-    lexicographic order. Edges are tested by the same prefix walk,
-    :func:`~hyperlim.core.prefix_walk`: each level's boxes are stored as
-    typed rows over the last vertex, keyed by the other members, and the box
-    table is reindexed once so that a box vector lists its coordinates in
-    the order the walk fixes them (every subset whose largest position is
-    j, once position j is fixed). At the last position the rows of the new
-    coordinates are zipped, so each candidate edge costs one tuple
-    concatenation and one table lookup.
+    Every level's latents come from :func:`subset_draws`, in lexicographic
+    order, and the sample holds them all. Edges are found by the live-prefix
+    walk that :func:`sample_hypergraph` takes: levels 1..k-1 are boxed into
+    typed prefix rows, and a candidate edge whose lower box vector is live
+    reads its top latent from the level already drawn, boxes it and costs
+    one set lookup. The graph equals ``sample_hypergraph(w, n, seed)``.
     """
-    if w.kind != INDICATOR:
-        raise ValueError("sampling requires an indicator-kind hypergraphon")
+    check_sample_arguments(w, n, seed)
     k, l = w.k, w.resolution
-    check_shape(k, n, l)
-    check_seed(seed)
     latents = array("Q")
-    # rows[r - 1][T]: boxes of the r-subsets T + (v,), for v from max(T) + 1 to n - 1,
-    # sliced from one typed array of the level's boxes.
     rows = []
-    for r in range(1, k + 1):
+    for r in range(1, k):
         draws = subset_draws(seed, "latent", n, r)
         latents += draws
-        rows.append(prefix_rows(unsigned_array(((m * l) >> 64 for m in draws), l - 1), n, r))
-    del draws  # copied into latents; only the box rows are walked
-
-    # The table is reindexed to list a box's coordinates in walk order.
-    order = walk_order(k)
-    table = {tuple(box[i] for i in order) for box in w._table}
+        rows.append(_box_rows(draws, l, n, r))
+    latents += subset_draws(seed, "latent", n, k)
+    # top[T]: the top latents of T + (v,), v > max(T), viewed in place.
+    top = prefix_rows(memoryview(latents)[len(latents) - comb(n, k):], n, k)
     edges: list[tuple[int, ...]] = []
-    for verts, key, cols in prefix_walk(rows, k):
-        lo = verts[-1] + 1 if verts else 0
-        edges.extend(verts + (v,) for v, c in enumerate(zip(*cols), lo) if key + c in table)
-    del rows  # freed before the sample copies the latents
+    for verts, _, live in _live_prefixes(w, rows, n, None):
+        row, lo = top[verts], verts[-1] + 1 if verts else 0
+        edges.extend(verts + (v,) for v, tops in live if (row[v - lo] * l) >> 64 in tops)
+    del rows, top  # freed before the sample copies the latents
     return LatentSample(UniformHypergraph(k, n, edges), latents, seed)
+
+
+def sample_hypergraph(w: StepHypergraphon, n: int, seed: int) -> UniformHypergraph:
+    """The hypergraph of ``sample_w_random(w, n, seed)``, with no latents kept.
+
+    Levels 1..k-1 are drawn by :func:`subset_draws` and boxed; no top
+    latent is drawn in bulk. The live-prefix walk carries the hash of
+    (seed, "latent", k, *verts), one :func:`fold` per fixed vertex, and a
+    candidate edge whose lower box vector is live gets its top latent by
+    folding its last vertex onto that hash and taking the first draw, the
+    two ``mix64`` inlined as in :func:`subset_draws`. So each top latent
+    equals ``stream(seed, "latent", k, *E).next_u64()`` bit for bit, and
+    only the candidates whose edge it decides pay for it.
+    """
+    check_sample_arguments(w, n, seed)
+    k, l = w.k, w.resolution
+    rows = [_box_rows(subset_draws(seed, "latent", n, r), l, n, r) for r in range(1, k)]
+    edges: list[tuple[int, ...]] = []
+    for verts, h, live in _live_prefixes(w, rows, n, fold(derive(seed, "latent"), k)):
+        h += _GAMMA
+        for v, tops in live:
+            x = (h ^ v) & MASK64
+            x = ((x ^ (x >> 30)) * _MIX1) & MASK64
+            x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+            x = ((x ^ (x >> 31)) + _GAMMA) & MASK64
+            x = ((x ^ (x >> 30)) * _MIX1) & MASK64
+            x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+            if ((x ^ (x >> 31)) * l) >> 64 in tops:
+                edges.append(verts + (v,))
+    return UniformHypergraph(k, n, edges)
 
 
 def project(w: StepHypergraphon) -> StepHypergraphon:

@@ -185,8 +185,8 @@ def cell_counts(
     """Per cell: (number of k-subsets, number of those that are edges).
 
     The k-subsets are walked as a prefix tree by
-    :func:`~hyperlim.core.prefix_walk`, as ``sample_w_random`` walks them,
-    so a subset's raw label vector is built from its prefix's. Subsets are
+    :func:`~hyperlim.core.prefix_walk`, so a subset's raw label vector is
+    built from its prefix's. Subsets are
     tallied by that vector, and each distinct vector is canonicalized
     once, by the rule of :func:`cell_profile`. Cells appear in the order a
     lexicographic scan of the k-subsets first meets them.

@@ -21,7 +21,11 @@ and ``cylinder-side``) and the Monte-Carlo samples (``mc``) are computed
 by folding onto that shared prefix, through :func:`fold` and
 :func:`subset_draws` or inlined, and the side and Monte-Carlo draws by the
 counter identity above; the results equal ``derive``/``stream`` bit for
-bit.
+bit. ``hypergraphon.sample_hypergraph`` draws a top-level ``latent`` on
+its own, only where it decides an edge: it carries the hash of the
+subset's first k - 1 vertices down its walk and folds the last vertex
+onto it, inlined as in :func:`subset_draws`, so the value is the one
+``sample_w_random`` holds.
 """
 
 from __future__ import annotations

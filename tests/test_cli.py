@@ -19,6 +19,7 @@ from hyperlim import (
     StepHypergraphon,
     UniformHypergraph,
     complete_hypergraph,
+    constant_hypergraphon,
     parse_hyperpartition,
     parse_latents,
     random_hyperpartition,
@@ -30,7 +31,9 @@ from hyperlim import (
     subset_indexing,
 )
 import hyperlim.cli as cli_module
+import hyperlim.hypergraphon as hypergraphon_module
 from hyperlim.cli import convergence_table, main
+from hyperlim.rng import subset_draws
 
 from conftest import REMOVAL_WORK, build_fixture_w, build_half_w, cli_env, forbid_work
 
@@ -657,8 +660,8 @@ def test_rerun_is_byte_identical(files, tmp_path, capsys):
 
 
 # Every expensive step of the two experiment tables.
-TABLE_WORK = [(cli_module, name)
-              for name in ("exact_density", "sample_w_random", "sampled_cylinder_family")]
+TABLE_WORK = [(cli_module, name) for name in
+              ("exact_density", "sample_w_random", "sample_hypergraph", "sampled_cylinder_family")]
 
 
 @pytest.mark.parametrize(
@@ -686,6 +689,11 @@ def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch,
     [
         ({"reps": 0}, "reps must be positive"),
         ({"ns": (4, 0)}, "every n must be positive"),
+        ({"ns": (5, 2.5)}, "n_vertices must be a nonnegative int"),
+        ({"ns": (5, True)}, "n_vertices must be a nonnegative int"),
+        ({"reps": 2.5}, "reps must be positive"),
+        ({"reps": True}, "reps must be positive"),
+        ({"w": constant_hypergraphon(3, 0.5)}, "indicator"),
         ({"seed": 2**64}, "seed must fit in 64 bits"),
         ({"seed": -1}, "seed must fit in 64 bits"),
         ({"ns": ()}, "one sample size"),
@@ -701,9 +709,36 @@ def test_convergence_table_refuses_bad_arguments_before_any_work(monkeypatch, kw
     # TABLE_WORK[0] is exact_density: a pattern that only t(K, W) refuses
     # lets the densities before it run, but no sample.
     forbid_work(monkeypatch, *(TABLE_WORK[1:] if kwargs.get("patterns") else TABLE_WORK))
-    args = {"patterns": [("triangle", complete_hypergraph(3, 3))], "ns": (4,), "reps": 2, "seed": 0}
+    args = {"w": build_fixture_w(), "patterns": [("triangle", complete_hypergraph(3, 3))],
+            "ns": (4,), "reps": 2, "seed": 0}
     with pytest.raises(BudgetError if "budget" in kwargs else ValueError, match=message):
-        convergence_table(build_fixture_w(), **(args | kwargs))
+        convergence_table(**(args | kwargs))
+
+
+def test_only_a_sample_with_latents_draws_the_top_level_in_bulk(files, capsys, tmp_path, monkeypatch):
+    # The graph-only paths draw levels 1..k-1 with subset_draws and each
+    # top latent on its own; sample_w_random draws every level once.
+    levels = []
+
+    def spy(seed, label, n, r):
+        levels.append(r)
+        return subset_draws(seed, label, n, r)
+
+    monkeypatch.setattr(hypergraphon_module, "subset_draws", spy)
+    w = build_fixture_w()
+    convergence_table(w, [("triple", complete_hypergraph(3, 3))], (6, 9), 2, seed=0)
+    assert levels == [1, 2] * 4
+    levels.clear()
+    assert main(["sample", files["w3.hgon"], "--n", "9", "--out", str(tmp_path / "s.hg")]) == 0
+    assert levels == [1, 2]
+    levels.clear()
+    assert main(["sample", files["w3.hgon"], "--n", "9", "--latents", str(tmp_path / "s.lat")]) == 0
+    capsys.readouterr()
+    assert levels == [1, 2, 3]
+    for k in (1, 2, 3, 4):
+        levels.clear()
+        sample_w_random(StepHypergraphon(k, 1, INDICATOR, {}), 6, seed=3)
+        assert levels == list(range(1, k + 1))
 
 
 # -- hash-seed independence -------------------------------------------------------

@@ -26,6 +26,7 @@ from hyperlim import (
     parse_hypergraphon,
     parse_latents,
     project,
+    sample_hypergraph,
     sample_w_random,
     serialize_hypergraphon,
     serialize_latents,
@@ -558,11 +559,21 @@ def test_sampled_latents_are_the_documented_streams(k):
             assert sample_w_random(w, n, seed).latents.tolist() == expected
 
 
+@cache
+def _every_lower_vector_live(k: int, l: int) -> StepHypergraphon:
+    """W is 1 iff the top box is 0: every lower box vector can give an edge."""
+    idx = subset_indexing(k)
+    lower = product(range(l), repeat=idx.n_coords - 1)
+    return StepHypergraphon(k, l, INDICATOR, {idx.canonicalize(b + (0,)): 1.0 for b in lower})
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_sampled_edges_match_eval_box_on_random_w(k, l):
     # W holds a seeded random half of the orbits that the sample's own
-    # box vectors fall in, so edges and non-edges both occur.
+    # box vectors fall in, so edges and non-edges both occur. W with an
+    # empty table and W with every lower vector live are checked too;
+    # the graph-only sampler must give the same graph on every W.
     idx = subset_indexing(k)
     rng = random.Random(1000 * k + l)
     for n, seed in ((k, 5), (9, 2**40 + 17)):
@@ -573,11 +584,41 @@ def test_sampled_edges_match_eval_box_on_random_w(k, l):
             return tuple((by_subset[tuple(e[i] for i in pos)] * l) >> 64 for pos in idx.subsets)
 
         orbits = sorted({idx.canonicalize(vec(e)) for e in combinations(range(n), k)})
-        w = StepHypergraphon(k, l, INDICATOR, {o: 1.0 for o in orbits if rng.random() < 0.5})
-        sample = sample_w_random(w, n, seed)
-        assert sample.latents == latents
-        expected = [e for e in combinations(range(n), k) if w.eval_box(vec(e)) == 1.0]
-        assert list(sample.hypergraph.edges) == expected
+        half = StepHypergraphon(k, l, INDICATOR, {o: 1.0 for o in orbits if rng.random() < 0.5})
+        empty = StepHypergraphon(k, l, INDICATOR, {})
+        # At k = 4, l = 3 that W would hold 3**14 lower vectors; l <= 2 covers k = 4.
+        dense = [_every_lower_vector_live(k, l)] if l ** (2**k - 2) <= 2**14 else []
+        for w in [half, empty, *dense]:
+            sample = sample_w_random(w, n, seed)
+            assert sample.latents == latents
+            expected = [e for e in combinations(range(n), k) if w.eval_box(vec(e)) == 1.0]
+            assert list(sample.hypergraph.edges) == expected
+            assert sample_hypergraph(w, n, seed) == sample.hypergraph
+
+
+def test_an_empty_w_walks_no_prefix_past_the_first_vertex(monkeypatch):
+    # With no box in W's support no key prefix is live: the graph-only
+    # sampler folds the root hash (seed, "latent", k) and no vertex.
+    folds = []
+    monkeypatch.setattr(hypergraphon_module, "fold", lambda h, v: folds.append(v) or fold(h, v))
+    for k in (1, 2, 3, 4):
+        folds.clear()
+        assert sample_hypergraph(StepHypergraphon(k, 2, INDICATOR, {}), 12, seed=1).edges == ()
+        assert folds == [k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_graph_only_sampler_draws_the_documented_top_streams(k):
+    # W is 1 iff the top box is 0 at l = 2, and every lower vector is
+    # live, so every k-subset's edge is decided by its own top stream.
+    w = _every_lower_vector_live(k, 2)
+    for n in sorted({0, k, 9}):
+        for seed in SEEDS:
+            expected = [
+                e for e in combinations(range(n), k)
+                if stream(seed, "latent", k, *e).next_u64() < 2**63
+            ]
+            assert list(sample_hypergraph(w, n, seed).edges) == expected
 
 
 # -- projection ----------------------------------------------------------------
