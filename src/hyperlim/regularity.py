@@ -186,10 +186,10 @@ def cell_counts(
 
     The k-subsets are walked as a prefix tree by
     :func:`~hyperlim.core.prefix_walk`, so a subset's raw label vector is
-    built from its prefix's. Subsets are
-    tallied by that vector, and each distinct vector is canonicalized
-    once, by the rule of :func:`cell_profile`. Cells appear in the order a
-    lexicographic scan of the k-subsets first meets them.
+    built from its prefix's. Subsets are tallied by that vector, and each
+    distinct vector is canonicalized once, by the rule of
+    :func:`cell_profile`. Cells appear in the order a lexicographic scan
+    of the k-subsets first meets them.
     """
     _check_host_partition(host, partition)
     k, n = partition.k, partition.n_vertices
