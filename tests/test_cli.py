@@ -689,11 +689,6 @@ def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch,
     [
         ({"reps": 0}, "reps must be positive"),
         ({"ns": (4, 0)}, "every n must be positive"),
-        ({"ns": (5, 2.5)}, "n_vertices must be a nonnegative int"),
-        ({"ns": (5, True)}, "n_vertices must be a nonnegative int"),
-        ({"reps": 2.5}, "reps must be positive"),
-        ({"reps": True}, "reps must be positive"),
-        ({"w": constant_hypergraphon(3, 0.5)}, "indicator"),
         ({"seed": 2**64}, "seed must fit in 64 bits"),
         ({"seed": -1}, "seed must fit in 64 bits"),
         ({"ns": ()}, "one sample size"),
@@ -703,6 +698,11 @@ def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch,
         # K4^(3) has 14 support coordinates: 2**14 boxes at l = 2.
         ({"patterns": [("triangle", complete_hypergraph(3, 3)), ("k4", complete_hypergraph(3, 4))],
           "budget": 10**4}, "exact density needs 16384 grid boxes"),
+        ({"ns": (5, 2.5)}, "n_vertices must be a nonnegative int"),
+        ({"ns": (5, True)}, "n_vertices must be a nonnegative int"),
+        ({"reps": 2.5}, "reps must be positive"),
+        ({"reps": True}, "reps must be positive"),
+        ({"w": constant_hypergraphon(3, 0.5)}, "indicator"),
     ],
 )
 def test_convergence_table_refuses_bad_arguments_before_any_work(monkeypatch, kwargs, message):
