@@ -22,6 +22,7 @@ from pathlib import Path
 from .core import (
     BudgetError,
     UniformHypergraph,
+    check_count,
     check_shape,
     hypergraph_lines,
     parse_hypergraph,
@@ -29,7 +30,6 @@ from .core import (
 from .homomorphism import hom_count, hom_density
 from .hypergraphon import (
     StepHypergraphon,
-    check_density_budget,
     check_sample_arguments,
     exact_density,
     latent_lines,
@@ -97,8 +97,9 @@ def convergence_table(
 
     Sample sub-seeds come from (seed, "convergence-sample", K index, n,
     rep). Returns CSV body rows (data rows then a rep="mean" summary row
-    per block) and the mean |diff| per (K id, n). A bad seed, rep count or
-    sample size (each n goes through the sampler's own rule,
+    per block) and the mean |diff| per (K id, n). A bad seed, rep count,
+    budget or sample size (each n must be at least 1 and goes through the
+    sampler's own rule,
     :func:`~hyperlim.hypergraphon.check_sample_arguments`), a W that is not
     indicator kind, or an empty list of patterns or sizes, is refused
     before any density is computed, and every t(K, W) is computed, so a
@@ -107,14 +108,13 @@ def convergence_table(
     :func:`~hyperlim.hypergraphon.sample_hypergraph`, which keeps no latents.
     """
     check_seed(seed)
-    if type(reps) is not int or reps < 1:
-        raise ValueError(f"reps must be positive and an int, got {reps!r}")
+    check_count("reps", reps)
+    check_count("budget", budget)
     if not patterns or not ns:
         raise ValueError("need at least one pattern and one sample size n")
     for n in ns:
+        check_count("sample size n", n)
         check_sample_arguments(w, n, seed)
-    if any(n < 1 for n in ns):
-        raise ValueError("every n must be positive")
     rows: list[list[str]] = []
     means: dict[tuple[str, int], float] = {}
     t_ws = [exact_density(pattern, w, budget=budget) for _, pattern in patterns]
@@ -198,7 +198,7 @@ def cmd_hom(args) -> int:
 def cmd_density(args) -> int:
     pattern = parse_hypergraph(_read(args.pattern))
     w = parse_hypergraphon(_read(args.w))
-    check_density_budget(args.budget)
+    check_count("budget", args.budget)
     if args.mode == "exact":
         print(_real(exact_density(pattern, w, budget=args.budget)))
     else:

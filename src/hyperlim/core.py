@@ -39,6 +39,16 @@ def check_arity(k: int) -> None:
         raise ValueError(f"arity k={k!r} out of supported range 1..{MAX_ARITY} or not an int")
 
 
+def check_count(what: str, value: int, least: int = 1) -> None:
+    """Refuse a count, cap or budget that is not an int of at least ``least``.
+
+    The rule of every size argument: a bool, a float (NaN and inf too) or
+    any other non-int is refused, so no budget can switch its check off.
+    """
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an int of at least {least}, got {value!r}")
+
+
 def check_shape(k: int, n_vertices: int, resolution: int) -> None:
     """Refuse an arity, a vertex count below 0 or a resolution outside 1..2**64.
 
@@ -47,12 +57,8 @@ def check_shape(k: int, n_vertices: int, resolution: int) -> None:
     and a step hypergraphon, which has no vertex set, passes 0 vertices.
     """
     check_arity(k)
-    if type(n_vertices) is not int or n_vertices < 0:
-        raise ValueError(f"n_vertices must be a nonnegative int, got {n_vertices!r}")
-    if type(resolution) is not int:
-        raise ValueError(f"resolution l={resolution!r} is not an int")
-    if resolution < 1:
-        raise ValueError("resolution l must be at least 1")
+    check_count("n_vertices", n_vertices, 0)
+    check_count("resolution l", resolution)
     if resolution > 1 << 64:
         raise ValueError(f"resolution l={resolution} above 2**64: classes are held in 64 bits")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import BudgetError, UniformHypergraph
+from .core import BudgetError, UniformHypergraph, check_count
 
 
 class HomCount(NamedTuple):
@@ -166,8 +166,7 @@ def enumerate_hom_images(
     _check_arity(pattern, host)
     if not pattern.edges:
         raise ValueError("pattern must have at least one edge")
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    check_count("cap", cap)
     order = _covered_order(pattern)
     v = order[-1]
     assignment = [-1] * pattern.n_vertices

@@ -43,6 +43,7 @@ from .core import (
     _prefix_cols,
     _subset_lines,
     _walk_steps,
+    check_count,
     check_shape,
     hypergraph_lines,
     pick,
@@ -264,12 +265,6 @@ def _eliminate(table, scopes: Sequence[tuple[int, ...]]) -> int:
     return prod(entries.get((), 0) for _, entries in factors.values())
 
 
-def check_density_budget(budget: int) -> None:
-    """Refuse an exact-density grid budget below 1, before any work."""
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-
-
 def exact_density(
     pattern: UniformHypergraph, w: StepHypergraphon, budget: int = 10**6
 ) -> float:
@@ -284,7 +279,7 @@ def exact_density(
     not the l**s boxes.
     """
     _check_density_args(pattern, w)
-    check_density_budget(budget)
+    check_count("budget", budget)
     support = simplicial_support(pattern)
     boxes = w.resolution ** len(support)
     if boxes > budget:
@@ -330,8 +325,7 @@ def mc_density(
     """
     _check_density_args(pattern, w)
     check_seed(seed)
-    if type(n_samples) is not int or n_samples < 2:
-        raise ValueError(f"n_samples must be an int of at least 2, got {n_samples!r}")
+    check_count("n_samples", n_samples, 2)
     support = simplicial_support(pattern)
     s = len(support)
     l = w.resolution
@@ -427,10 +421,10 @@ class LatentSample:
             raise ValueError(f"expected {expected} latents, got {len(latents)}")
         try:
             store = array("Q", latents)
-        except OverflowError:
-            # array('Q') names no value; report the smallest if it is negative, else the largest.
-            m = min(latents)
-            raise ValueError(f"latent {m if m < 0 else max(latents)} outside 0..2**64 - 1") from None
+        except (OverflowError, TypeError):
+            # array('Q') names no value; report the first one it cannot hold.
+            m = next(m for m in latents if not isinstance(m, int) or not 0 <= m < 1 << 64)
+            raise ValueError(f"latent {m!r} outside 0..2**64 - 1 or not an int") from None
         self.hypergraph = hypergraph
         self.latents = memoryview(store).toreadonly()
         self.seed = seed

@@ -26,6 +26,7 @@ from .core import (
     _header,
     _parse_int,
     _subset_lines,
+    check_count,
     check_shape,
     prefix_rows,
     prefix_walk,
@@ -79,10 +80,14 @@ class Hyperpartition:
             expected = comb(n_vertices, r)
             if len(level) != expected:
                 raise ValueError(f"level {r}: expected {expected} labeled subsets, got {len(level)}")
-            for label in (min(level), max(level)) if level else ():
-                if not 0 <= label < resolution:
-                    raise ValueError(f"level {r}: label {label} outside 0..{resolution - 1}")
-            frozen.append(memoryview(unsigned_array(level, resolution - 1)).toreadonly())
+            try:
+                for label in (min(level), max(level)) if level else ():
+                    if not 0 <= label < resolution:
+                        raise ValueError(f"level {r}: label {label} outside 0..{resolution - 1}")
+                store = unsigned_array(level, resolution - 1)
+            except TypeError:
+                raise ValueError(f"level {r}: every label must be an int") from None
+            frozen.append(memoryview(store).toreadonly())
         self.k = k
         self.n_vertices = n_vertices
         self.resolution = resolution
@@ -92,8 +97,8 @@ class Hyperpartition:
         """The class of a strictly increasing subset of range(n), of size 1..k."""
         subset = tuple(subset)
         n, r = self.n_vertices, len(subset)
-        if not (1 <= r <= self.k and subset == tuple(sorted(set(subset)))
-                and 0 <= subset[0] and subset[-1] < n):
+        if not (1 <= r <= self.k and all(type(v) is int for v in subset)
+                and subset == tuple(sorted(set(subset))) and 0 <= subset[0] and subset[-1] < n):
             raise ValueError(
                 f"{subset} is not a strictly increasing subset of range({n}) of size 1..{self.k}"
             )
@@ -319,10 +324,10 @@ class CylinderIntersection:
 
     def contains(self, subset: tuple[int, ...]) -> bool:
         r = self.arity
+        if any(type(v) is not int or not 0 <= v < self.n_vertices for v in subset):
+            raise ValueError(f"{subset} out of vertex range or not ints")
         if len(subset) != r or tuple(sorted(set(subset))) != tuple(subset):
             raise ValueError(f"{subset} is not a sorted {r}-subset")
-        if any(not 0 <= v < self.n_vertices for v in subset):
-            raise ValueError(f"{subset} out of vertex range")
         minus = [subset[:j] + subset[j + 1 :] for j in range(r)]
         edge_sets = [b.edge_set for b in self.sides]
         for perm in permutations(range(r)):
@@ -432,11 +437,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must lie strictly between 0 and 1")
 
 
-def _check_count(count: int) -> None:
-    if type(count) is not int or count < 1:
-        raise ValueError(f"cylinder count must be positive: an int of at least 1, got {count!r}")
-
-
 def check_sampled_arguments(n: int, r: int, epsilon: float, count: int, seed: int) -> None:
     """Refuse a sampled check at level r on n vertices that would test nothing.
 
@@ -447,7 +447,7 @@ def check_sampled_arguments(n: int, r: int, epsilon: float, count: int, seed: in
     would report a regular verdict backed by no test; that is refused too.
     """
     _check_epsilon(epsilon)
-    _check_count(count)
+    check_count("cylinder count", count)
     check_seed(seed)
     if n < r:
         raise ValueError(f"no {r}-subsets on {n} vertices, so every cylinder is empty")
@@ -468,7 +468,7 @@ def sampled_cylinder_family(n: int, r: int, count: int, seed: int) -> list[Cylin
     if not 2 <= r <= MAX_ARITY:
         raise ValueError(f"cylinder level r={r} outside 2..{MAX_ARITY}")
     check_seed(seed)
-    _check_count(count)
+    check_count("cylinder count", count)
     subsets = list(combinations(range(n), r - 1))
     picks = len(_SIDE_THRESHOLDS)
     density_state = derive(seed, "cylinder-density")
@@ -545,8 +545,7 @@ def independence_test(
     check_shape(k, n, l)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if type(trials) is not int or trials < 1:
-        raise ValueError(f"trials must be a positive int, got {trials!r}")
+    check_count("trials", trials)
     idx = subset_indexing(k)
     subsets = idx.subsets
     p0 = float(l) ** -len(subsets)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .core import UniformHypergraph
+from .core import UniformHypergraph, check_count
 from .homomorphism import HomImageSet, enumerate_hom_images, hom_count
 
 Edge = tuple[int, ...]
@@ -125,11 +125,6 @@ def _branch_and_bound(family: _Family) -> tuple[int, int]:
     return best, nodes
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-
-
 def exact_hitting_set(
     images: HomImageSet, budget: int = 24
 ) -> tuple[tuple[Edge, ...], bool]:
@@ -147,9 +142,10 @@ def exact_hitting_set(
     the first minimum-size leaf in that order. A valid lower bound never
     prunes the path to that leaf before it is found, and the leaf holds no
     excluded sibling edge, since the subtree of that earlier sibling would
-    hold a minimum leaf that comes first. A negative budget is refused.
+    hold a minimum leaf that comes first. A budget that is not an int of
+    at least 0 is refused.
     """
-    _check_budget(budget)
+    check_count("budget", budget, 0)
     family = _encode(images.images)
     if len(family.candidates) > budget:
         return _decode(family, _greedy(family)), False
@@ -183,7 +179,7 @@ def removal_experiment(
     recomputed from scratch on H minus the removed edges; `verified`
     means it is exactly zero.
     """
-    _check_budget(exact_budget)
+    check_count("budget", exact_budget, 0)
     images = enumerate_hom_images(pattern, host, cap=cap)
     removed, optimal = exact_hitting_set(images, budget=exact_budget)
     method = "exact" if optimal else "greedy"

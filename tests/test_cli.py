@@ -667,8 +667,10 @@ TABLE_WORK = [(cli_module, name) for name in
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["experiment", "convergence", "w3.hgon", "triangle.hg", "--ns", "0"], "positive"),
-        (["experiment", "convergence", "w3.hgon", "triangle.hg", "--reps", "0"], "positive"),
+        pytest.param(["experiment", "convergence", "w3.hgon", "triangle.hg", "--ns", "0"],
+                     "sample size n must be an int of at least 1", id="argv0-positive"),
+        pytest.param(["experiment", "convergence", "w3.hgon", "triangle.hg", "--reps", "0"],
+                     "reps must be an int of at least 1", id="argv1-positive"),
         (["experiment", "convergence", "w3.hgon", "triangle.hg", "--seed", "-1"], "seed"),
         (["experiment", "regularity", "w3.hgon", "--n", "10", "--l", "0"], "resolution"),
         (["experiment", "regularity", "w3.hgon", "--n", "10", "--eps", "1"], "epsilon"),
@@ -687,8 +689,10 @@ def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch,
 @pytest.mark.parametrize(
     "kwargs,message",
     [
-        ({"reps": 0}, "reps must be positive"),
-        ({"ns": (4, 0)}, "every n must be positive"),
+        pytest.param({"reps": 0}, "reps must be an int of at least 1, got 0",
+                     id="kwargs0-reps must be positive"),
+        pytest.param({"ns": (4, 0)}, "sample size n must be an int of at least 1, got 0",
+                     id="kwargs1-every n must be positive"),
         ({"seed": 2**64}, "seed must fit in 64 bits"),
         ({"seed": -1}, "seed must fit in 64 bits"),
         ({"ns": ()}, "one sample size"),
@@ -698,11 +702,20 @@ def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch,
         # K4^(3) has 14 support coordinates: 2**14 boxes at l = 2.
         ({"patterns": [("triangle", complete_hypergraph(3, 3)), ("k4", complete_hypergraph(3, 4))],
           "budget": 10**4}, "exact density needs 16384 grid boxes"),
-        ({"ns": (5, 2.5)}, "n_vertices must be a nonnegative int"),
-        ({"ns": (5, True)}, "n_vertices must be a nonnegative int"),
-        ({"reps": 2.5}, "reps must be positive"),
-        ({"reps": True}, "reps must be positive"),
+        pytest.param({"ns": (5, 2.5)}, "sample size n must be an int of at least 1, got 2.5",
+                     id="kwargs8-n_vertices must be a nonnegative int"),
+        pytest.param({"ns": (5, True)}, "sample size n must be an int of at least 1, got True",
+                     id="kwargs9-n_vertices must be a nonnegative int"),
+        pytest.param({"reps": 2.5}, "reps must be an int of at least 1, got 2.5",
+                     id="kwargs10-reps must be positive"),
+        pytest.param({"reps": True}, "reps must be an int of at least 1, got True",
+                     id="kwargs11-reps must be positive"),
         ({"w": constant_hypergraphon(3, 0.5)}, "indicator"),
+        *(({name: value}, f"^{what} must be an int of at least 1, got {bad!r}$")
+          for bad in (float("nan"), float("inf"), 2.0)
+          for name, value, what in (("reps", bad, "reps"), ("ns", (4, bad), "sample size n"))),
+        *(({"budget": bad}, f"^budget must be an int of at least 1, got {bad!r}$")
+          for bad in (0, float("nan"), float("inf"), 2.5, 2.0, True)),
     ],
 )
 def test_convergence_table_refuses_bad_arguments_before_any_work(monkeypatch, kwargs, message):
@@ -711,7 +724,7 @@ def test_convergence_table_refuses_bad_arguments_before_any_work(monkeypatch, kw
     forbid_work(monkeypatch, *(TABLE_WORK[1:] if kwargs.get("patterns") else TABLE_WORK))
     args = {"w": build_fixture_w(), "patterns": [("triangle", complete_hypergraph(3, 3))],
             "ns": (4,), "reps": 2, "seed": 0}
-    with pytest.raises(BudgetError if "budget" in kwargs else ValueError, match=message):
+    with pytest.raises(BudgetError if "grid boxes" in message else ValueError, match=message):
         convergence_table(**(args | kwargs))
 
 

@@ -1,25 +1,34 @@
 import pickle
 import random
+import re
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperlim.homomorphism as homomorphism_module
+import hyperlim.regularity as regularity_module
+import hyperlim.removal as removal_module
 from hyperlim import (
     FormatError,
     Hyperpartition,
     INDICATOR,
+    LatentSample,
     StepHypergraphon,
     UniformHypergraph,
     complete_hypergraph,
+    enumerate_hom_images,
+    exact_hitting_set,
     parse_hypergraph,
+    removal_experiment,
+    sampled_cylinder_family,
     serialize_hypergraph,
     simplicial_support,
     subset_indexing,
 )
 from hyperlim.core import _content_lines
 
-from conftest import triangle
+from conftest import REMOVAL_WORK, forbid_work, triangle
 
 
 # -- UniformHypergraph construction -------------------------------------------
@@ -63,6 +72,8 @@ def test_constructor_rejects_noncanonical_input(k, n, edges):
         (StepHypergraphon, (2, 2.0, INDICATOR, {(0, 0, 0): 1.0})),
         (StepHypergraphon, (True, 2, INDICATOR, {})),
         (Hyperpartition, (1, 2, 2.0, [[0, 1]])),
+        (Hyperpartition, (1, 3, 2, [[0, 0.5, 1]])),
+        (LatentSample, (UniformHypergraph(1, 2, []), [1, 2.5], 0)),
     ],
 )
 def test_constructors_refuse_values_that_are_not_ints(cls, args):
@@ -198,6 +209,51 @@ def test_a_hypergraph_pickles_with_its_links():
         back = pickle.loads(pickle.dumps(h, protocol))
         assert back == h and hash(back) == hash(h)
         assert back.links == h.links and back.edge_set == h.edge_set
+
+
+# -- the count rule -------------------------------------------------------------
+
+
+# The triangle's 20 distinct images in K6, listed before any work is forbidden.
+K6_TRIANGLES = enumerate_hom_images(triangle(), complete_hypergraph(2, 6))
+
+# The caps and budgets that no parametrized refusal test of their own module
+# takes: case -> (a call taking the bad value, the name it is refused under,
+# the least value allowed, the work it must refuse before).
+COUNT_CASES = {
+    "enumerate_hom_images cap": (
+        lambda v: enumerate_hom_images(triangle(), complete_hypergraph(2, 6), cap=v), "cap", 1,
+        [(homomorphism_module, "_covered_order"), (homomorphism_module, "_last_masks")]),
+    "removal_experiment cap": (
+        lambda v: removal_experiment(triangle(), complete_hypergraph(2, 6), cap=v), "cap", 1,
+        [(homomorphism_module, "_covered_order"), *REMOVAL_WORK]),
+    "removal_experiment exact_budget": (
+        lambda v: removal_experiment(triangle(), complete_hypergraph(2, 6), exact_budget=v), "budget", 0,
+        [(removal_module, "enumerate_hom_images"), *REMOVAL_WORK]),
+    "exact_hitting_set budget": (
+        lambda v: exact_hitting_set(K6_TRIANGLES, budget=v), "budget", 0,
+        [(removal_module, name) for name in ("_encode", "_greedy", "_branch_and_bound")]),
+    "sampled_cylinder_family count": (
+        lambda v: sampled_cylinder_family(6, 2, v, seed=0), "cylinder count", 1,
+        [(regularity_module, "derive"), (regularity_module, "fold")]),
+}
+BAD_COUNTS = {"nan": float("nan"), "inf": float("inf"), "2.5": 2.5, "2.0": 2.0, "True": True}
+
+
+@pytest.mark.parametrize("bad", [*BAD_COUNTS, "least-1"])
+@pytest.mark.parametrize("case", COUNT_CASES)
+def test_a_cap_budget_or_count_refuses_a_bad_value_before_any_work(monkeypatch, case, bad):
+    # One rule, core.check_count, with one message: a NaN or inf budget
+    # would otherwise switch off the price check it feeds.
+    call, what, least, work = COUNT_CASES[case]
+    value = BAD_COUNTS.get(bad, least - 1)
+    forbid_work(monkeypatch, *work)
+    message = f"{what} must be an int of at least {least}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+    # The least allowed value starts the forbidden work, so the forbid pins something.
+    with pytest.raises(AssertionError, match="work started"):
+        call(least)
 
 
 # -- HG text format ------------------------------------------------------------

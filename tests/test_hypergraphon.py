@@ -171,8 +171,8 @@ def test_mc_density_memory_does_not_grow_with_the_resolution():
 def test_w_takes_the_one_resolution_rule():
     # W's resolution obeys check_shape, as a hyperpartition's does: an
     # int in 1..2**64, since sampled boxes are held in 64 bits.
-    for l, message in ((0, "at least 1"), (2**64 + 1, r"above 2\*\*64"), (2**70, r"above 2\*\*64"),
-                       (2.0, "not an int"), (True, "not an int")):
+    for l, message in ((0, "must be an int of at least 1"), (2**64 + 1, r"above 2\*\*64"), (2**70, r"above 2\*\*64"),
+                       (2.0, "must be an int"), (True, "must be an int")):
         with pytest.raises(ValueError, match=message):
             StepHypergraphon(1, l, INDICATOR, {})
     assert StepHypergraphon(1, 2**64, INDICATOR, {}).resolution == 2**64
@@ -268,11 +268,13 @@ def test_density_arity_mismatch_and_budget():
         exact_density(triangle(), w, budget=10**6)  # 11**6 boxes
 
 
-@pytest.mark.parametrize("budget", [0, -1])
-def test_budget_below_one_is_bad_input(budget, half_w):
-    # A BudgetError would report a refused grid; a budget below 1 is a
-    # malformed argument, whatever the grid size.
-    with pytest.raises(ValueError, match="budget"):
+@pytest.mark.parametrize("budget", [0, -1, float("nan"), float("inf"), 2.5, 2.0, True])
+def test_budget_below_one_is_bad_input(monkeypatch, budget, half_w):
+    # A BudgetError would report a refused grid; a budget below 1 or not an
+    # int is a malformed argument, whatever the grid size, and a NaN or inf
+    # one would switch the grid check off.
+    forbid_work(monkeypatch, (hypergraphon_module, "simplicial_support"))
+    with pytest.raises(ValueError, match=f"^budget must be an int of at least 1, got {budget!r}$"):
         exact_density(triangle(), half_w, budget=budget)
 
 
@@ -446,7 +448,7 @@ def test_mc_density_rejects_tiny_sample_counts(fixture_w):
         mc_density(single_triple(), fixture_w, 1, seed=0)
 
 
-@pytest.mark.parametrize("n_samples", [1, 2.5, 2.0, True])
+@pytest.mark.parametrize("n_samples", [1, 2.5, 2.0, True, float("nan"), float("inf")])
 def test_mc_density_refuses_a_bad_sample_count_before_any_sample(monkeypatch, fixture_w, n_samples):
     forbid_work(monkeypatch, (hypergraphon_module, "simplicial_support"), (hypergraphon_module, "derive"))
     with pytest.raises(ValueError, match="n_samples must be an int of at least 2"):
@@ -468,7 +470,7 @@ def test_sampling_the_all_one_indicator_gives_complete(fixture_w):
 @pytest.mark.parametrize("n", [-1, 2.5, 3.0, True])
 def test_sampling_refuses_a_bad_vertex_count_before_any_draw(monkeypatch, fixture_w, n):
     forbid_work(monkeypatch, (hypergraphon_module, "subset_draws"))
-    with pytest.raises(ValueError, match="n_vertices must be a nonnegative int"):
+    with pytest.raises(ValueError, match="n_vertices must be an int of at least 0"):
         sample_w_random(fixture_w, n, seed=0)
 
 
@@ -809,6 +811,7 @@ def test_lat_parse_errors(fixture_w):
         ([-1, 0], 0, "latent -1 outside"),  # a signed token
         ([0, 2**64 - 1], -5, "seed"),
         ([0, 2**64 - 1], 2**64, "seed"),
+        ([2**64, "a"], 0, "latent 18446744073709551616 outside"),  # one value past 64 bits, one not an int
     ],
 )
 def test_latent_sample_refuses_what_its_lat_file_could_not_hold(latents, seed, match):

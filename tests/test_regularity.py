@@ -179,7 +179,7 @@ def test_builders_equal_a_validated_partition(k, l):
 def test_builders_keep_the_shape_checks():
     with pytest.raises(ValueError, match="arity"):
         random_hyperpartition(5, 3, 2, seed=0)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="n_vertices must be an int of at least 0"):
         random_hyperpartition(2, -1, 2, seed=0)
     with pytest.raises(ValueError, match="resolution"):
         random_hyperpartition(2, 3, 0, seed=0)
@@ -501,6 +501,19 @@ def test_cylinder_membership_validates_subsets():
         cyl.contains((0, 9))
 
 
+@pytest.mark.parametrize("member", [(1.0, 2), (1, 2.0), (True, 2)])
+def test_the_reference_oracles_refuse_a_member_that_is_not_an_int(member):
+    # (1, 2) is a member of the cylinder and a pair of the partition; the
+    # kernels are checked against these two, so they refuse a float or bool
+    # vertex as the constructors do, rather than read it as an int.
+    cyl = CylinderIntersection((one_uniform(4, [1]), one_uniform(4, [2])))
+    assert cyl.contains((1, 2))
+    with pytest.raises(ValueError, match="not ints"):
+        cyl.contains(member)
+    with pytest.raises(ValueError, match="strictly increasing subset"):
+        random_hyperpartition(2, 4, 3, seed=0).label(member)
+
+
 # -- deviation and the checkers --------------------------------------------------
 
 
@@ -559,7 +572,7 @@ def test_sampled_family_is_seeded_and_validates_count():
     assert all(c.arity == 3 and c.sides[0].k == 2 for c in fam1)
     # One count rule for the family and the sampled check: at least one cylinder.
     for bad in (0, -1, 2.5, True):
-        with pytest.raises(ValueError, match="count must be positive"):
+        with pytest.raises(ValueError, match="cylinder count must be an int of at least 1"):
             sampled_cylinder_family(6, 2, bad, seed=0)
 
 
@@ -596,7 +609,7 @@ def test_check_sampled_rejects_level_one_and_mismatched_plants():
     family = [planted_half_cylinder()] + sampled_cylinder_family(9, 2, 5, seed=0)
     with pytest.raises(ValueError, match="disagree on arity or vertex count"):
         check_regularity_family(complete_hypergraph(2, 9), 0.1, family)
-    with pytest.raises(ValueError, match="count must be positive"):
+    with pytest.raises(ValueError, match="cylinder count must be an int of at least 1"):
         check_regularity_sampled(complete_hypergraph(2, 8), 0.1, 0, seed=0)
 
 
@@ -633,8 +646,11 @@ def test_sampled_check_refuses_epsilon_before_building_cylinders(monkeypatch, ep
 @pytest.mark.parametrize(
     "kwargs,message",
     [
-        ({"count": -1}, "count must be positive"),
+        pytest.param({"count": -1}, "cylinder count must be an int of at least 1",
+                     id="kwargs0-count must be positive"),
         ({"seed": 2**64}, "seed must fit in 64 bits"),
+        *(({"count": bad}, f"^cylinder count must be an int of at least 1, got {bad!r}$")
+          for bad in (0, float("nan"), float("inf"), 2.5, 2.0, True)),
     ],
 )
 def test_sampled_check_refuses_before_building_cylinders(monkeypatch, kwargs, message):
@@ -649,12 +665,15 @@ def test_sampled_check_refuses_before_building_cylinders(monkeypatch, kwargs, me
     [
         ({"seed": -1}, "seed must fit in 64 bits"),
         ({"seed": 2**64}, "seed must fit in 64 bits"),
-        ({"cylinders": 0}, "count must be positive"),
+        pytest.param({"cylinders": 0}, "cylinder count must be an int of at least 1",
+                     id="kwargs2-count must be positive"),
         ({"epsilon": 1.0}, "epsilon"),
         ({"epsilon": 0.0}, "epsilon"),
         ({"l": 0}, "resolution"),
         ({"n": 0}, "no 3-subsets on 0 vertices"),
         ({"l": 2**64 + 1}, r"l=18446744073709551617 above 2\*\*64"),
+        *(({"cylinders": bad}, f"^cylinder count must be an int of at least 1, got {bad!r}$")
+          for bad in (float("nan"), float("inf"), 2.5, 2.0, True)),
     ],
 )
 def test_regularity_table_refuses_bad_arguments_before_any_work(monkeypatch, kwargs, message):
@@ -754,18 +773,18 @@ def test_independence_refuses_resolution_below_one_before_any_partition(monkeypa
         (regularity_module, "random_hyperpartition"),
         (regularity_module, "subset_indexing"),
     )
-    with pytest.raises(ValueError, match="resolution l must be at least 1"):
+    with pytest.raises(ValueError, match="resolution l must be an int of at least 1"):
         independence_test(2, 5, l, seed=0)
 
 
-@pytest.mark.parametrize("trials", [0, 2.5, 2.0, True])
+@pytest.mark.parametrize("trials", [0, 2.5, 2.0, True, float("nan"), float("inf")])
 def test_independence_refuses_a_bad_trial_count_before_any_partition(monkeypatch, trials):
     forbid_work(
         monkeypatch,
         (regularity_module, "random_hyperpartition"),
         (regularity_module, "subset_indexing"),
     )
-    with pytest.raises(ValueError, match="trials must be a positive int"):
+    with pytest.raises(ValueError, match="trials must be an int of at least 1"):
         independence_test(2, 5, 2, seed=0, trials=trials)
 
 

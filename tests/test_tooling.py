@@ -1,8 +1,9 @@
 """Tooling contracts: the package imports only the standard library and
 its public list names exactly what it imports, a CLI process loads no
 `dataclasses` or introspection modules, the README and the CLI parser
-name the same long options, the README's Determinism table names exactly
-the stream labels the package draws from, no two `raise` sites in the
+name the same long options, every `hyperlim.<module>.<name>` the README
+names exists, the README's Determinism table names exactly the stream
+labels the package draws from, no two `raise` sites in the
 package spell the same message, and the benchmark's span tracer names
 hyperlim functions and their parameters.
 
@@ -260,6 +261,21 @@ def test_the_readme_and_the_parser_name_the_same_long_options():
     defined = parser_long_options(build_parser())
     assert sorted(defined - readme_long_options(readme)) == []
     assert sorted(readme_long_options(commands) - defined) == []
+
+
+def test_every_package_name_the_readme_spells_out_exists():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = re.findall(r"`hyperlim\.(\w+)\.(\w+)`", readme)
+    assert named
+    missing = []
+    for module, name in named:
+        try:
+            found = hasattr(importlib.import_module(f"hyperlim.{module}"), name)
+        except ImportError:
+            found = False
+        if not found:
+            missing.append(f"hyperlim.{module}.{name}")
+    assert missing == []
 
 
 def source_stream_labels() -> set[str]:
