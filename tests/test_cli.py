@@ -711,10 +711,10 @@ def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch,
         pytest.param({"reps": True}, "reps must be an int of at least 1, got True",
                      id="kwargs11-reps must be positive"),
         ({"w": constant_hypergraphon(3, 0.5)}, "indicator"),
-        *(({name: value}, f"^{what} must be an int of at least 1, got {bad!r}$")
+        *(({name: value}, f"{what} must be an int of at least 1, got {bad!r}")
           for bad in (float("nan"), float("inf"), 2.0)
           for name, value, what in (("reps", bad, "reps"), ("ns", (4, bad), "sample size n"))),
-        *(({"budget": bad}, f"^budget must be an int of at least 1, got {bad!r}$")
+        *(({"budget": bad}, f"budget must be an int of at least 1, got {bad!r}")
           for bad in (0, float("nan"), float("inf"), 2.5, 2.0, True)),
     ],
 )

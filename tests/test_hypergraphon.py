@@ -171,8 +171,8 @@ def test_mc_density_memory_does_not_grow_with_the_resolution():
 def test_w_takes_the_one_resolution_rule():
     # W's resolution obeys check_shape, as a hyperpartition's does: an
     # int in 1..2**64, since sampled boxes are held in 64 bits.
-    for l, message in ((0, "must be an int of at least 1"), (2**64 + 1, r"above 2\*\*64"), (2**70, r"above 2\*\*64"),
-                       (2.0, "must be an int"), (True, "must be an int")):
+    for l, message in ((0, "must be an int of at least 1"), (2**64 + 1, r"above 2\*\*64"),
+                       (2**70, r"above 2\*\*64"), (2.0, "must be an int"), (True, "must be an int")):
         with pytest.raises(ValueError, match=message):
             StepHypergraphon(1, l, INDICATOR, {})
     assert StepHypergraphon(1, 2**64, INDICATOR, {}).resolution == 2**64

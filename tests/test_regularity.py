@@ -649,7 +649,7 @@ def test_sampled_check_refuses_epsilon_before_building_cylinders(monkeypatch, ep
         pytest.param({"count": -1}, "cylinder count must be an int of at least 1",
                      id="kwargs0-count must be positive"),
         ({"seed": 2**64}, "seed must fit in 64 bits"),
-        *(({"count": bad}, f"^cylinder count must be an int of at least 1, got {bad!r}$")
+        *(({"count": bad}, f"cylinder count must be an int of at least 1, got {bad!r}")
           for bad in (0, float("nan"), float("inf"), 2.5, 2.0, True)),
     ],
 )
@@ -672,7 +672,7 @@ def test_sampled_check_refuses_before_building_cylinders(monkeypatch, kwargs, me
         ({"l": 0}, "resolution"),
         ({"n": 0}, "no 3-subsets on 0 vertices"),
         ({"l": 2**64 + 1}, r"l=18446744073709551617 above 2\*\*64"),
-        *(({"cylinders": bad}, f"^cylinder count must be an int of at least 1, got {bad!r}$")
+        *(({"cylinders": bad}, f"cylinder count must be an int of at least 1, got {bad!r}")
           for bad in (float("nan"), float("inf"), 2.5, 2.0, True)),
     ],
 )
