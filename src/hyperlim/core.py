@@ -130,6 +130,7 @@ class UniformHypergraph:
         return frozenset(self.edges)
 
     def without_edges(self, drop: Iterable[tuple[int, ...]]) -> "UniformHypergraph":
+        """A new hypergraph on the same vertices, less every edge listed in ``drop``."""
         gone = {tuple(e) for e in drop}
         return UniformHypergraph(
             self.k, self.n_vertices, [e for e in self.edges if e not in gone]
@@ -176,12 +177,8 @@ class SubsetIndexing:
 
     @property
     def n_coords(self) -> int:
+        """The number of box coordinates, 2**k - 1: one per nonempty subset of {0..k-1}."""
         return len(self.subsets)
-
-    @property
-    def top_index(self) -> int:
-        # The full set {0..k-1} sorts last (largest size).
-        return len(self.subsets) - 1
 
     def _build_action(self, perm: tuple[int, ...]):
         # Coordinate j moves to the index of perm(A_j), so position i of

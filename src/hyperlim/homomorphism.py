@@ -21,6 +21,7 @@ class HomCount(NamedTuple):
     domain_size: int
 
     def density(self) -> Fraction:
+        """count / domain_size, exactly; refused when the map space is empty."""
         if self.domain_size == 0:
             raise ValueError("density undefined: empty map space (host has no vertices)")
         return Fraction(self.count, self.domain_size)

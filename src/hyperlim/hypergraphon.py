@@ -29,7 +29,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb, prod, sqrt
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     BudgetError,
@@ -53,7 +53,7 @@ from .core import (
     unsigned_array,
     walk_order,
 )
-from .rng import MASK64, _GAMMA, _MIX1, _MIX2, check_seed, derive, fold, subset_draws
+from .rng import MASK64, _GAMMA, _MIX1, _MIX2, _first_draws, check_seed, derive, fold, subset_draws
 
 INDICATOR = "ind"
 PROJECTED = "proj"
@@ -360,7 +360,8 @@ def mc_density(
         steps.append((0, 0, None, cmap))
 
     # Sample i's state is fold(derive(seed, "mc"), i); draw j + 1 of its
-    # stream is mix64(state + (j + 1) * gamma). Both are inlined.
+    # stream is mix64(state + (j + 1) * gamma). Both are inlined: a sample
+    # stops at its first refused coordinate, and this is the slowest loop.
     get = table.get
     head = (derive(seed, "mc") + _GAMMA) & MASK64
     assign = [0] * s
@@ -421,9 +422,12 @@ class LatentSample:
             raise ValueError(f"expected {expected} latents, got {len(latents)}")
         try:
             store = array("Q", latents)
+            if not isinstance(latents, (array, memoryview)) and bool in map(type, latents):
+                raise TypeError  # array() takes a bool as 0 or 1
         except (OverflowError, TypeError):
             # array('Q') names no value; report the first one it cannot hold.
-            m = next(m for m in latents if not isinstance(m, int) or not 0 <= m < 1 << 64)
+            m = next(m for m in latents if type(m) is bool or not isinstance(m, int)
+                     or not 0 <= m < 1 << 64)
             raise ValueError(f"latent {m!r} outside 0..2**64 - 1 or not an int") from None
         self.hypergraph = hypergraph
         self.latents = memoryview(store).toreadonly()
@@ -443,12 +447,7 @@ def check_sample_arguments(w: StepHypergraphon, n: int, seed: int) -> None:
     check_seed(seed)
 
 
-def _box_rows(draws: array, l: int, n: int, r: int) -> dict[tuple[int, ...], Sequence]:
-    """The boxes ``(m * l) >> 64`` of one level's draws, as typed prefix rows."""
-    return prefix_rows(unsigned_array(((m * l) >> 64 for m in draws), l - 1), n, r)
-
-
-def _live_prefixes(w: StepHypergraphon, rows: Sequence[Mapping], n: int, h: int | None):
+def _live_prefixes(w: StepHypergraphon, rows: Sequence[Mapping], n: int, h: int):
     """Walk the k-subsets of range(n) whose lower box vector can still give an edge.
 
     ``rows[r - 1]`` holds the boxes of the r-subsets, r = 1..k-1, laid out
@@ -462,7 +461,7 @@ def _live_prefixes(w: StepHypergraphon, rows: Sequence[Mapping], n: int, h: int 
     (k-1)-subset ``verts`` with a live extension: ``live`` lists, for each
     v > max(verts) such that ``verts + (v,)`` has a live lower vector, the
     pair (v, the top boxes that make it an edge). ``h`` is the given state
-    folded once per vertex of ``verts``, or None throughout if given None.
+    folded once per vertex of ``verts``.
     """
     k = w.k
     order = walk_order(k)
@@ -475,7 +474,7 @@ def _live_prefixes(w: StepHypergraphon, rows: Sequence[Mapping], n: int, h: int 
     steps = _walk_steps(k)
     del steps[-1][-1]  # the top coordinate, T = verts, is read per candidate
 
-    def walk(verts: tuple[int, ...], key: tuple, h: int | None):
+    def walk(verts: tuple[int, ...], key: tuple, h: int):
         j = len(verts)
         lo = verts[-1] + 1 if verts else 0
         cols = _prefix_cols(rows, steps[j], verts)
@@ -483,7 +482,7 @@ def _live_prefixes(w: StepHypergraphon, rows: Sequence[Mapping], n: int, h: int 
             here = live[j]
             for v, c in enumerate(zip(*cols), lo):
                 if (ext := key + c) in here:
-                    yield from walk(verts + (v,), ext, None if h is None else fold(h, v))
+                    yield from walk(verts + (v,), ext, fold(h, v))
         elif cols:
             found = [(v, ts) for v, c in enumerate(zip(*cols), lo) if (ts := get(key + c))]
             if found:
@@ -494,6 +493,26 @@ def _live_prefixes(w: StepHypergraphon, rows: Sequence[Mapping], n: int, h: int 
     return walk((), (), h)
 
 
+def _sampled_graph(w: StepHypergraphon, n: int, seed: int, lower: Iterable[array]):
+    """The graph of G(n, w), given its latent levels 1..k-1 from :func:`subset_draws`.
+
+    The levels are boxed, ``(m * l) >> 64``, into typed prefix rows for the
+    live-prefix walk, which carries the hash of (seed, "latent", k, *verts),
+    one :func:`fold` per fixed vertex. A candidate edge whose lower box
+    vector is live gets its top latent from :func:`~hyperlim.rng._first_draws`
+    on that hash, so it equals ``stream(seed, "latent", k, *E).next_u64()``
+    bit for bit, and only the candidates whose edge it decides pay for it.
+    """
+    k, l = w.k, w.resolution
+    boxes = (unsigned_array(((m * l) >> 64 for m in draws), l - 1) for draws in lower)
+    rows = [prefix_rows(level, n, r) for r, level in enumerate(boxes, start=1)]
+    edges: list[tuple[int, ...]] = []
+    for verts, h, live in _live_prefixes(w, rows, n, fold(derive(seed, "latent"), k)):
+        draws = _first_draws(h, [v for v, _ in live])
+        edges.extend(verts + (v,) for (v, tops), m in zip(live, draws) if (m * l) >> 64 in tops)
+    return UniformHypergraph(k, n, edges)
+
+
 def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     """Draw the n-vertex random hypergraph generated by an indicator ``w``.
 
@@ -502,60 +521,25 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
     iff w is 1 at the box vector of E's subset latents. Deterministic
     given (w, n, seed), independent of evaluation order.
 
-    Every level's latents come from :func:`subset_draws`, in lexicographic
-    order, and the sample holds them all. Edges are found by the live-prefix
-    walk that :func:`sample_hypergraph` takes: levels 1..k-1 are boxed into
-    typed prefix rows, and a candidate edge whose lower box vector is live
-    reads its top latent from the level already drawn, boxes it and costs
-    one set lookup. The graph equals ``sample_hypergraph(w, n, seed)``.
+    Every level's latents come from :func:`subset_draws`, once each, and
+    the sample holds them all. The graph is :func:`sample_hypergraph`'s,
+    found by :func:`_sampled_graph` from levels 1..k-1.
     """
     check_sample_arguments(w, n, seed)
-    k, l = w.k, w.resolution
-    latents = array("Q")
-    rows = []
-    for r in range(1, k):
-        draws = subset_draws(seed, "latent", n, r)
-        latents += draws
-        rows.append(_box_rows(draws, l, n, r))
-    latents += subset_draws(seed, "latent", n, k)
-    # top[T]: the top latents of T + (v,), v > max(T), viewed in place.
-    top = prefix_rows(memoryview(latents)[len(latents) - comb(n, k):], n, k)
-    edges: list[tuple[int, ...]] = []
-    for verts, _, live in _live_prefixes(w, rows, n, None):
-        row, lo = top[verts], verts[-1] + 1 if verts else 0
-        edges.extend(verts + (v,) for v, tops in live if (row[v - lo] * l) >> 64 in tops)
-    del rows, top  # freed before the sample copies the latents
-    return LatentSample(UniformHypergraph(k, n, edges), latents, seed)
+    lower = [subset_draws(seed, "latent", n, r) for r in range(1, w.k)]
+    graph = _sampled_graph(w, n, seed, lower)
+    latents = sum(lower, array("Q")) + subset_draws(seed, "latent", n, w.k)
+    return LatentSample(graph, latents, seed)
 
 
 def sample_hypergraph(w: StepHypergraphon, n: int, seed: int) -> UniformHypergraph:
     """The hypergraph of ``sample_w_random(w, n, seed)``, with no latents kept.
 
-    Levels 1..k-1 are drawn by :func:`subset_draws` and boxed; no top
-    latent is drawn in bulk. The live-prefix walk carries the hash of
-    (seed, "latent", k, *verts), one :func:`fold` per fixed vertex, and a
-    candidate edge whose lower box vector is live gets its top latent by
-    folding its last vertex onto that hash and taking the first draw, the
-    two ``mix64`` inlined as in :func:`subset_draws`. So each top latent
-    equals ``stream(seed, "latent", k, *E).next_u64()`` bit for bit, and
-    only the candidates whose edge it decides pay for it.
+    Levels 1..k-1 are drawn by :func:`subset_draws`; a top latent is drawn
+    only for a candidate edge whose lower box vector is live.
     """
     check_sample_arguments(w, n, seed)
-    k, l = w.k, w.resolution
-    rows = [_box_rows(subset_draws(seed, "latent", n, r), l, n, r) for r in range(1, k)]
-    edges: list[tuple[int, ...]] = []
-    for verts, h, live in _live_prefixes(w, rows, n, fold(derive(seed, "latent"), k)):
-        h += _GAMMA
-        for v, tops in live:
-            x = (h ^ v) & MASK64
-            x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-            x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-            x = ((x ^ (x >> 31)) + _GAMMA) & MASK64
-            x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-            x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-            if ((x ^ (x >> 31)) * l) >> 64 in tops:
-                edges.append(verts + (v,))
-    return UniformHypergraph(k, n, edges)
+    return _sampled_graph(w, n, seed, (subset_draws(seed, "latent", n, r) for r in range(1, w.k)))
 
 
 def project(w: StepHypergraphon) -> StepHypergraphon:
@@ -598,6 +582,7 @@ _DECIMAL = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 def parse_hypergraphon(text: str | bytes) -> StepHypergraphon:
+    """Parse the HGON format; raises FormatError with a line number."""
     lines = _content_lines(text)
     lineno, k, (l_tok, kind, s_tok) = _header(lines, "HGON <k> <l> <kind> <s>")
     l = _parse_int(l_tok, "resolution l", lineno)
@@ -631,6 +616,7 @@ def parse_hypergraphon(text: str | bytes) -> StepHypergraphon:
 
 
 def serialize_hypergraphon(w: StepHypergraphon) -> str:
+    """Canonical HGON text: the header, then the stored orbits in sorted order."""
     lines = [f"HGON {w.k} {w.resolution} {w.kind} {len(w.values)}"]
     for key in sorted(w.values):
         value = w.values[key]
@@ -681,6 +667,7 @@ def serialize_latents(sample: LatentSample) -> str:
 
 
 def parse_latents(text: str | bytes) -> LatentSample:
+    """Parse the LAT format; raises FormatError with a line number."""
     lines = _content_lines(text)
     lineno, k, (n_tok, seed_tok) = _header(lines, "LAT <k> <n> <seed>")
     n = _parse_int(n_tok, "vertex count n", lineno)

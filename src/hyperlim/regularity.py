@@ -9,6 +9,7 @@ only.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -81,6 +82,8 @@ class Hyperpartition:
             if len(level) != expected:
                 raise ValueError(f"level {r}: expected {expected} labeled subsets, got {len(level)}")
             try:
+                if not isinstance(level, (array, memoryview)) and bool in map(type, level):
+                    raise TypeError  # array() takes a bool as 0 or 1
                 for label in (min(level), max(level)) if level else ():
                     if not 0 <= label < resolution:
                         raise ValueError(f"level {r}: label {label} outside 0..{resolution - 1}")
@@ -141,7 +144,7 @@ def random_hyperpartition(k: int, n: int, l: int, seed: int) -> Hyperpartition:
     check_seed(seed)
     check_shape(k, n, l)
     levels = [
-        [(u * l) >> 64 for u in subset_draws(seed, "hyperpartition", n, r)]
+        unsigned_array([(u * l) >> 64 for u in subset_draws(seed, "hyperpartition", n, r)], l - 1)
         for r in range(1, k + 1)
     ]
     return Hyperpartition(k, n, l, levels)
@@ -158,7 +161,8 @@ def latent_hyperpartition(sample: LatentSample, l: int) -> Hyperpartition:
     k, n = sample.hypergraph.k, sample.hypergraph.n_vertices
     check_shape(k, n, l)
     latents = iter(sample.latents)
-    levels = [[(u * l) >> 64 for u in islice(latents, comb(n, r))] for r in range(1, k + 1)]
+    levels = [unsigned_array([(u * l) >> 64 for u in islice(latents, comb(n, r))], l - 1)
+              for r in range(1, k + 1)]
     return Hyperpartition(k, n, l, levels)
 
 
@@ -179,11 +183,6 @@ def cell_profile(partition: Hyperpartition, subset: tuple[int, ...]) -> CellProf
     return idx.canonicalize(raw)
 
 
-def _check_host_partition(host: UniformHypergraph, partition: Hyperpartition) -> None:
-    if host.k != partition.k or host.n_vertices != partition.n_vertices:
-        raise ValueError("host and partition disagree on arity or vertex count")
-
-
 def cell_counts(
     host: UniformHypergraph, partition: Hyperpartition
 ) -> dict[CellProfile, tuple[int, int]]:
@@ -196,7 +195,8 @@ def cell_counts(
     :func:`cell_profile`. Cells appear in the order a lexicographic scan
     of the k-subsets first meets them.
     """
-    _check_host_partition(host, partition)
+    if host.k != partition.k or host.n_vertices != partition.n_vertices:
+        raise ValueError("host and partition disagree on arity or vertex count")
     k, n = partition.k, partition.n_vertices
     idx = subset_indexing(k)
     order = walk_order(k)
@@ -316,13 +316,16 @@ class CylinderIntersection:
 
     @property
     def arity(self) -> int:
+        """r, the size of a member subset: one side per left-out element."""
         return len(self.sides)
 
     @property
     def n_vertices(self) -> int:
+        """The size of the vertex set that every side shares."""
         return self.sides[0].n_vertices
 
     def contains(self, subset: tuple[int, ...]) -> bool:
+        """Membership of one sorted r-subset, by brute force over the r! assignments."""
         r = self.arity
         if any(type(v) is not int or not 0 <= v < self.n_vertices for v in subset):
             raise ValueError(f"{subset} out of vertex range or not ints")
@@ -482,6 +485,8 @@ def sampled_cylinder_family(n: int, r: int, count: int, seed: int) -> list[Cylin
             threshold = _SIDE_THRESHOLDS[(mix64(fold(density_m, i) + _GAMMA) * picks) >> 64]
             state = fold(side_m, i)
             edges = []
+            # Inlined, not behind a shared draw helper: each draw is compared
+            # as it is made, and this loop is most of a family's cost.
             for sub in subsets:
                 state = (state + _GAMMA) & MASK64
                 x = ((state ^ (state >> 30)) * _MIX1) & MASK64
@@ -607,6 +612,7 @@ def extract_step_hypergraphon(
 
 
 def serialize_hyperpartition(partition: Hyperpartition) -> str:
+    """Canonical HP text: the header, then one LEVEL block per r, a line per r-subset."""
     lines = [f"HP {partition.k} {partition.n_vertices} {partition.resolution}"]
     for r, level in enumerate(partition.levels, start=1):
         lines.append(f"LEVEL {r}")
@@ -616,6 +622,7 @@ def serialize_hyperpartition(partition: Hyperpartition) -> str:
 
 
 def parse_hyperpartition(text: str | bytes) -> Hyperpartition:
+    """Parse the HP format; raises FormatError with a line number."""
     lines = _content_lines(text)
     lineno, k, (n_tok, l_tok) = _header(lines, "HP <k> <n> <l>")
     n = _parse_int(n_tok, "vertex count n", lineno)

@@ -18,19 +18,18 @@ folds its indices left to right, so streams whose index tuples share a
 prefix share the partial hash after it. The per-subset draws (labels
 ``latent`` and ``hyperpartition``), the cylinder sides (``cylinder-density``
 and ``cylinder-side``) and the Monte-Carlo samples (``mc``) are computed
-by folding onto that shared prefix, through :func:`fold` and
-:func:`subset_draws` or inlined, and the side and Monte-Carlo draws by the
-counter identity above; the results equal ``derive``/``stream`` bit for
-bit. ``hypergraphon.sample_hypergraph`` draws a top-level ``latent`` on
-its own, only where it decides an edge: it carries the hash of the
-subset's first k - 1 vertices down its walk and folds the last vertex
-onto it, inlined as in :func:`subset_draws`, so the value is the one
-``sample_w_random`` holds.
+by folding onto that shared prefix, and the side and Monte-Carlo draws by
+the counter identity above; the results equal ``derive``/``stream`` bit
+for bit. :func:`_first_draws` folds an index onto a state and draws once,
+for the leaf rows of :func:`subset_draws` and the top latents of both
+``hypergraphon`` samplers. ``hypergraphon.mc_density`` and
+``regularity.sampled_cylinder_family`` keep their draws inlined, for time.
 """
 
 from __future__ import annotations
 
 from array import array
+from typing import Iterable
 
 MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 # SplitMix64 golden-gamma increment and finalizer constants.
@@ -106,15 +105,31 @@ def fold(state: int, index: int) -> int:
     return mix64((state + _GAMMA) ^ (index & MASK64))
 
 
+def _first_draws(h: int, indices: Iterable[int]) -> list[int]:
+    """``Stream(fold(h, i)).next_u64()`` for each i of ``indices``: two ``mix64``, inlined."""
+    h += _GAMMA
+    out: list[int] = []
+    append = out.append
+    for i in indices:
+        x = (h ^ i) & MASK64
+        x = ((x ^ (x >> 30)) * _MIX1) & MASK64
+        x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+        x = ((x ^ (x >> 31)) + _GAMMA) & MASK64
+        x = ((x ^ (x >> 30)) * _MIX1) & MASK64
+        x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+        append(x ^ (x >> 31))
+    return out
+
+
 def subset_draws(seed: int, label: str, n: int, r: int) -> array:
     """First u64 of ``stream(seed, label, r, *sub)`` for every r-subset of range(n).
 
     Subsets are visited in lexicographic order (that of
     ``itertools.combinations``), as the leaves of a prefix tree: the hash
     after ``(seed, label, r)`` is computed once and each inner node's
-    partial hash is folded once and shared by all its extensions. A leaf
-    costs one fold and one ``next_u64``, both inlined. The draws come back
-    as one ``array('Q')``, 8 bytes each, filled a leaf row at a time.
+    partial hash is folded once and shared by all its extensions. Each leaf
+    row is one call of :func:`_first_draws`. The draws come back as one
+    ``array('Q')``, 8 bytes each, filled a leaf row at a time.
     """
     if r < 1:
         raise ValueError("subset size r must be at least 1")
@@ -126,20 +141,10 @@ def subset_draws(seed: int, label: str, n: int, r: int) -> array:
             for i in range(lo, n - r + depth):
                 walk(fold(h, i), i + 1, depth + 1)
             return
-        h += _GAMMA
-        row: list[int] = []
-        append = row.append
-        for i in range(lo, n):
-            x = (h ^ i) & MASK64
-            x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-            x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-            x = ((x ^ (x >> 31)) + _GAMMA) & MASK64
-            x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-            x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-            append(x ^ (x >> 31))
-        out.fromlist(row)
+        out.fromlist(_first_draws(h, range(lo, n)))
 
     walk(fold(derive(seed, label), r), 0, 1)
+    del walk  # its closure holds itself and out: unlinked, out is freed with its last reference
     return out
 
 

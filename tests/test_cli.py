@@ -671,11 +671,16 @@ TABLE_WORK = [(cli_module, name) for name in
                      "sample size n must be an int of at least 1", id="argv0-positive"),
         pytest.param(["experiment", "convergence", "w3.hgon", "triangle.hg", "--reps", "0"],
                      "reps must be an int of at least 1", id="argv1-positive"),
-        (["experiment", "convergence", "w3.hgon", "triangle.hg", "--seed", "-1"], "seed"),
-        (["experiment", "regularity", "w3.hgon", "--n", "10", "--l", "0"], "resolution"),
-        (["experiment", "regularity", "w3.hgon", "--n", "10", "--eps", "1"], "epsilon"),
-        (["experiment", "regularity", "w3.hgon", "--n", "10", "--seed", "-1"], "seed"),
-        (["experiment", "convergence", "w3.hgon", "triangle.hg", "--ns", ","], "sample size"),
+        pytest.param(["experiment", "convergence", "w3.hgon", "triangle.hg", "--seed", "-1"],
+                     "seed", id="convergence-seed-negative"),
+        pytest.param(["experiment", "regularity", "w3.hgon", "--n", "10", "--l", "0"],
+                     "resolution", id="regularity-l-0"),
+        pytest.param(["experiment", "regularity", "w3.hgon", "--n", "10", "--eps", "1"],
+                     "epsilon", id="regularity-eps-1"),
+        pytest.param(["experiment", "regularity", "w3.hgon", "--n", "10", "--seed", "-1"],
+                     "seed", id="regularity-seed-negative"),
+        pytest.param(["experiment", "convergence", "w3.hgon", "triangle.hg", "--ns", ","],
+                     "sample size", id="convergence-ns-empty"),
     ],
 )
 def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch, argv, message):
@@ -693,15 +698,17 @@ def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch,
                      id="kwargs0-reps must be positive"),
         pytest.param({"ns": (4, 0)}, "sample size n must be an int of at least 1, got 0",
                      id="kwargs1-every n must be positive"),
-        ({"seed": 2**64}, "seed must fit in 64 bits"),
-        ({"seed": -1}, "seed must fit in 64 bits"),
-        ({"ns": ()}, "one sample size"),
-        ({"patterns": []}, "one pattern"),
-        ({"patterns": [("triangle", complete_hypergraph(3, 3)), ("edge", complete_hypergraph(2, 2))]},
-         "arity mismatch"),
+        pytest.param({"seed": 2**64}, "seed must fit in 64 bits", id="seed-2**64"),
+        pytest.param({"seed": -1}, "seed must fit in 64 bits", id="seed-negative"),
+        pytest.param({"ns": ()}, "one sample size", id="ns-empty"),
+        pytest.param({"patterns": []}, "one pattern", id="patterns-empty"),
+        pytest.param(
+            {"patterns": [("triangle", complete_hypergraph(3, 3)), ("edge", complete_hypergraph(2, 2))]},
+            "arity mismatch", id="patterns-mixed-arity"),
         # K4^(3) has 14 support coordinates: 2**14 boxes at l = 2.
-        ({"patterns": [("triangle", complete_hypergraph(3, 3)), ("k4", complete_hypergraph(3, 4))],
-          "budget": 10**4}, "exact density needs 16384 grid boxes"),
+        pytest.param(
+            {"patterns": [("triangle", complete_hypergraph(3, 3)), ("k4", complete_hypergraph(3, 4))],
+             "budget": 10**4}, "exact density needs 16384 grid boxes", id="budget-below-grid"),
         pytest.param({"ns": (5, 2.5)}, "sample size n must be an int of at least 1, got 2.5",
                      id="kwargs8-n_vertices must be a nonnegative int"),
         pytest.param({"ns": (5, True)}, "sample size n must be an int of at least 1, got True",
@@ -710,11 +717,13 @@ def test_experiment_arguments_exit_2_before_any_work(files, capsys, monkeypatch,
                      id="kwargs10-reps must be positive"),
         pytest.param({"reps": True}, "reps must be an int of at least 1, got True",
                      id="kwargs11-reps must be positive"),
-        ({"w": constant_hypergraphon(3, 0.5)}, "indicator"),
-        *(({name: value}, f"{what} must be an int of at least 1, got {bad!r}")
+        pytest.param({"w": constant_hypergraphon(3, 0.5)}, "indicator", id="w-projected"),
+        *(pytest.param({name: value}, f"{what} must be an int of at least 1, got {bad!r}",
+                       id=f"{name}-{bad!r}")
           for bad in (float("nan"), float("inf"), 2.0)
           for name, value, what in (("reps", bad, "reps"), ("ns", (4, bad), "sample size n"))),
-        *(({"budget": bad}, f"budget must be an int of at least 1, got {bad!r}")
+        *(pytest.param({"budget": bad}, f"budget must be an int of at least 1, got {bad!r}",
+                       id=f"budget-{bad!r}")
           for bad in (0, float("nan"), float("inf"), 2.5, 2.0, True)),
     ],
 )

@@ -108,7 +108,6 @@ def test_equality_and_hash_are_structural():
 def test_subset_order_is_size_then_lex():
     idx = subset_indexing(3)
     assert idx.subsets == ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
-    assert idx.top_index == 6
     assert idx.n_coords == 7
 
 

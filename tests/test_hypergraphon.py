@@ -812,6 +812,7 @@ def test_lat_parse_errors(fixture_w):
         ([0, 2**64 - 1], -5, "seed"),
         ([0, 2**64 - 1], 2**64, "seed"),
         ([2**64, "a"], 0, "latent 18446744073709551616 outside"),  # one value past 64 bits, one not an int
+        ([True, 0], 0, "latent True outside"),  # array('Q') would read it as 1
     ],
 )
 def test_latent_sample_refuses_what_its_lat_file_could_not_hold(latents, seed, match):

@@ -72,6 +72,8 @@ def test_hyperpartition_requires_total_labelings():
         Hyperpartition(1, 3, 2, [[0, -1, 0]])
     with pytest.raises(ValueError, match="levels"):
         Hyperpartition(2, 3, 2, [[0, 0, 0]])
+    with pytest.raises(ValueError, match="^level 1: every label must be an int$"):
+        Hyperpartition(1, 2, 2, [[True, 0]])
 
 
 def test_levels_are_read_only_in_the_narrowest_typecode():
@@ -648,8 +650,9 @@ def test_sampled_check_refuses_epsilon_before_building_cylinders(monkeypatch, ep
     [
         pytest.param({"count": -1}, "cylinder count must be an int of at least 1",
                      id="kwargs0-count must be positive"),
-        ({"seed": 2**64}, "seed must fit in 64 bits"),
-        *(({"count": bad}, f"cylinder count must be an int of at least 1, got {bad!r}")
+        pytest.param({"seed": 2**64}, "seed must fit in 64 bits", id="seed-2**64"),
+        *(pytest.param({"count": bad}, f"cylinder count must be an int of at least 1, got {bad!r}",
+                       id=f"count-{bad!r}")
           for bad in (0, float("nan"), float("inf"), 2.5, 2.0, True)),
     ],
 )
@@ -663,16 +666,17 @@ def test_sampled_check_refuses_before_building_cylinders(monkeypatch, kwargs, me
 @pytest.mark.parametrize(
     "kwargs,message",
     [
-        ({"seed": -1}, "seed must fit in 64 bits"),
-        ({"seed": 2**64}, "seed must fit in 64 bits"),
+        pytest.param({"seed": -1}, "seed must fit in 64 bits", id="seed-negative"),
+        pytest.param({"seed": 2**64}, "seed must fit in 64 bits", id="seed-2**64"),
         pytest.param({"cylinders": 0}, "cylinder count must be an int of at least 1",
                      id="kwargs2-count must be positive"),
-        ({"epsilon": 1.0}, "epsilon"),
-        ({"epsilon": 0.0}, "epsilon"),
-        ({"l": 0}, "resolution"),
-        ({"n": 0}, "no 3-subsets on 0 vertices"),
-        ({"l": 2**64 + 1}, r"l=18446744073709551617 above 2\*\*64"),
-        *(({"cylinders": bad}, f"cylinder count must be an int of at least 1, got {bad!r}")
+        pytest.param({"epsilon": 1.0}, "epsilon", id="epsilon-1"),
+        pytest.param({"epsilon": 0.0}, "epsilon", id="epsilon-0"),
+        pytest.param({"l": 0}, "resolution", id="l-0"),
+        pytest.param({"n": 0}, "no 3-subsets on 0 vertices", id="n-0"),
+        pytest.param({"l": 2**64 + 1}, r"l=18446744073709551617 above 2\*\*64", id="l-2**64+1"),
+        *(pytest.param({"cylinders": bad}, f"cylinder count must be an int of at least 1, got {bad!r}",
+                       id=f"cylinders-{bad!r}")
           for bad in (float("nan"), float("inf"), 2.5, 2.0, True)),
     ],
 )

@@ -5,7 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperlim.rng import MASK64, Stream, check_seed, derive, fold, mix64, stream, subset_draws
+from hyperlim.rng import (
+    MASK64, Stream, _first_draws, check_seed, derive, fold, mix64, stream, subset_draws,
+)
 
 
 def test_streams_are_pure_functions_of_their_coordinates():
@@ -66,6 +68,12 @@ def test_subset_draws_are_first_draws_of_the_subset_streams(seed):
             subs = combinations(range(n), r)
             expected = [stream(seed, "latent", r, *sub).next_u64() for sub in subs]
             assert subset_draws(seed, "latent", n, r).tolist() == expected
+    # The samplers pass _first_draws a gapped list of live vertices, not a range.
+    for prefix in ((), (2,), (0, 3, 5)):
+        h = derive(seed, "latent", len(prefix) + 1, *prefix)
+        for vs in ([], [7], [6, 9, 40, 2**20 + 3], [1, 2**64 - 1]):
+            expected = [stream(seed, "latent", len(prefix) + 1, *prefix, v).next_u64() for v in vs]
+            assert _first_draws(h, vs) == expected
     with pytest.raises(ValueError):
         subset_draws(seed, "latent", 3, 0)
 

@@ -1,7 +1,8 @@
 """Tooling contracts: the package imports only the standard library and
-its public list names exactly what it imports, a CLI process loads no
-`dataclasses` or introspection modules, the README and the CLI parser
-name the same long options, every `hyperlim.<module>.<name>` the README
+its public list names exactly what it imports, every public name and
+each public method and property of an exported class has a docstring, a
+CLI process loads no `dataclasses` or introspection modules, the README
+and the CLI parser name the same long options, every `hyperlim.<module>.<name>` the README
 names exists, the README's Determinism table names exactly the stream
 labels the package draws from, no two `raise` sites in the
 package spell the same message, and the benchmark's span tracer names
@@ -161,6 +162,23 @@ def test_the_public_names_are_exactly_the_imported_ones():
         alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names
     ]
     assert sorted(hyperlim.__all__) == sorted(imported)
+
+
+def test_every_public_name_has_a_docstring():
+    # The Library section of the README points readers at these names.
+    missing = []
+    for name in hyperlim.__all__:
+        obj = getattr(hyperlim, name)
+        if not callable(obj):
+            continue  # a constant
+        if not inspect.getdoc(obj):
+            missing.append(name)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                target = member.fget if isinstance(member, property) else member
+                if not attr.startswith("_") and inspect.isfunction(target) and not target.__doc__:
+                    missing.append(f"{name}.{attr}")
+    assert missing == []
 
 
 def test_the_package_imports_only_the_standard_library():
