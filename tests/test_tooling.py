@@ -2,11 +2,12 @@
 its public list names exactly what it imports, every public name and
 each public method and property of an exported class has a docstring, a
 CLI process loads no `dataclasses` or introspection modules, the README
-and the CLI parser name the same long options, every `hyperlim.<module>.<name>` the README
-names exists, the README's Determinism table names exactly the stream
-labels the package draws from, no two `raise` sites in the
-package spell the same message, and the benchmark's span tracer names
-hyperlim functions and their parameters.
+and the CLI parser name the same long options, every
+`hyperlim.<module>.<name>` the README names exists, the README's
+Determinism table names exactly the stream labels the package draws
+from, no two `raise` sites in the package spell the same message, and
+the benchmark's span tracer names hyperlim functions and their
+parameters.
 
 `bench/tracer.py` wraps functions by name and skips any name it cannot
 find, and a work counter that reads a renamed parameter is dropped
@@ -171,7 +172,7 @@ def test_every_public_name_has_a_docstring():
         obj = getattr(hyperlim, name)
         if not callable(obj):
             continue  # a constant
-        if not inspect.getdoc(obj):
+        if not obj.__doc__:
             missing.append(name)
         if inspect.isclass(obj):
             for attr, member in vars(obj).items():
