@@ -422,8 +422,10 @@ class LatentSample:
             raise ValueError(f"expected {expected} latents, got {len(latents)}")
         try:
             store = array("Q", latents)
-            if not isinstance(latents, (array, memoryview)) and bool in map(type, latents):
-                raise TypeError  # array() takes a bool as 0 or 1
+            # array() takes a bool as 0 or 1. An array holds none, and the
+            # samplers and parse_latents pass one: they skip the pass.
+            if not isinstance(latents, array) and bool in map(type, latents):
+                raise TypeError
         except (OverflowError, TypeError):
             # array('Q') names no value; report the first one it cannot hold.
             m = next(m for m in latents if type(m) is bool or not isinstance(m, int)

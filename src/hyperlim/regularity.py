@@ -9,7 +9,6 @@ only.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -82,7 +81,7 @@ class Hyperpartition:
             if len(level) != expected:
                 raise ValueError(f"level {r}: expected {expected} labeled subsets, got {len(level)}")
             try:
-                if not isinstance(level, (array, memoryview)) and bool in map(type, level):
+                if bool in map(type, level):
                     raise TypeError  # array() takes a bool as 0 or 1
                 for label in (min(level), max(level)) if level else ():
                     if not 0 <= label < resolution:
@@ -144,7 +143,7 @@ def random_hyperpartition(k: int, n: int, l: int, seed: int) -> Hyperpartition:
     check_seed(seed)
     check_shape(k, n, l)
     levels = [
-        unsigned_array([(u * l) >> 64 for u in subset_draws(seed, "hyperpartition", n, r)], l - 1)
+        [(u * l) >> 64 for u in subset_draws(seed, "hyperpartition", n, r)]
         for r in range(1, k + 1)
     ]
     return Hyperpartition(k, n, l, levels)
@@ -161,8 +160,7 @@ def latent_hyperpartition(sample: LatentSample, l: int) -> Hyperpartition:
     k, n = sample.hypergraph.k, sample.hypergraph.n_vertices
     check_shape(k, n, l)
     latents = iter(sample.latents)
-    levels = [unsigned_array([(u * l) >> 64 for u in islice(latents, comb(n, r))], l - 1)
-              for r in range(1, k + 1)]
+    levels = [[(u * l) >> 64 for u in islice(latents, comb(n, r))] for r in range(1, k + 1)]
     return Hyperpartition(k, n, l, levels)
 
 

@@ -820,6 +820,8 @@ def test_latent_sample_refuses_what_its_lat_file_could_not_hold(latents, seed, m
     empty = UniformHypergraph(2, 2, [])
     with pytest.raises(ValueError, match=match):
         LatentSample(empty, latents + [0], seed)
+    with pytest.raises(ValueError, match="latent True outside"):
+        LatentSample(empty, memoryview(bytes([1, 0, 0])).cast("?"), 0)  # a view can yield bools
     extreme = LatentSample(empty, [0, 2**64 - 1, 0], 2**64 - 1)
     assert parse_latents(serialize_latents(extreme)) == extreme
 

@@ -74,6 +74,8 @@ def test_hyperpartition_requires_total_labelings():
         Hyperpartition(2, 3, 2, [[0, 0, 0]])
     with pytest.raises(ValueError, match="^level 1: every label must be an int$"):
         Hyperpartition(1, 2, 2, [[True, 0]])
+    with pytest.raises(ValueError, match="^level 1: every label must be an int$"):
+        Hyperpartition(1, 2, 2, [memoryview(bytes([1, 0])).cast("?")])
 
 
 def test_levels_are_read_only_in_the_narrowest_typecode():
