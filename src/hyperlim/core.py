@@ -294,7 +294,10 @@ def prefix_walk(rows: Sequence[Mapping[tuple[int, ...], list]], k: int):
             for v, c in enumerate(zip(*cols), verts[-1] + 1 if verts else 0):
                 yield from walk(verts + (v,), key + c)
 
-    return walk((), ())
+    try:
+        yield from walk((), ())
+    finally:
+        del walk  # its closure holds itself: unlinked, the rows it captured are freed with the walk
 
 
 def complete_hypergraph(k: int, n: int) -> UniformHypergraph:

@@ -27,8 +27,9 @@ import re
 from array import array
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import comb, prod, sqrt
+from operator import mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -53,7 +54,20 @@ from .core import (
     unsigned_array,
     walk_order,
 )
-from .rng import MASK64, _GAMMA, _MIX1, _MIX2, _first_draws, check_seed, derive, fold, subset_draws
+from .rng import (
+    _BLOCK,
+    _draw_boxes,
+    _extend_subset_draws,
+    _first_draws,
+    _fold_lanes,
+    _in_blocks,
+    _lanes,
+    _words,
+    check_seed,
+    derive,
+    fold,
+    subset_draws,
+)
 
 INDICATOR = "ind"
 PROJECTED = "proj"
@@ -297,6 +311,46 @@ class DensityEstimate(NamedTuple):
     seed: int
 
 
+def _mc_block(block: int, live: int, steps: Sequence[tuple], l: int, get) -> tuple[int, int]:
+    """S1 and S2 of the ``live`` Monte-Carlo samples whose states are the lanes of ``block``.
+
+    Each draw step hashes the coordinate of every live sample at once,
+    and each step that refuses a sample drops it from the states and from
+    every column drawn so far, so later steps hash only the samples left.
+    Every list is as long as the block, and all of them are freed on
+    return.
+    """
+    states = None  # the live states as a list, once a step has dropped a sample
+    cols: dict[int, list[int]] = {}
+    vals = None  # per live sample, the product of the edge values multiplied in so far
+    for j, values, cmap in steps:
+        if cmap is None:
+            if block is None:
+                block = _lanes(states)
+            cols[j] = boxes = _draw_boxes(block, live, j + 1, l)
+            if values is None:
+                continue
+            keep = list(map(values.__contains__, boxes))
+        else:
+            keep = list(map(get, zip(*[cols[c] for c in cmap]), repeat(0)))
+            vals = keep if vals is None else list(map(mul, vals, keep))
+        if all(keep):
+            continue
+        if states is None:
+            states = _words(block, live).tolist()
+        states = list(compress(states, keep))
+        live, block = len(states), None
+        if not live:
+            return 0, 0
+        for c, col in cols.items():
+            cols[c] = list(compress(col, keep))
+        if vals is not None:
+            vals = list(compress(vals, keep))
+    if vals is None:  # no edge: every sample is 1
+        return live, live
+    return sum(vals), sum(map(mul, vals, vals))
+
+
 def mc_density(
     pattern: UniformHypergraph,
     w: StepHypergraphon,
@@ -312,16 +366,21 @@ def mc_density(
     S1 and S2, the exact sums of the values and of their squares: the
     estimate is S1 / (n D), and the standard error, the ddof=1 sample
     deviation over sqrt(n), is the square root of
-    (n S2 - S1**2) / (n**2 (n - 1) D**2). Each quotient is rounded once,
-    and memory does not grow with n_samples.
+    (n S2 - S1**2) / (n**2 (n - 1) D**2). Each quotient is rounded once.
 
     The stream is counter-based, so each coordinate is drawn on its own,
-    only when it is needed. A coordinate may only take box values that
-    occur, at every grid position it fills, in some nonzero box of W.
-    Those coordinates are drawn first, fewest allowed values first, and a
-    sample is 0 at the first drawn value outside its allowed set. Samples
-    that pass draw the rest edge by edge and multiply the edge values in
-    pattern order, stopping at the first 0.
+    only when it is needed, and any set of draws can be hashed together.
+    The samples are taken a block of ``rng._BLOCK`` at a time, breadth
+    first: each step draws one coordinate, or multiplies in one edge's
+    value, for every sample of the block still live, in one call of the
+    block kernel. A coordinate may only take box values that occur, at
+    every grid position it fills, in some nonzero box of W. Those
+    coordinates are drawn first, fewest allowed values first, and a
+    sample whose value falls outside its allowed set is 0 and dropped
+    from the block. The rest are drawn edge by edge, and a sample is
+    dropped at its first edge value 0. The sums are exact ints, so the
+    result does not depend on the block. Memory is bounded by the block:
+    it does not grow with n_samples or with W's resolution.
     """
     _check_density_args(pattern, w)
     check_seed(seed)
@@ -343,52 +402,31 @@ def mc_density(
         for p, j in enumerate(cmap):
             here = position_values[p]
             allowed[j] = here if allowed[j] is None else allowed[j] & here
-    # A step (j, counter increment of draw j + 1, allowed values, None)
-    # draws coordinate j and checks it; a step (0, 0, None, cmap) multiplies
-    # in one edge's value. Every coordinate is drawn before the first edge
-    # reads it. A coordinate that may take every value is checked against
-    # range(l), which holds them all in constant space.
+    # A step (j, allowed values, None) draws coordinate j, from draw j + 1
+    # of each sample's stream, and checks it; a step (0, None, cmap)
+    # multiplies in one edge's value. Every coordinate is drawn before the
+    # first edge reads it. A coordinate that may take every value is drawn
+    # unchecked: its step holds None, not the l values.
     checked = sorted((j for j in range(s) if len(allowed[j]) < l),
                      key=lambda j: (len(allowed[j]), j))
-    steps = [(j, ((j + 1) * _GAMMA) & MASK64, allowed[j], None) for j in checked]
+    steps = [(j, allowed[j], None) for j in checked]
     drawn = set(checked)
     for cmap in coord_maps:
         for j in cmap:
             if j not in drawn:
                 drawn.add(j)
-                steps.append((j, ((j + 1) * _GAMMA) & MASK64, range(l), None))
-        steps.append((0, 0, None, cmap))
+                steps.append((j, None, None))
+        steps.append((0, None, cmap))
 
-    # Sample i's state is fold(derive(seed, "mc"), i); draw j + 1 of its
-    # stream is mix64(state + (j + 1) * gamma). Both are inlined: a sample
-    # stops at its first refused coordinate, and this is the slowest loop.
-    get = table.get
-    head = (derive(seed, "mc") + _GAMMA) & MASK64
-    assign = [0] * s
+    # Sample i's state is fold(derive(seed, "mc"), i); a block holds the
+    # states of the samples base..base + b - 1.
+    head = derive(seed, "mc")
     s1 = s2 = 0
-    for i in range(n_samples):
-        x = head ^ i
-        x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-        x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-        state = x ^ (x >> 31)
-        value = 1
-        for j, inc, values, cmap in steps:
-            if cmap is None:
-                x = (state + inc) & MASK64
-                x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-                x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-                b = ((x ^ (x >> 31)) * l) >> 64
-                if b not in values:
-                    break
-                assign[j] = b
-            else:
-                f = get(tuple([assign[c] for c in cmap]))
-                if f is None:
-                    break
-                value *= f
-        else:  # no break: the sample is nonzero
-            s1 += value
-            s2 += value * value
+    for base in range(0, n_samples, _BLOCK):
+        b = min(_BLOCK, n_samples - base)
+        t1, t2 = _mc_block(_fold_lanes(head, base, b), b, steps, l, table.get)
+        s1 += t1
+        s2 += t2
 
     n, d = n_samples, w._scale ** len(coord_maps)
     se = sqrt((n * s2 - s1 * s1) / (n * n * (n - 1) * d * d))
@@ -434,6 +472,19 @@ class LatentSample:
         self.hypergraph = hypergraph
         self.latents = memoryview(store).toreadonly()
         self.seed = seed
+
+    @classmethod
+    def _owning(cls, hypergraph: UniformHypergraph, store: array, seed: int) -> LatentSample:
+        """A sample that keeps ``store`` itself: an array('Q') of every latent, in LAT order.
+
+        For a sampler that built ``store`` and drops it: no copy and no
+        check, which the constructor makes for any other caller.
+        """
+        self = cls.__new__(cls)
+        self.hypergraph = hypergraph
+        self.latents = memoryview(store).toreadonly()
+        self.seed = seed
+        return self
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LatentSample) and (self.hypergraph, self.latents, self.seed) == (
@@ -492,7 +543,10 @@ def _live_prefixes(w: StepHypergraphon, rows: Sequence[Mapping], n: int, h: int)
         elif () in tops:  # k = 1: the top coordinate is the only one
             yield verts, h, [(v, tops[()]) for v in range(n)]
 
-    return walk((), (), h)
+    try:
+        yield from walk((), (), h)
+    finally:
+        del walk  # its closure holds itself: unlinked, the tables it captured are freed with the walk
 
 
 def _sampled_graph(w: StepHypergraphon, n: int, seed: int, lower: Iterable[array]):
@@ -504,14 +558,19 @@ def _sampled_graph(w: StepHypergraphon, n: int, seed: int, lower: Iterable[array
     vector is live gets its top latent from :func:`~hyperlim.rng._first_draws`
     on that hash, so it equals ``stream(seed, "latent", k, *E).next_u64()``
     bit for bit, and only the candidates whose edge it decides pay for it.
+    A prefix has only a few live candidates, so the prefixes are gathered
+    into runs of about ``rng._BLOCK`` candidates, each hashed in one call.
     """
     k, l = w.k, w.resolution
     boxes = (unsigned_array(((m * l) >> 64 for m in draws), l - 1) for draws in lower)
     rows = [prefix_rows(level, n, r) for r, level in enumerate(boxes, start=1)]
     edges: list[tuple[int, ...]] = []
-    for verts, h, live in _live_prefixes(w, rows, n, fold(derive(seed, "latent"), k)):
-        draws = _first_draws(h, [v for v, _ in live])
-        edges.extend(verts + (v,) for (v, tops), m in zip(live, draws) if (m * l) >> 64 in tops)
+    walk = _live_prefixes(w, rows, n, fold(derive(seed, "latent"), k))
+    for run in _in_blocks((h, [v for v, _ in live], verts, live) for verts, h, live in walk):
+        draws = iter(_first_draws(run))
+        for _, _, verts, live in run:
+            # zip reads live first, so it stops there without taking the next row's draw.
+            edges.extend(verts + (v,) for (v, tops), m in zip(live, draws) if (m * l) >> 64 in tops)
     return UniformHypergraph(k, n, edges)
 
 
@@ -525,13 +584,16 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
 
     Every level's latents come from :func:`subset_draws`, once each, and
     the sample holds them all. The graph is :func:`sample_hypergraph`'s,
-    found by :func:`_sampled_graph` from levels 1..k-1.
+    found by :func:`_sampled_graph` from levels 1..k-1. The top level is
+    drawn straight into the sample's own store, which the sample keeps
+    without a copy.
     """
     check_sample_arguments(w, n, seed)
     lower = [subset_draws(seed, "latent", n, r) for r in range(1, w.k)]
     graph = _sampled_graph(w, n, seed, lower)
-    latents = sum(lower, array("Q")) + subset_draws(seed, "latent", n, w.k)
-    return LatentSample(graph, latents, seed)
+    latents = sum(lower, array("Q"))
+    _extend_subset_draws(latents, seed, "latent", n, w.k)
+    return LatentSample._owning(graph, latents, seed)
 
 
 def sample_hypergraph(w: StepHypergraphon, n: int, seed: int) -> UniformHypergraph:

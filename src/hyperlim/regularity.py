@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, islice, permutations, repeat
+from itertools import combinations, compress, islice, permutations, repeat
 from math import comb, sqrt
 from operator import and_
 from typing import NamedTuple, Sequence
@@ -36,10 +36,8 @@ from .core import (
 )
 from .hypergraphon import PROJECTED, LatentSample, StepHypergraphon
 from .rng import (
-    MASK64,
     _GAMMA,
-    _MIX1,
-    _MIX2,
+    _stream_draws,
     check_seed,
     derive,
     fold,
@@ -462,9 +460,12 @@ def sampled_cylinder_family(n: int, r: int, count: int, seed: int) -> list[Cylin
     the j-th (r-1)-subset, in lexicographic order, iff the j-th
     ``next_u64`` of ``stream(seed, "cylinder-side", m, i)`` is below
     ``int(q * 2**64)``. The family is a pure function of the seed. Both
-    labels are derived once and folded with m and i, and the side draws
-    use the counter identity of :mod:`hyperlim.rng`, inlined. A level
-    outside 2..MAX_ARITY, or a count below 1, is refused before any draw.
+    labels are derived once and folded with m and i. A side's draws come
+    from the counter identity of :mod:`hyperlim.rng`, a block of
+    ``_BLOCK`` consecutive draws per kernel call, and the side keeps the
+    subsets whose draw is below its threshold, with no per-draw Python
+    step. A level outside 2..MAX_ARITY, or a count below 1, is refused
+    before any draw.
     """
     if not 2 <= r <= MAX_ARITY:
         raise ValueError(f"cylinder level r={r} outside 2..{MAX_ARITY}")
@@ -481,17 +482,8 @@ def sampled_cylinder_family(n: int, r: int, count: int, seed: int) -> list[Cylin
         sides = []
         for i in range(r):
             threshold = _SIDE_THRESHOLDS[(mix64(fold(density_m, i) + _GAMMA) * picks) >> 64]
-            state = fold(side_m, i)
-            edges = []
-            # Inlined, not behind a shared draw helper: each draw is compared
-            # as it is made, and this loop is most of a family's cost.
-            for sub in subsets:
-                state = (state + _GAMMA) & MASK64
-                x = ((state ^ (state >> 30)) * _MIX1) & MASK64
-                x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-                if x ^ (x >> 31) < threshold:
-                    edges.append(sub)
-            sides.append(UniformHypergraph(r - 1, n, edges))
+            below = map(threshold.__gt__, _stream_draws(fold(side_m, i), len(subsets)))
+            sides.append(UniformHypergraph(r - 1, n, list(compress(subsets, below))))
         family.append(CylinderIntersection(tuple(sides)))
     return family
 

@@ -1,4 +1,8 @@
+import gc
 import os
+import tracemalloc
+from itertools import count
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -6,6 +10,7 @@ import pytest
 import hyperlim
 import hyperlim.removal
 from hyperlim import INDICATOR, StepHypergraphon, UniformHypergraph
+from hyperlim.rng import _BLOCK
 
 
 def cli_env(hash_seed: str) -> dict:
@@ -55,6 +60,32 @@ def forbid_work(monkeypatch, *targets) -> None:
 
     for module, name in targets:
         monkeypatch.setattr(module, name, forbidden)
+
+
+def past_one_block(r: int) -> int:
+    """The fewest vertices with more r-subsets than one block of ``_BLOCK`` hashed lanes."""
+    return next(n for n in count(r) if comb(n, r) > _BLOCK)
+
+
+def cyclic_garbage(call) -> tuple[int, int]:
+    """(objects, bytes) that ``call()`` leaves for the cyclic collector alone to free.
+
+    The collector is off for the call, so every object the call makes stays
+    in generation 0, and ``gc.collect(0)`` finds exactly the unreachable
+    cycles it left. A young collection leaves the free lists alone, so the
+    bytes it frees are those cycles' bytes.
+    """
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        call()
+        held = tracemalloc.get_traced_memory()[0]
+        found = gc.collect(0)
+        return found, held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 # Every step of a removal run after its image enumeration.

@@ -2,6 +2,7 @@ import pickle
 import random
 import re
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,9 +27,9 @@ from hyperlim import (
     simplicial_support,
     subset_indexing,
 )
-from hyperlim.core import _content_lines
+from hyperlim.core import _content_lines, prefix_rows, prefix_walk
 
-from conftest import REMOVAL_WORK, forbid_work, triangle
+from conftest import REMOVAL_WORK, cyclic_garbage, forbid_work, triangle
 
 
 # -- UniformHypergraph construction -------------------------------------------
@@ -199,6 +200,16 @@ def test_link_masks_mark_exactly_the_completing_vertices():
             for v in range(n):
                 assert mask >> v & 1 == (tuple(sorted(s + (v,))) in edge_set)
         assert all(mask for mask in h.links.values())
+
+
+def test_a_prefix_walk_leaves_no_cycle_for_the_collector():
+    # The walk is a recursive closure: unlinked when the walk ends or is
+    # dropped part way, its rows are freed by reference count.
+    n = 12
+    rows = [prefix_rows(bytes(comb(n, r)), n, r) for r in (1, 2, 3)]
+    assert sum(1 for _ in prefix_walk(rows, 3)) == comb(n, 2)
+    assert cyclic_garbage(lambda: list(prefix_walk(rows, 3)))[0] == 0
+    assert cyclic_garbage(lambda: next(prefix_walk(rows, 3)))[0] == 0
 
 
 def test_a_hypergraph_pickles_with_its_links():

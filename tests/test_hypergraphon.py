@@ -35,12 +35,14 @@ from hyperlim import (
 )
 import hyperlim.hypergraphon as hypergraphon_module
 from hyperlim.hypergraphon import _edge_coordinate_map
-from hyperlim.rng import MASK64, Stream, derive, fold, stream
+from hyperlim.rng import _BLOCK, MASK64, Stream, derive, fold, stream
 
 from conftest import (
     build_fixture_w,
     build_half_w,
+    cyclic_garbage,
     forbid_work,
+    past_one_block,
     shared_pair_triples,
     single_triple,
     triangle,
@@ -435,6 +437,36 @@ def test_mc_density_equals_the_sequential_reference_bit_for_bit(case, n_samples,
     assert (est.estimate, est.standard_error) == reference_mc_density(pattern, w, n_samples, seed)
 
 
+@pytest.mark.parametrize("n_samples", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_mc_density_equals_the_reference_across_block_edges(half_w, n_samples):
+    # Samples are hashed a block of _BLOCK at a time. The cases drop samples
+    # at checked coordinates (half_w), drop none (every box of the dense W
+    # is nonzero), or have no edge, where every sample is 1.
+    cases = [(triangle(), half_w), (complete_hypergraph(2, 4), _dense_projected_w(2, 2, seed=1)),
+             (UniformHypergraph(2, 3, []), half_w)]
+    for pattern, w in cases:
+        for seed in (0, MASK64):
+            est = mc_density(pattern, w, n_samples, seed)
+            assert (est.estimate, est.standard_error) == reference_mc_density(pattern, w, n_samples, seed)
+    assert mc_density(UniformHypergraph(2, 3, []), half_w, n_samples, 5)[:2] == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("l", [2**64 - 1, 2**64])
+def test_mc_density_boxes_the_widest_lane_products_exactly(l):
+    # m * l nearly fills a lane's 128-bit slot here. W holds the box of
+    # every third sample's draw, so the estimate counts those samples, and
+    # a box read from the wrong half or the wrong slot shows.
+    seed, n_samples = 7, _BLOCK + 5
+    base = derive(seed, "mc")
+    boxes = [(Stream(fold(base, i)).next_u64() * l) >> 64 for i in range(n_samples)]
+    kept = set(boxes[::3])
+    w = StepHypergraphon(1, l, INDICATOR, {(b,): 1.0 for b in kept})
+    pattern = UniformHypergraph(1, 1, [(0,)])
+    est = mc_density(pattern, w, n_samples, seed)
+    assert est.estimate == sum(b in kept for b in boxes) / n_samples
+    assert (est.estimate, est.standard_error) == reference_mc_density(pattern, w, n_samples, seed)
+
+
 def test_mc_density_matches_exact_within_four_sigma(fixture_w):
     pattern = single_triple()
     exact = exact_density(pattern, fixture_w)
@@ -613,14 +645,40 @@ def test_an_empty_w_walks_no_prefix_past_the_first_vertex(monkeypatch):
 def test_the_graph_only_sampler_draws_the_documented_top_streams(k):
     # W is 1 iff the top box is 0 at l = 2, and every lower vector is
     # live, so every k-subset's edge is decided by its own top stream.
+    # At the last n the live candidates fill more than one block of hashed lanes.
     w = _every_lower_vector_live(k, 2)
-    for n in sorted({0, k, 9}):
+    for n in sorted({0, k, 9, past_one_block(k)}):
         for seed in SEEDS:
             expected = [
                 e for e in combinations(range(n), k)
                 if stream(seed, "latent", k, *e).next_u64() < 2**63
             ]
             assert list(sample_hypergraph(w, n, seed).edges) == expected
+
+
+def test_sampling_leaves_no_cycle_for_the_collector(fixture_w):
+    # The live-prefix walk is a recursive closure: unlinked when the walk
+    # ends, its rows and tables are freed by reference count.
+    assert cyclic_garbage(lambda: sample_hypergraph(fixture_w, 40, 0))[0] == 0
+    assert cyclic_garbage(lambda: sample_w_random(fixture_w, 40, 0))[0] == 0
+
+
+def test_sample_w_random_keeps_one_latent_store_at_its_peak(fixture_w):
+    # The top level is drawn straight into the store that the sample keeps,
+    # with no copy: the peak is what the sample holds plus a block's worth
+    # of buffers, not a second store of every latent.
+    sample_w_random(fixture_w, 8, 0)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        sample = sample_w_random(fixture_w, 60, 0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    store = 8 * len(sample.latents)
+    assert peak - held < store // 2, (peak, held, store)
 
 
 # -- projection ----------------------------------------------------------------

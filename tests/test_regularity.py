@@ -43,7 +43,7 @@ from hyperlim.core import SubsetIndexing
 from hyperlim.hypergraphon import LatentSample
 from hyperlim.rng import stream, subset_draws
 
-from conftest import build_fixture_w, forbid_work, single_triple
+from conftest import build_fixture_w, forbid_work, past_one_block, single_triple
 from oracles import independence_brute, induce_cells
 
 
@@ -592,7 +592,8 @@ def test_sampled_family_refuses_a_level_outside_2_to_max_arity_before_any_draw(m
 @pytest.mark.parametrize("r", [2, 3, 4])
 @pytest.mark.parametrize("grid", [(0, 1), (2**40 + 17, 2**64 - 1)])
 def test_sampled_family_sides_are_the_documented_draws(r, grid):
-    for n in (r - 1, r, 9):
+    # At the last n a side's draws fill more than one block of hashed lanes.
+    for n in (r - 1, r, 9, past_one_block(r - 1)):
         for seed in grid:
             family = sampled_cylinder_family(n, r, 4, seed)
             assert len(family) == 4

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperlim.rng import (
-    MASK64, Stream, _first_draws, check_seed, derive, fold, mix64, stream, subset_draws,
+    _BLOCK, MASK64, Stream, _first_draws, check_seed, derive, fold, mix64, stream, subset_draws,
 )
 
 
@@ -68,14 +68,29 @@ def test_subset_draws_are_first_draws_of_the_subset_streams(seed):
             subs = combinations(range(n), r)
             expected = [stream(seed, "latent", r, *sub).next_u64() for sub in subs]
             assert subset_draws(seed, "latent", n, r).tolist() == expected
-    # The samplers pass _first_draws a gapped list of live vertices, not a range.
+    # The samplers pass _first_draws gapped lists of live vertices, not ranges.
     for prefix in ((), (2,), (0, 3, 5)):
         h = derive(seed, "latent", len(prefix) + 1, *prefix)
         for vs in ([], [7], [6, 9, 40, 2**20 + 3], [1, 2**64 - 1]):
             expected = [stream(seed, "latent", len(prefix) + 1, *prefix, v).next_u64() for v in vs]
-            assert _first_draws(h, vs) == expected
+            assert _first_draws([(h, vs)]).tolist() == expected
     with pytest.raises(ValueError):
         subset_draws(seed, "latent", 3, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_bulk_draws_that_cross_blocks_are_the_subset_streams(seed):
+    # Rows are laid end to end and hashed _BLOCK lanes at a time: levels
+    # whose leaf rows straddle block edges, one row longer than two blocks,
+    # and runs of short gapped rows. At about 62% of states h, h + gamma
+    # wraps past 2**64.
+    for n, r in ((2 * _BLOCK + 3, 1), (60, 2), (22, 3)):
+        expected = [stream(seed, "latent", r, *sub).next_u64() for sub in combinations(range(n), r)]
+        assert subset_draws(seed, "latent", n, r).tolist() == expected
+    rows = [(derive(seed, "latent", 2, p), [p + 1, p + 4, 2**64 - 1]) for p in range(_BLOCK // 2)]
+    expected = [stream(seed, "latent", 2, p, v).next_u64() for p in range(_BLOCK // 2)
+                for v in (p + 1, p + 4, 2**64 - 1)]
+    assert _first_draws(rows).tolist() == expected
 
 
 def test_mix64_behaves_like_a_permutation_on_a_sample():

@@ -203,6 +203,19 @@ def test_the_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_the_splitmix_finalizer_is_written_only_in_rng():
+    # rng.mix64 and its block form rng._mix_lanes are the finalizer's only
+    # copies. A module that names a finalizer constant, or spells its value
+    # in hex, holds an inlined copy that can drift from them.
+    holders = set()
+    for path in sorted((ROOT / "src" / "hyperlim").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        digits = text.lower().replace("_", "")
+        if re.search(r"\b_MIX[12]\b", text) or "bf58476d1ce4e5b9" in digits or "94d049bb133111eb" in digits:
+            holders.add(path.name)
+    assert holders == {"rng.py"}
+
+
 def test_the_cli_process_imports_no_dataclasses_or_introspection():
     # Every command starts a fresh interpreter; dataclasses pulls in inspect,
     # dis, ast and tokenize, which no command uses.
