@@ -28,9 +28,12 @@ A block is one int: value t, a lane, sits in the low 64 bits of the
 128-bit slot t, and the high 64 bits of every slot are 0. Each step of the
 finalizer is then one big-int operation on the whole block. A lane cannot
 carry into the next slot: a right shift moves a slot's low bits only into
-the high half of the slot below, which the mask ``_ONES`` clears before
-each multiply, and a lane times a 64-bit constant is below 2**128, so its
-product stays inside its own slot. For the same reason the box
+the high half of the slot below, which the mask ``_ONES`` of every low
+half clears before each multiply, and a lane times a 64-bit constant is
+below 2**128, so its product stays inside its own slot. So does any
+sum or product of blocks whose lanes stay below 2**128: its excess sits
+in the high halves, which the kernel clears on entry, as ``mix64`` takes
+its argument mod 2**64. For the same reason the box
 ``(m * l) >> 64`` of every lane is the high half of its slot of the block
 times l, for any l <= 2**64. Draws are therefore equal bit for bit to the
 scalar definition, whatever their block. Every bulk draw goes through it:
@@ -159,7 +162,7 @@ def _words(x: int, n: int, high: int = 0) -> array:
 
 #: MASK64 in every lane of a full block, 0 in every high half.
 _ONES = _spread(MASK64, _BLOCK)
-#: Lane t holds t.
+#: The full block whose lane t holds t.
 _IOTA = _lanes(range(_BLOCK))
 
 
@@ -169,7 +172,8 @@ def _mask(n: int) -> int:
 
 
 def _mix_lanes(x: int) -> int:
-    """:func:`mix64` of every lane of the block ``x``, at most ``_BLOCK`` lanes, as a block."""
+    """:func:`mix64` of every lane of ``x``, at most ``_BLOCK`` lanes, each taken mod 2**64."""
+    x &= _ONES
     x = ((x ^ x >> 30) & _ONES) * _MIX1 & _ONES
     x = ((x ^ x >> 27) & _ONES) * _MIX2 & _ONES
     return (x ^ x >> 31) & _ONES
@@ -190,7 +194,7 @@ def _draw_boxes(states: int, n: int, j: int, l: int) -> list[int]:
     Draw j is ``mix64(s + j * gamma)``; its box is the high half of the
     lane's slot in the block times l, since m * l < 2**128 for l <= 2**64.
     """
-    x = _mix_lanes(states + _spread(j * _GAMMA, n) & _ONES)
+    x = _mix_lanes(states + _spread(j * _GAMMA, n))
     return _words(x * l, n, 1).tolist()
 
 
@@ -201,7 +205,7 @@ def _stream_draws(state: int, n: int) -> array:
         b = min(_BLOCK, n - a)
         # Lane t is draw a + 1 + t: state + (a + 1 + t) * gamma.
         x = _spread(state + (a + 1) * _GAMMA, b) + (_IOTA & _mask(b)) * _GAMMA
-        out += _words(_mix_lanes(x & _ONES), b)
+        out += _words(_mix_lanes(x), b)
     return out
 
 
@@ -218,7 +222,7 @@ def _first_draws(rows: Sequence[tuple]) -> array:
     for a in range(0, len(flat), _BLOCK):
         b = min(_BLOCK, len(flat) - a)
         x = int.from_bytes(heads[16 * a : 16 * (a + b)], "little") ^ _lanes(flat[a : a + b])
-        out += _words(_mix_lanes(_mix_lanes(x) + _spread(_GAMMA, b) & _ONES), b)
+        out += _words(_mix_lanes(_mix_lanes(x) + _spread(_GAMMA, b)), b)
     return out
 
 
