@@ -11,7 +11,7 @@ from array import array
 from functools import lru_cache, partial
 from itertools import combinations, permutations
 from operator import itemgetter, length_hint
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 MAX_ARITY = 4
 
@@ -261,38 +261,46 @@ def walk_order(k: int) -> list[int]:
     return [index[t + (j,)] for j, step in enumerate(_walk_steps(k)) for t in step]
 
 
-def _prefix_cols(rows: Sequence[Mapping[tuple[int, ...], Sequence]], step, verts: tuple[int, ...]):
-    """For each position subset T in ``step``, the row of T's members from max(verts) + 1 on."""
-    lo = verts[-1] + 1 if verts else 0
-    cols = []
-    for t in step:
-        members = tuple(verts[i] for i in t)
-        # Row T starts at vertex max(T) + 1; slice it from lo.
-        cols.append(rows[len(t)][members][lo - (members[-1] + 1 if members else 0):])
-    return cols
-
-
-def prefix_walk(rows: Sequence[Mapping[tuple[int, ...], list]], k: int):
+def prefix_walk(
+    rows: Sequence[Mapping[tuple[int, ...], Sequence]],
+    k: int,
+    live: Sequence[Container[tuple]] | None = None,
+):
     """Walk the k-subsets of range(n) as a prefix tree, in lexicographic order.
 
     ``rows[r - 1]`` lays out one value per r-subset as :func:`prefix_rows`
-    does, for r = 1..k. Yields ``(verts, key, cols)`` once per sorted
-    (k-1)-subset ``verts``: ``key`` holds the values of the nonempty
-    subsets of ``verts`` in :func:`walk_order`, and the items c of
+    does, for r = 1..k, or for r = 1..k-1 only. Yields ``(verts, key, cols)``
+    once per sorted (k-1)-subset ``verts``: ``key`` holds the values of the
+    nonempty subsets of ``verts`` in :func:`walk_order`, and the items c of
     ``zip(*cols)``, for v = max(verts) + 1, max(verts) + 2, ..., hold the
     values of the subsets T + (v,), T a subset of ``verts``. So ``key + c``
     is the value vector of ``verts + (v,)`` in walk order, and each key is
-    built once and shared by every extension of its prefix.
+    built once and shared by every extension of its prefix. Without level
+    k, ``cols`` lacks the last column, that of T = ``verts``, and ``key + c``
+    is the vector less its top value; for k = 1, ``cols`` is then empty.
+
+    ``live[j]``, for j < k - 1, holds the keys of the (j+1)-vertex prefixes
+    to walk on: a prefix whose key it lacks is skipped with its subtree.
+    With ``live`` None every prefix is walked.
     """
-    steps = _walk_steps(k)
+    held = len(rows)
+    steps = [[t for t in step if len(t) < held] for step in _walk_steps(k)]
 
     def walk(verts: tuple[int, ...], key: tuple):
-        cols = _prefix_cols(rows, steps[len(verts)], verts)
-        if len(verts) == k - 1:
+        j = len(verts)
+        lo = verts[-1] + 1 if verts else 0
+        cols = []
+        for t in steps[j]:
+            members = tuple(verts[i] for i in t)
+            # Row T starts at vertex max(T) + 1; slice it from lo.
+            cols.append(rows[len(t)][members][lo - (members[-1] + 1 if members else 0):])
+        if j == k - 1:
             yield verts, key, cols
         else:
-            for v, c in enumerate(zip(*cols), verts[-1] + 1 if verts else 0):
-                yield from walk(verts + (v,), key + c)
+            for v, c in enumerate(zip(*cols), lo):
+                ext = key + c
+                if live is None or ext in live[j]:
+                    yield from walk(verts + (v,), ext)
 
     try:
         yield from walk((), ())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from functools import partial
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, repeat
 from math import comb, prod, sqrt
@@ -41,14 +41,13 @@ from .core import (
     _header,
     _parse_hypergraph_lines,
     _parse_int,
-    _prefix_cols,
     _subset_lines,
-    _walk_steps,
     check_count,
     check_shape,
     hypergraph_lines,
     pick,
     prefix_rows,
+    prefix_walk,
     simplicial_support,
     subset_indexing,
     unsigned_array,
@@ -500,23 +499,26 @@ def check_sample_arguments(w: StepHypergraphon, n: int, seed: int) -> None:
     check_seed(seed)
 
 
-def _live_prefixes(w: StepHypergraphon, rows: Sequence[Mapping], n: int, h: int):
-    """Walk the k-subsets of range(n) whose lower box vector can still give an edge.
+def _sampled_graph(w: StepHypergraphon, n: int, seed: int, lower: Iterable[array]):
+    """The graph of G(n, w), given its latent levels 1..k-1 from :func:`subset_draws`.
 
-    ``rows[r - 1]`` holds the boxes of the r-subsets, r = 1..k-1, laid out
-    by :func:`~hyperlim.core.prefix_rows`. W's table is reindexed once to
-    list a box's coordinates in :func:`~hyperlim.core.walk_order`, whose
-    last coordinate is the top one. A walk-order key prefix is live if it
-    extends to a box of W's support, and a vertex whose key prefix is not
-    live is skipped with its whole subtree.
-
-    Yields ``(verts, h, live)`` in lexicographic order, for each sorted
-    (k-1)-subset ``verts`` with a live extension: ``live`` lists, for each
-    v > max(verts) such that ``verts + (v,)`` has a live lower vector, the
-    pair (v, the top boxes that make it an edge). ``h`` is the given state
-    folded once per vertex of ``verts``.
+    The levels are boxed, ``(m * l) >> 64``, into typed prefix rows for
+    :func:`~hyperlim.core.prefix_walk`, the walk that ``cells`` and
+    ``independence_test`` take too. W's table is reindexed once to list a
+    box's coordinates in :func:`~hyperlim.core.walk_order`, whose last
+    coordinate is the top one. A key prefix is live if it extends to a box
+    of W's support; the walk skips every prefix that is not, with its whole
+    subtree, and a candidate edge ``verts + (v,)`` reads the top boxes that
+    make it an edge off its lower key ``key + c``, as ``cell_counts`` reads
+    its vectors. A candidate with some such top box gets its top latent
+    from :func:`~hyperlim.rng._first_draws` on the hash of
+    (seed, "latent", k, *verts), so it equals
+    ``stream(seed, "latent", k, *E).next_u64()`` bit for bit, and only the
+    candidates whose edge it decides pay for it. A prefix has only a few
+    live candidates, so the prefixes are gathered into runs of about
+    ``rng._BLOCK`` candidates, each hashed in one call.
     """
-    k = w.k
+    k, l = w.k, w.resolution
     order = walk_order(k)
     table = [tuple(box[i] for i in order) for box in w._table]
     live = [{key[: 2 ** (j + 1) - 1] for key in table} for j in range(k - 1)]
@@ -524,53 +526,28 @@ def _live_prefixes(w: StepHypergraphon, rows: Sequence[Mapping], n: int, h: int)
     for key in table:
         tops.setdefault(key[:-1], set()).add(key[-1])
     get = tops.get
-    steps = _walk_steps(k)
-    del steps[-1][-1]  # the top coordinate, T = verts, is read per candidate
-
-    def walk(verts: tuple[int, ...], key: tuple, h: int):
-        j = len(verts)
-        lo = verts[-1] + 1 if verts else 0
-        cols = _prefix_cols(rows, steps[j], verts)
-        if j < k - 1:
-            here = live[j]
-            for v, c in enumerate(zip(*cols), lo):
-                if (ext := key + c) in here:
-                    yield from walk(verts + (v,), ext, fold(h, v))
-        elif cols:
-            found = [(v, ts) for v, c in enumerate(zip(*cols), lo) if (ts := get(key + c))]
-            if found:
-                yield verts, h, found
-        elif () in tops:  # k = 1: the top coordinate is the only one
-            yield verts, h, [(v, tops[()]) for v in range(n)]
-
-    try:
-        yield from walk((), (), h)
-    finally:
-        del walk  # its closure holds itself: unlinked, the tables it captured are freed with the walk
-
-
-def _sampled_graph(w: StepHypergraphon, n: int, seed: int, lower: Iterable[array]):
-    """The graph of G(n, w), given its latent levels 1..k-1 from :func:`subset_draws`.
-
-    The levels are boxed, ``(m * l) >> 64``, into typed prefix rows for the
-    live-prefix walk, which carries the hash of (seed, "latent", k, *verts),
-    one :func:`fold` per fixed vertex. A candidate edge whose lower box
-    vector is live gets its top latent from :func:`~hyperlim.rng._first_draws`
-    on that hash, so it equals ``stream(seed, "latent", k, *E).next_u64()``
-    bit for bit, and only the candidates whose edge it decides pay for it.
-    A prefix has only a few live candidates, so the prefixes are gathered
-    into runs of about ``rng._BLOCK`` candidates, each hashed in one call.
-    """
-    k, l = w.k, w.resolution
     boxes = (unsigned_array(((m * l) >> 64 for m in draws), l - 1) for draws in lower)
     rows = [prefix_rows(level, n, r) for r, level in enumerate(boxes, start=1)]
+    head = fold(derive(seed, "latent"), k)
+
+    def runs():
+        up = h_up = None
+        for verts, key, cols in prefix_walk(rows, k, live):
+            # For k = 1 the top coordinate is the only one: every vertex is a candidate.
+            candidates = zip(*cols) if cols else repeat((), n)
+            found = [(v, ts) for v, c in enumerate(candidates, verts[-1] + 1 if verts else 0)
+                     if (ts := get(key + c))]
+            if found:
+                if verts[:-1] != up:  # siblings share the hash of their parent
+                    up, h_up = verts[:-1], reduce(fold, verts[:-1], head)
+                yield reduce(fold, verts[-1:], h_up), [v for v, _ in found], verts, found
+
     edges: list[tuple[int, ...]] = []
-    walk = _live_prefixes(w, rows, n, fold(derive(seed, "latent"), k))
-    for run in _in_blocks((h, [v for v, _ in live], verts, live) for verts, h, live in walk):
+    for run in _in_blocks(runs()):
         draws = iter(_first_draws(run))
-        for _, _, verts, live in run:
-            # zip reads live first, so it stops there without taking the next row's draw.
-            edges.extend(verts + (v,) for (v, tops), m in zip(live, draws) if (m * l) >> 64 in tops)
+        for _, _, verts, found in run:
+            # zip reads found first, so it stops there without taking the next row's draw.
+            edges.extend(verts + (v,) for (v, ts), m in zip(found, draws) if (m * l) >> 64 in ts)
     return UniformHypergraph(k, n, edges)
 
 

@@ -464,11 +464,12 @@ def sampled_cylinder_family(n: int, r: int, count: int, seed: int) -> list[Cylin
     from the counter identity of :mod:`hyperlim.rng`, a block of
     ``_BLOCK`` consecutive draws per kernel call, and the side keeps the
     subsets whose draw is below its threshold, with no per-draw Python
-    step. A level outside 2..MAX_ARITY, or a count below 1, is refused
-    before any draw.
+    step. A vertex count that is not an int of at least 0, a level
+    outside 2..MAX_ARITY, or a count below 1, is refused before any draw.
     """
     if not 2 <= r <= MAX_ARITY:
         raise ValueError(f"cylinder level r={r} outside 2..{MAX_ARITY}")
+    check_count("n_vertices", n, 0)
     check_seed(seed)
     check_count("cylinder count", count)
     subsets = list(combinations(range(n), r - 1))

@@ -208,8 +208,40 @@ def test_a_prefix_walk_leaves_no_cycle_for_the_collector():
     n = 12
     rows = [prefix_rows(bytes(comb(n, r)), n, r) for r in (1, 2, 3)]
     assert sum(1 for _ in prefix_walk(rows, 3)) == comb(n, 2)
-    assert cyclic_garbage(lambda: list(prefix_walk(rows, 3)))[0] == 0
-    assert cyclic_garbage(lambda: next(prefix_walk(rows, 3)))[0] == 0
+    # Every value is 0: live keys of zeros walk it all, as an unpruned walk does.
+    live = [{(0,)}, {(0, 0, 0)}]
+    assert sum(1 for _ in prefix_walk(rows, 3, live)) == comb(n, 2)
+    for walk in (lambda: prefix_walk(rows, 3), lambda: prefix_walk(rows, 3, live)):
+        assert cyclic_garbage(lambda: list(walk()))[0] == 0
+        assert cyclic_garbage(lambda: next(walk()))[0] == 0
+
+
+def _key_prefix(key: tuple, j: int) -> tuple:
+    """The values of the first j + 1 vertices' subsets: walk order lists them first."""
+    return key[: 2 ** (j + 1) - 1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_a_pruned_walk_yields_the_unpruned_prefixes_whose_key_prefixes_are_live(k):
+    rng = random.Random(k)
+    n = 8
+    levels = [bytes(rng.randrange(2) for _ in range(comb(n, r))) for r in range(1, k + 1)]
+    rows = [prefix_rows(level, n, r) for r, level in enumerate(levels, start=1)]
+    # Without level k a prefix's columns lack only the last one, T = verts.
+    full = list(prefix_walk(rows, k))
+    lower = list(prefix_walk(rows[:-1], k))
+    assert lower == [(verts, key, cols[:-1]) for verts, key, cols in full]
+    assert len(full) == comb(n, k - 1)
+    for held, walked in ((rows, full), (rows[:-1], lower)):
+        keys = {_key_prefix(key, j) for _, key, _ in walked for j in range(k - 1)}
+        choices = [keys, set()] + [{p for p in keys if rng.random() < 0.6} for _ in range(6)]
+        for chosen in choices:
+            live = [{p for p in chosen if len(p) == 2 ** (j + 1) - 1} for j in range(k - 1)]
+            expected = [
+                step for step in walked
+                if all(_key_prefix(step[1], j) in live[j] for j in range(k - 1))
+            ]
+            assert list(prefix_walk(held, k, live)) == expected
 
 
 def test_a_hypergraph_pickles_with_its_links():

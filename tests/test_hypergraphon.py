@@ -657,8 +657,9 @@ def test_the_graph_only_sampler_draws_the_documented_top_streams(k):
 
 
 def test_sampling_leaves_no_cycle_for_the_collector(fixture_w):
-    # The live-prefix walk is a recursive closure: unlinked when the walk
-    # ends, its rows and tables are freed by reference count.
+    # The sampler takes core.prefix_walk, a recursive closure, pruned to
+    # W's live keys: unlinked when the walk ends, the walk's rows and the
+    # sampler's live and top tables are freed by reference count.
     assert cyclic_garbage(lambda: sample_hypergraph(fixture_w, 40, 0))[0] == 0
     assert cyclic_garbage(lambda: sample_w_random(fixture_w, 40, 0))[0] == 0
 

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -585,6 +586,19 @@ def test_sampled_family_refuses_a_level_outside_2_to_max_arity_before_any_draw(m
     forbid_work(monkeypatch, (regularity_module, "derive"), (regularity_module, "fold"))
     with pytest.raises(ValueError, match=f"cylinder level r={r} outside 2..4"):
         sampled_cylinder_family(9, r, 3, seed=0)
+
+
+@pytest.mark.parametrize("n", [2.0, True, -1])
+def test_sampled_family_refuses_a_bad_vertex_count_before_any_draw(monkeypatch, n):
+    # 2.0 would reach range() as a TypeError; True and -1 would reach the
+    # first side's constructor, after the hashing it needs.
+    forbid_work(monkeypatch, (regularity_module, "_stream_draws"))
+    message = f"n_vertices must be an int of at least 0, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sampled_cylinder_family(n, 2, 3, seed=0)
+    # The least allowed vertex count draws, so the forbid pins something.
+    with pytest.raises(AssertionError, match="work started"):
+        sampled_cylinder_family(0, 2, 3, seed=0)
 
 
 # grid: the seeds the draws are checked on, small ones and ones using the

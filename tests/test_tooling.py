@@ -216,6 +216,31 @@ def test_the_splitmix_finalizer_is_written_only_in_rng():
     assert holders == {"rng.py"}
 
 
+def test_the_prefix_tree_walk_is_written_only_in_core():
+    # core.prefix_walk is the one walk over the rows of core.prefix_rows:
+    # sample, cells and independence_test all take it. A module that
+    # imports core._walk_steps, or defines a function that calls itself
+    # and reads prefix rows, holds a second walk that can drift from it.
+    # rng._extend_subset_draws walks a prefix tree of hashes, no rows.
+    importers, walks = set(), set()
+    for path in sorted((ROOT / "src" / "hyperlim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names_rows = "prefix_rows" in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "_walk_steps" in {a.name for a in node.names}:
+                importers.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "_walk_steps":
+                importers.add(path.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                calls = {n.func.id for n in ast.walk(node)
+                         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                if node.name in calls and (names_rows or "rows" in names):
+                    walks.add((path.name, node.name))
+    assert importers == set()
+    assert walks == {("core.py", "walk")}
+
+
 def test_the_cli_process_imports_no_dataclasses_or_introspection():
     # Every command starts a fresh interpreter; dataclasses pulls in inspect,
     # dis, ast and tokenize, which no command uses.
