@@ -56,7 +56,7 @@ from .core import (
 from .rng import (
     _BLOCK,
     _draw_boxes,
-    _extend_subset_draws,
+    _fill_subset_draws,
     _first_draws,
     _fold_lanes,
     _in_blocks,
@@ -561,15 +561,21 @@ def sample_w_random(w: StepHypergraphon, n: int, seed: int) -> LatentSample:
 
     Every level's latents come from :func:`subset_draws`, once each, and
     the sample holds them all. The graph is :func:`sample_hypergraph`'s,
-    found by :func:`_sampled_graph` from levels 1..k-1. The top level is
-    drawn straight into the sample's own store, which the sample keeps
-    without a copy.
+    found by :func:`_sampled_graph` from levels 1..k-1. The sample's own
+    store is allocated at its final size, Σ_{r≤k} C(n, r) items, and kept
+    without a copy: the lower levels are copied into it and the top level
+    is drawn straight into it.
     """
     check_sample_arguments(w, n, seed)
     lower = [subset_draws(seed, "latent", n, r) for r in range(1, w.k)]
     graph = _sampled_graph(w, n, seed, lower)
-    latents = sum(lower, array("Q"))
-    _extend_subset_draws(latents, seed, "latent", n, w.k)
+    latents = array("Q", [0]) * sum(comb(n, r) for r in range(1, w.k + 1))
+    start = 0
+    for level in lower:
+        latents[start : start + len(level)] = level
+        start += len(level)
+    lower = level = None  # freed before the top level is drawn
+    _fill_subset_draws(latents, start, seed, "latent", n, w.k)
     return LatentSample._owning(graph, latents, seed)
 
 

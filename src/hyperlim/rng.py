@@ -49,6 +49,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 MASK64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -251,18 +252,21 @@ def subset_draws(seed: int, label: str, n: int, r: int) -> array:
     after ``(seed, label, r)`` is computed once and each inner node's
     partial hash is folded once and shared by all its extensions. The leaf
     rows are hashed by :func:`_first_draws`, a run of about ``_BLOCK``
-    leaves at a time. The draws come back as one ``array('Q')``, 8 bytes
-    each.
+    leaves at a time. The draws come back as one ``array('Q')`` of
+    exactly C(n, r) items, 8 bytes each.
     """
-    out = array("Q")
-    _extend_subset_draws(out, seed, label, n, r)
+    if r < 1:
+        raise ValueError("subset size r must be at least 1")
+    out = array("Q", [0]) * comb(n, r)
+    _fill_subset_draws(out, 0, seed, label, n, r)
     return out
 
 
-def _extend_subset_draws(out: array, seed: int, label: str, n: int, r: int) -> None:
-    """Append ``subset_draws(seed, label, n, r)`` to ``out``, a run at a time."""
-    if r < 1:
-        raise ValueError("subset size r must be at least 1")
+def _fill_subset_draws(out: array, start: int, seed: int, label: str, n: int, r: int) -> None:
+    """Write ``subset_draws(seed, label, n, r)`` into ``out`` from index ``start``, a run at a time.
+
+    ``out`` must already hold those C(n, r) items, so no write resizes it.
+    """
 
     def walk(h: int, lo: int, depth: int) -> Iterator[tuple[int, range]]:
         if depth < r:
@@ -273,7 +277,9 @@ def _extend_subset_draws(out: array, seed: int, label: str, n: int, r: int) -> N
             yield h, range(lo, n)
 
     for run in _in_blocks(walk(fold(derive(seed, label), r), 0, 1)):
-        out += _first_draws(run)
+        draws = _first_draws(run)
+        out[start : start + len(draws)] = draws
+        start += len(draws)
     del walk  # its closure holds itself: unlinked, it is freed by reference count
 
 

@@ -33,7 +33,7 @@ from hyperlim import (
 import hyperlim.cli as cli_module
 import hyperlim.hypergraphon as hypergraphon_module
 from hyperlim.cli import convergence_table, main
-from hyperlim.rng import _extend_subset_draws, subset_draws
+from hyperlim.rng import _fill_subset_draws, subset_draws
 
 from conftest import REMOVAL_WORK, build_fixture_w, build_half_w, cli_env, forbid_work
 
@@ -747,12 +747,12 @@ def test_only_a_sample_with_latents_draws_the_top_level_in_bulk(files, capsys, t
         levels.append(r)
         return subset_draws(seed, label, n, r)
 
-    def extend_spy(out, seed, label, n, r):
+    def fill_spy(out, start, seed, label, n, r):
         levels.append(r)
-        return _extend_subset_draws(out, seed, label, n, r)
+        return _fill_subset_draws(out, start, seed, label, n, r)
 
     monkeypatch.setattr(hypergraphon_module, "subset_draws", spy)
-    monkeypatch.setattr(hypergraphon_module, "_extend_subset_draws", extend_spy)
+    monkeypatch.setattr(hypergraphon_module, "_fill_subset_draws", fill_spy)
     w = build_fixture_w()
     convergence_table(w, [("triple", complete_hypergraph(3, 3))], (6, 9), 2, seed=0)
     assert levels == [1, 2] * 4

@@ -265,7 +265,7 @@ K6_TRIANGLES = enumerate_hom_images(triangle(), complete_hypergraph(2, 6))
 COUNT_CASES = {
     "enumerate_hom_images cap": (
         lambda v: enumerate_hom_images(triangle(), complete_hypergraph(2, 6), cap=v), "cap", 1,
-        [(homomorphism_module, "_covered_order"), (homomorphism_module, "_last_masks")]),
+        [(homomorphism_module, "_covered_order"), (homomorphism_module, "_walk")]),
     "removal_experiment cap": (
         lambda v: removal_experiment(triangle(), complete_hypergraph(2, 6), cap=v), "cap", 1,
         [(homomorphism_module, "_covered_order"), *REMOVAL_WORK]),

@@ -1,8 +1,10 @@
 """Exact homomorphism counting against the brute-force oracle."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -14,6 +16,8 @@ from hyperlim import (
     hom_count,
     hom_density,
 )
+
+from hyperlim.homomorphism import _covered_order, _link_table
 
 from conftest import shared_pair_triples, single_triple, triangle
 from oracles import disjoint_union, hom_count_brute
@@ -125,6 +129,127 @@ def test_backtracking_matches_brute_force_on_random_instances():
             fast = hom_count(pattern, host)
             brute = hom_count_brute(pattern, host)
             assert (fast.count, fast.domain_size) == (brute.count, brute.domain_size)
+
+
+def last_two_share_no_edge(pattern: UniformHypergraph) -> bool:
+    """Whether no pattern edge holds both of the walk's last two vertices."""
+    u, v = _covered_order(pattern)[-2:]
+    return not any(u in e and v in e for e in pattern.edges)
+
+
+#: Per arity: patterns for the cross-engine tests, each with the largest
+#: host size that the brute-force oracle gets through quickly.
+CROSS_PATTERNS = {
+    1: [(UniformHypergraph(1, 1, [(0,)]), 9), (UniformHypergraph(1, 3, [(0,), (2,)]), 9),
+        (UniformHypergraph(1, 4, [(0,), (1,), (2,), (3,)]), 9)],
+    2: [(UniformHypergraph(2, 2, [(0, 1)]), 9), (triangle(), 9),
+        (UniformHypergraph(2, 3, [(0, 1), (1, 2)]), 9),
+        (UniformHypergraph(2, 4, [(0, 1), (0, 2), (0, 3)]), 9),
+        (UniformHypergraph(2, 4, [(0, 1), (0, 3), (1, 2), (2, 3)]), 9),
+        (complete_hypergraph(2, 4), 9), (UniformHypergraph(2, 4, [(0, 1), (2, 3)]), 9),
+        (UniformHypergraph(2, 5, [(0, 1), (0, 2), (0, 3), (0, 4)]), 7)],
+    3: [(single_triple(), 9), (shared_pair_triples(), 9), (complete_hypergraph(3, 4), 9),
+        (UniformHypergraph(3, 5, [(0, 1, 2), (2, 3, 4)]), 6),
+        (UniformHypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]), 6)],
+    4: [(UniformHypergraph(4, 4, [(0, 1, 2, 3)]), 9),
+        (UniformHypergraph(4, 5, [(0, 1, 2, 3), (0, 1, 2, 4)]), 7),
+        (UniformHypergraph(4, 5, [(0, 1, 2, 3), (1, 2, 3, 4)]), 7),
+        (complete_hypergraph(4, 5), 7)],
+}
+
+
+def test_the_cross_engine_patterns_cover_the_shortcut_and_arity_one_edges():
+    # The product shortcut needs last two positions that share no edge,
+    # and the walk joins them otherwise; both occur at every k >= 2.
+    for k in (2, 3, 4):
+        shares = {last_two_share_no_edge(pattern) for pattern, _ in CROSS_PATTERNS[k]}
+        assert shares == {False, True}, k
+    assert all(len(_covered_order(pattern)) >= 2 for pattern, _ in CROSS_PATTERNS[1][1:])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_counts_and_images_match_the_oracles_on_random_hosts(k):
+    # Hosts of every density up to n = 9; hom_count's closed-form last
+    # two positions and enumerate_hom_images' walk must both agree with
+    # the brute force over every map.
+    rng = random.Random(3100 + k)
+    for _ in range(8):
+        n, p = rng.randint(0, 9), rng.random()
+        host = random_hypergraph(rng, k, n, p)
+        for pattern, largest in CROSS_PATTERNS[k]:
+            if n > largest:
+                continue
+            assert hom_count(pattern, host) == hom_count_brute(pattern, host)
+            assert enumerate_hom_images(pattern, host).images == brute_images(pattern, host)
+
+
+def table_entries(table: list):
+    """(path, mask) for every leaf of a link table, the path read from the root."""
+    stack = [((a,), node) for a, node in enumerate(table)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, dict):
+            stack.extend((path + (b,), child) for b, child in node.items())
+        else:
+            yield path, node
+
+
+def test_the_link_table_holds_every_ordering_of_each_link_key_and_nothing_else():
+    rng = random.Random(3107)
+    for k in (2, 3, 4):
+        for n in (0, 1, k, 7):
+            host = random_hypergraph(rng, k, n, 0.5)
+            expected = {order: mask for key, mask in host.links.items() for order in permutations(key)}
+            assert {path: mask for path, mask in table_entries(_link_table(host)) if mask} == expected
+
+
+def test_a_repeated_host_vertex_reads_as_the_empty_link():
+    # No ordering of a link key repeats a vertex, so no table path does.
+    # K4^(3) maps into one 3-edge only by repeating a vertex, which the
+    # walk does place (its first two positions share no edge): each such
+    # lookup must read as the empty mask, and nothing is counted.
+    host = complete_hypergraph(3, 3)
+    assert all(len(set(path)) == len(path) for path, _ in table_entries(_link_table(host)))
+    for pattern in (complete_hypergraph(3, 4), UniformHypergraph(3, 4, [(0, 1, 2), (0, 2, 3), (1, 2, 3)])):
+        assert not last_two_share_no_edge(pattern)
+        assert hom_count(pattern, host).count == hom_count_brute(pattern, host).count == 0
+        assert enumerate_hom_images(pattern, host).images == frozenset()
+    assert hom_count(single_triple(), host).count == 6
+
+
+def traced(call):
+    """``call()``, its memory still held afterwards and its peak, under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_the_link_table_is_built_per_walk_and_only_for_a_walk_that_reads_it():
+    # A dense k = 4 host on 20 vertices: 1 140 link keys, each held in
+    # (k-1)! = 6 orderings, about 250 kB under tracemalloc (Python 3.11).
+    # The table is the walk's only large allocation, it is freed when the
+    # walk returns, and no table is built where the walk reads no link.
+    host = complete_hypergraph(4, 20)
+    orderings = 6 * len(host.links)
+    table, table_size, _ = traced(lambda: _link_table(host))
+    del table
+    assert table_size < 64 * orderings, table_size
+    edge = UniformHypergraph(4, 4, [(0, 1, 2, 3)])
+    for _ in range(2):
+        count, held, peak = traced(lambda: hom_count(edge, host).count)
+        assert count == 20 * 19 * 18 * 17
+        assert table_size <= peak < table_size + (32 << 10), (peak, table_size)
+        assert held < 32 << 10, held
+    for edgeless in (UniformHypergraph(4, 4, []), UniformHypergraph(4, 9, [])):
+        _, _, peak = traced(lambda: hom_count(edgeless, host))
+        assert peak < 4 << 10, peak
+    # A host has no slot to keep a table in, so one that no walk reads never holds one.
+    assert UniformHypergraph.__slots__ == ("k", "n_vertices", "edges", "links")
 
 
 def test_single_edge_count_on_complete_host_is_falling_factorial():

@@ -2,7 +2,9 @@
 
 import gc
 import random
+import sys
 import tracemalloc
+from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -591,6 +593,19 @@ def test_sampled_latents_are_the_documented_streams(k):
                 stream(seed, "latent", len(sub), *sub).next_u64() for sub in lat_subsets(n, k)
             ]
             assert sample_w_random(w, n, seed).latents.tolist() == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_a_sample_keeps_its_latents_in_an_exact_size_store(k):
+    # The store is allocated at its final size and filled in place, so it
+    # holds no growth slack: its size is its items plus the array header.
+    header = sys.getsizeof(array("Q"))
+    w = StepHypergraphon(k, 1, INDICATOR, {})
+    for n in sorted({0, 1, k, 9, 80 // k}):
+        store = sample_w_random(w, n, 7).latents.obj
+        assert type(store) is array and store.typecode == "Q"
+        assert len(store) == sum(comb(n, r) for r in range(1, k + 1))
+        assert sys.getsizeof(store) == header + store.itemsize * len(store)
 
 
 @cache

@@ -43,6 +43,7 @@ from hyperlim import (
 from hyperlim.cli import build_parser
 
 from conftest import build_fixture_w, cli_env, triangle
+from mutants import MUTANTS, occurrences
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "bench" / "tracer.py"
@@ -221,7 +222,7 @@ def test_the_prefix_tree_walk_is_written_only_in_core():
     # sample, cells and independence_test all take it. A module that
     # imports core._walk_steps, or defines a function that calls itself
     # and reads prefix rows, holds a second walk that can drift from it.
-    # rng._extend_subset_draws walks a prefix tree of hashes, no rows.
+    # rng._fill_subset_draws walks a prefix tree of hashes, no rows.
     importers, walks = set(), set()
     for path in sorted((ROOT / "src" / "hyperlim").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -239,6 +240,16 @@ def test_the_prefix_tree_walk_is_written_only_in_core():
                     walks.add((path.name, node.name))
     assert importers == set()
     assert walks == {("core.py", "walk")}
+
+
+def test_every_mutant_fragment_occurs_exactly_once():
+    # tests/mutants.py is run by hand; a kernel rewrite that moves one of
+    # its fragments must update the row in the same change.
+    assert MUTANTS
+    for row in MUTANTS:
+        assert occurrences(row) == 1, row.name
+        assert row.replacement != row.fragment, row.name
+        assert all((ROOT / name).is_file() for name in row.tests), row.name
 
 
 def test_the_cli_process_imports_no_dataclasses_or_introspection():
