@@ -162,9 +162,8 @@ def _walk(pattern: UniformHypergraph, host: UniformHypergraph, order: list[int],
     join them (see ``_node``): the last position's mask, given vertex a at
     the one before it, is its yielded mask ANDed with each node's link at
     a. While a triple is yielded, ``assignment`` holds the image of every
-    earlier position. A placement that leaves some position no candidate
-    is dropped with its subtree. The link table is built when the walk
-    starts, for this walk alone, and not at all if no edge has two vertices.
+    earlier position. The link table is built when the walk starts, for
+    this walk alone, and not at all if no edge has two vertices.
     """
     masks, updates = _mask_plan(pattern, order, host)
     table = _link_table(host) if any(updates) else None
@@ -188,8 +187,6 @@ def _walk(pattern: UniformHypergraph, host: UniformHypergraph, order: list[int],
         nxt = level[i].copy()
         for j, mask in zip(targets[i], found):
             nxt[j] &= mask
-        if 0 in nxt:
-            continue
         if i + 1 == top:
             yield nxt[top], nxt[-1], [_node(table, p, assignment) for p in prefixes[top]]
         else:
@@ -204,14 +201,10 @@ def _pair_count(cands: int, last: int, nodes: list) -> int:
     # joining the two, the product of their popcounts.
     if not nodes:
         return cands.bit_count() * last.bit_count()
-    if type(nodes[0]) is list:
-        # k = 2: one edge joins them, and its node is the neighbour list.
-        col = compress(nodes[0], bin(cands)[:1:-1].encode().translate(_BITS))
-    else:
-        verts = _members(cands)
-        col = _column(nodes[0], verts)
-        for node in nodes[1:]:
-            col = map(and_, col, _column(node, verts))
+    verts = _members(cands)
+    col = _column(nodes[0], verts)
+    for node in nodes[1:]:
+        col = map(and_, col, _column(node, verts))
     return sum(map(int.bit_count, map(last.__and__, col)))
 
 
